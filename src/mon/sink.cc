@@ -47,10 +47,11 @@ printProgressBeat(const ProgressBeat &b)
                  tail);
 }
 
-TimeSeriesSink::TimeSeriesSink(EventQueue &eq, StatsRegistry &stats,
-                               Options opt)
-    : eq_(eq), stats_(stats), opt_(std::move(opt))
+TimeSeriesSink::TimeSeriesSink(std::vector<EventQueue *> queues,
+                               StatsRegistry &stats, Options opt)
+    : queues_(std::move(queues)), stats_(stats), opt_(std::move(opt))
 {
+    panic_if(queues_.empty(), "takomon sink with no queue to sample");
     panic_if(opt_.sampleEvery == 0 && opt_.progressEvery == 0,
              "takomon sink with no cadence (sampleEvery and "
              "progressEvery both zero)");
@@ -64,7 +65,7 @@ TimeSeriesSink::TimeSeriesSink(EventQueue &eq, StatsRegistry &stats,
         ts.names.clear();
         for (const SeriesDesc &d : series_)
             ts.names.push_back(d.name);
-        nextSample_ = eq_.now() + opt_.sampleEvery;
+        firstBoundary_ = queues_[0]->now() + opt_.sampleEvery;
     }
     if (!opt_.monPath.empty()) {
         MonWriter::Options wopt;
@@ -75,69 +76,46 @@ TimeSeriesSink::TimeSeriesSink(EventQueue &eq, StatsRegistry &stats,
         writing_ = true;
     }
     if (opt_.progressEvery > 0) {
-        nextBeat_ = eq_.now() + opt_.progressEvery;
+        nextBeat_ = queues_[0]->now() + opt_.progressEvery;
         firstBeatHostTime_ = hostNow();
     }
-    eq_.setAdvanceHook([this](Tick to) { return onAdvance(to); },
-                       nextWatermark());
-}
-
-TimeSeriesSink::TimeSeriesSink(EventQueue &eq, StatsRegistry &stats,
-                               Tick interval,
-                               const std::vector<std::string> &patterns)
-    : TimeSeriesSink(eq, stats, [&] {
-          panic_if(interval == 0, "sampler interval must be nonzero");
-          Options o;
-          o.sampleEvery = interval;
-          o.patterns = patterns;
-          return o;
-      }())
-{
-}
-
-TimeSeriesSink::~TimeSeriesSink()
-{
-    for (EventQueue *q : shardQueues_)
-        q->clearAdvanceHook();
-    eq_.clearAdvanceHook();
-    if (writing_ && !finish())
-        warn("%s", writer_.error().c_str());
-}
-
-void
-TimeSeriesSink::shardAcross(const std::vector<EventQueue *> &queues)
-{
-    panic_if(queues.empty() || queues[0] != &eq_,
-             "shardAcross: queues[0] must be the construction queue");
-    panic_if(samplesTaken_ != 0 || !shardQueues_.empty(),
-             "shardAcross called twice or after sampling started");
-    shardQueues_ = queues;
-    capture_.resize(queues.size());
-    if (opt_.sampleEvery > 0)
-        firstBoundary_ = eq_.now() + opt_.sampleEvery;
-    for (unsigned d = 0; d < queues.size(); ++d) {
+    capture_.resize(queues_.size());
+    for (unsigned d = 0; d < queues_.size(); ++d) {
         DomainCapture &dc = capture_[d];
         dc.next = opt_.sampleEvery > 0
-                      ? queues[d]->now() + opt_.sampleEvery
+                      ? queues_[d]->now() + opt_.sampleEvery
                       : 0;
-        Tick wm = dc.next > 0 ? dc.next : ~Tick{0};
-        if (d == 0 && nextBeat_ > 0 && nextBeat_ < wm)
-            wm = nextBeat_;
         if (dc.next > 0 || d == 0) {
-            queues[d]->setAdvanceHook(
-                [this, d](Tick to) { return onShardAdvance(d, to); },
-                wm);
+            queues_[d]->setAdvanceHook(
+                [this, d](Tick to) { return onDomainAdvance(d, to); },
+                watermark(d));
         }
     }
 }
 
+TimeSeriesSink::~TimeSeriesSink()
+{
+    if (!finished_ && !finish())
+        warn("%s", writer_.error().c_str());
+}
+
 Tick
-TimeSeriesSink::onShardAdvance(unsigned d, Tick to)
+TimeSeriesSink::watermark(unsigned d) const
+{
+    const DomainCapture &dc = capture_[d];
+    Tick wm = dc.next > 0 ? dc.next : ~Tick{0};
+    if (d == 0 && nextBeat_ > 0 && nextBeat_ < wm)
+        wm = nextBeat_;
+    return wm;
+}
+
+Tick
+TimeSeriesSink::onDomainAdvance(unsigned d, Tick to)
 {
     // Replay every boundary this domain's clock is crossing. The hook
     // fires before any event at tick >= the boundary runs here, so the
     // captured lane partial covers exactly this domain's events strictly
-    // before the boundary — the same cut a monolithic sample makes.
+    // before the boundary.
     DomainCapture &dc = capture_[d];
     while (dc.next > 0 && dc.next <= to) {
         std::vector<double> row(sources_.size());
@@ -152,25 +130,18 @@ TimeSeriesSink::onShardAdvance(unsigned d, Tick to)
             nextBeat_ += opt_.progressEvery;
         }
     }
-    Tick wm = dc.next > 0 ? dc.next : ~Tick{0};
-    if (d == 0 && nextBeat_ > 0 && nextBeat_ < wm)
-        wm = nextBeat_;
-    return wm;
+    return watermark(d);
 }
 
 void
-TimeSeriesSink::mergeShardSamples()
+TimeSeriesSink::mergeRows()
 {
-    if (shardQueues_.empty())
-        return;
-    for (EventQueue *q : shardQueues_)
-        q->clearAdvanceHook();
     if (opt_.sampleEvery == 0)
         return;
     // The domain owning the globally-last event replayed every boundary
-    // up to it, so the longest capture has exactly the monolithic row
-    // count. Domains that drained earlier stopped firing; their partials
-    // for the missing tail are their final live lanes (all their events
+    // up to it, so the longest capture has the full row count. Domains
+    // that drained earlier stopped firing; their partials for the
+    // missing tail are their final live lanes (all their events
     // completed), read here before StatsRegistry::mergeLanes() folds
     // them away.
     std::size_t rows = 0;
@@ -178,16 +149,21 @@ TimeSeriesSink::mergeShardSamples()
         rows = std::max(rows, dc.rows.size());
     StatsTimeSeries &ts = stats_.timeSeries();
     for (std::size_t r = 0; r < rows; ++r) {
-        for (std::size_t i = 0; i < sources_.size(); ++i) {
-            const bool isMax = sources_[i].kind == SeriesKind::HistMax;
-            double v = 0;
-            for (unsigned d = 0; d < capture_.size(); ++d) {
-                const double pv = r < capture_[d].rows.size()
-                                      ? capture_[d].rows[r][i]
+        std::fill(row_.begin(), row_.end(), 0.0);
+        for (unsigned d = 0; d < capture_.size(); ++d) {
+            std::vector<std::vector<double>> &part = capture_[d].rows;
+            for (std::size_t i = 0; i < sources_.size(); ++i) {
+                const double pv = r < part.size()
+                                      ? part[r][i]
                                       : readLane(sources_[i], d);
-                v = isMax ? std::max(v, pv) : v + pv;
+                row_[i] = sources_[i].kind == SeriesKind::HistMax
+                              ? std::max(row_[i], pv)
+                              : row_[i] + pv;
             }
-            row_[i] = v;
+            // Release each partial once merged: the merged series
+            // already holds every row, so don't keep two copies.
+            if (r < part.size())
+                std::vector<double>().swap(part[r]);
         }
         const Tick at =
             firstBoundary_ + static_cast<Tick>(r) * opt_.sampleEvery;
@@ -202,6 +178,12 @@ TimeSeriesSink::mergeShardSamples()
 bool
 TimeSeriesSink::finish()
 {
+    if (finished_)
+        return error().empty();
+    finished_ = true;
+    for (EventQueue *q : queues_)
+        q->clearAdvanceHook();
+    mergeRows();
     if (!writing_)
         return error().empty();
     writing_ = false;
@@ -271,75 +253,12 @@ TimeSeriesSink::readLane(const Source &s, unsigned d) const
     return 0;
 }
 
-double
-TimeSeriesSink::readSource(const Source &s) const
-{
-    switch (s.kind) {
-      case SeriesKind::Counter:
-        return s.counter->value();
-      case SeriesKind::HistCount:
-        return static_cast<double>(s.hist->count());
-      case SeriesKind::HistSum:
-        return s.hist->sum();
-      case SeriesKind::HistMax:
-        return static_cast<double>(s.hist->max());
-    }
-    return 0;
-}
-
-Tick
-TimeSeriesSink::nextWatermark() const
-{
-    Tick wm = ~Tick{0};
-    if (nextSample_ > 0 && nextSample_ < wm)
-        wm = nextSample_;
-    if (nextBeat_ > 0 && nextBeat_ < wm)
-        wm = nextBeat_;
-    return wm;
-}
-
-Tick
-TimeSeriesSink::onAdvance(Tick to)
-{
-    // Replay every boundary up to (and including) the tick being
-    // advanced to, in tick order; a sample and a beat landing on the
-    // same tick emit the sample first (only host-side output ordering
-    // is at stake — the series never sees beats).
-    while (true) {
-        const bool sampleDue = nextSample_ > 0 && nextSample_ <= to;
-        const bool beatDue = nextBeat_ > 0 && nextBeat_ <= to;
-        if (!sampleDue && !beatDue)
-            break;
-        if (sampleDue && (!beatDue || nextSample_ <= nextBeat_)) {
-            takeSample(nextSample_);
-            nextSample_ += opt_.sampleEvery;
-        } else {
-            emitBeat(nextBeat_);
-            nextBeat_ += opt_.progressEvery;
-        }
-    }
-    return nextWatermark();
-}
-
-void
-TimeSeriesSink::takeSample(Tick at)
-{
-    for (std::size_t i = 0; i < sources_.size(); ++i)
-        row_[i] = readSource(sources_[i]);
-    StatsTimeSeries &ts = stats_.timeSeries();
-    ts.ticks.push_back(at);
-    ts.samples.push_back(row_);
-    if (writing_)
-        writer_.addSample(at, row_);
-    ++samplesTaken_;
-}
-
 void
 TimeSeriesSink::emitBeat(Tick at)
 {
     ProgressBeat b;
     b.tick = at;
-    b.events = eq_.eventsFired();
+    b.events = queues_[0]->eventsFired();
     b.hostSeconds = hostNow() - firstBeatHostTime_;
     b.eventsPerSec = b.hostSeconds > 0
                          ? static_cast<double>(b.events) / b.hostSeconds

@@ -2,19 +2,20 @@
  * @file
  * takomon TimeSeriesSink: the one sampling path for periodic telemetry.
  *
- * The sink rides the EventQueue's advance hook (at most one per queue)
- * and multiplexes every fixed-cadence consumer behind it:
+ * The sink rides the advance hook (at most one per queue) of every
+ * shard domain's EventQueue and multiplexes every fixed-cadence
+ * consumer behind it:
  *
- *  - the in-memory StatsTimeSeries exported by --stats-json (what the
- *    PR-1 StatsSampler produced; that class is now an alias of this
- *    one — see src/sim/sampler.hh);
+ *  - the in-memory StatsTimeSeries exported by --stats-json;
  *  - an optional takomon-v1 binary file (MonWriter) holding the same
  *    rows, bit-identical across host thread counts and shard counts;
  *  - optional progress heartbeats at their own (sim-tick) cadence.
  *
- * Samples are taken when simulated time first reaches each interval
- * boundary, before the events at that tick run, so a sample at tick T
- * reflects everything that completed strictly before T. Sampled values
+ * Each domain captures its own stat-lane partials when its clock first
+ * reaches each interval boundary, before the events at that tick run,
+ * and finish() sums the partial rows in domain order; so a sample at
+ * tick T reflects everything that completed strictly before T, in any
+ * domain, without ever synchronizing workers. Sampled values
  * are a pure function of sim state: the sink samples counters and
  * histograms fixed at construction and never the host.* namespace
  * (those gauges are registered after the run, and are skipped by name
@@ -73,17 +74,17 @@ class TimeSeriesSink
     };
 
     /**
-     * Install on @p eq's advance hook. At least one cadence must be
-     * enabled. All counters/histograms to sample must already be
-     * registered in @p stats. A monPath that cannot be created is a
-     * fatal (configuration) error — it fails before the run, not after.
+     * Install on the advance hook of every queue in @p queues, one per
+     * shard domain in domain order (a standalone queue is one domain;
+     * domain d's partials are the stats' lane d, see
+     * Counter::laneValue). Domain 0 also drives the heartbeats. At
+     * least one cadence must be enabled. All counters/histograms to
+     * sample must already be registered in @p stats. A monPath that
+     * cannot be created is a fatal (configuration) error — it fails
+     * before the run, not after.
      */
-    TimeSeriesSink(EventQueue &eq, StatsRegistry &stats, Options opt);
-
-    /** Back-compat constructor with the old StatsSampler signature:
-     *  in-memory series capture only. */
-    TimeSeriesSink(EventQueue &eq, StatsRegistry &stats, Tick interval,
-                   const std::vector<std::string> &patterns = {});
+    TimeSeriesSink(std::vector<EventQueue *> queues, StatsRegistry &stats,
+                   Options opt);
 
     ~TimeSeriesSink();
 
@@ -98,33 +99,19 @@ class TimeSeriesSink
     }
 
     /**
-     * Decomposed-run mode: sample each shard domain's stat-lane partials
-     * on that domain's own queue advance hook, then merge rows after the
-     * run (mergeShardSamples). Call once, before the run starts, with one
-     * queue per domain; queues[0] must be the queue passed at
-     * construction. Each domain's hook reads only its own lanes and
-     * writes only its own capture buffer, so sampling never synchronizes
-     * workers — and because every event executes at the same tick in
-     * exactly one domain at any partition, the merged rows are
-     * bit-identical to a monolithic run's. Heartbeats keep firing from
-     * domain 0 (their events/throughput fields cover domain 0's queue
-     * only; beats are host-side observability, never series data).
-     */
-    void shardAcross(const std::vector<EventQueue *> &queues);
-
-    /**
-     * Merge the per-domain partial rows captured since shardAcross()
-     * into the in-memory series and the takomon file, in domain order.
-     * Call after the sharded executor returns and *before*
+     * End of the run: detach from the queues, merge the per-domain
+     * partial rows into the in-memory series and the takomon file, and
+     * flush and close the file (if any). Call *before*
      * StatsRegistry::mergeLanes(): boundaries past a drained domain's
-     * last event read that domain's final live lane partials.
-     */
-    void mergeShardSamples();
-
-    /**
-     * Flush and close the takomon file (no-op without one). Idempotent;
-     * the destructor calls it and warns on a swallowed error. Returns
-     * false with error() set if any write failed.
+     * last event read that domain's final live lane partials. Each
+     * domain's hook read only its own lanes and wrote only its own
+     * capture buffer, and every event executes at the same tick in
+     * exactly one domain at any partition, so the merged rows are
+     * bit-identical at every shard count. Heartbeat events/throughput
+     * fields cover domain 0's queue only (beats are host-side
+     * observability, never series data). Idempotent; the destructor
+     * calls it and warns on a swallowed error. Returns false with
+     * error() set if any write failed.
      */
     bool finish();
 
@@ -142,15 +129,13 @@ class TimeSeriesSink
     };
 
     void buildSeries(const std::vector<std::string> &patterns);
-    double readSource(const Source &s) const;
     double readLane(const Source &s, unsigned d) const;
-    Tick onAdvance(Tick to);
-    Tick onShardAdvance(unsigned d, Tick to);
-    void takeSample(Tick at);
+    Tick onDomainAdvance(unsigned d, Tick to);
+    Tick watermark(unsigned d) const;
+    void mergeRows();
     void emitBeat(Tick at);
-    Tick nextWatermark() const;
 
-    EventQueue &eq_;
+    std::vector<EventQueue *> queues_; ///< one per domain
     StatsRegistry &stats_;
     Options opt_;
 
@@ -159,21 +144,20 @@ class TimeSeriesSink
     std::vector<double> row_;     ///< scratch, one slot per series
     MonWriter writer_;
     bool writing_ = false;
+    bool finished_ = false;
     std::uint64_t samplesTaken_ = 0;
 
-    /** One domain's capture state (decomposed runs); owned exclusively
-     *  by that domain's worker, padded against false sharing. */
+    /** One domain's capture state; owned exclusively by that domain's
+     *  worker, padded against false sharing. */
     struct alignas(64) DomainCapture
     {
-        Tick next = 0; ///< next series boundary on this domain's clock
+        Tick next = 0; ///< next series boundary (0 = no series)
         std::vector<std::vector<double>> rows; ///< lane-partial rows
     };
 
-    std::vector<EventQueue *> shardQueues_; ///< non-empty = sharded mode
-    std::vector<DomainCapture> capture_;    ///< parallel to shardQueues_
-    Tick firstBoundary_ = 0; ///< tick of row 0 in sharded mode
+    std::vector<DomainCapture> capture_; ///< parallel to queues_
+    Tick firstBoundary_ = 0; ///< tick of row 0
 
-    Tick nextSample_ = 0; ///< next series boundary (0 = disabled)
     Tick nextBeat_ = 0;   ///< next heartbeat boundary (0 = disabled)
     std::function<double()> fractionDone_;
     double firstBeatHostTime_ = 0; ///< host clock at construction

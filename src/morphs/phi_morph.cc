@@ -25,8 +25,27 @@ PhiMorph::PhiMorph(Addr real_next, std::uint64_t num_vertices,
       numRegions_(static_cast<unsigned>(
           divCeil(num_vertices, region_vertices))),
       binCursor_(static_cast<std::size_t>(num_banks) * numRegions_, 0),
-      staging_(static_cast<std::size_t>(num_banks) * numRegions_)
+      staging_(static_cast<std::size_t>(num_banks) * numRegions_),
+      bankCounts_(num_banks)
 {
+}
+
+std::uint64_t
+PhiMorph::inPlaceLines() const
+{
+    std::uint64_t total = 0;
+    for (const BankCounts &b : bankCounts_)
+        total += b.inPlaceLines;
+    return total;
+}
+
+std::uint64_t
+PhiMorph::binnedUpdates() const
+{
+    std::uint64_t total = 0;
+    for (const BankCounts &b : bankCounts_)
+        total += b.binnedUpdates;
+    return total;
 }
 
 Task<>
@@ -57,10 +76,12 @@ PhiMorph::onWriteback(EngineCtx &ctx)
     if (updates == 0)
         co_return;
 
+    const unsigned bank = static_cast<unsigned>(ctx.tile());
+    BankCounts &counts = bankCounts_[bank];
     if (updates >= threshold_) {
         // Dense: apply in-place. All eight words share one real line, so
         // this costs one line of memory traffic.
-        ++inPlaceLines_;
+        ++counts.inPlaceLines;
         Join join(ctx.eq());
         for (unsigned i = 0; i < wordsPerLine; ++i) {
             const std::uint64_t delta = ctx.capturedLine()[i];
@@ -79,7 +100,6 @@ PhiMorph::onWriteback(EngineCtx &ctx)
         // Sparse: stage (vertex, delta) pairs in this bank's view-local
         // buffer for the destination region; completed 64B lines go to
         // the bin with one full-line streaming store.
-        const unsigned bank = static_cast<unsigned>(ctx.tile());
         const unsigned region =
             static_cast<unsigned>(vbase / regionVertices_);
         const std::size_t slot = bank * numRegions_ + region;
@@ -87,7 +107,7 @@ PhiMorph::onWriteback(EngineCtx &ctx)
         if ((cursor + 8) * 16 > binCapacityBytes_) {
             // Bin full: fall back to applying in place (PHI's policy
             // degrades gracefully instead of losing updates).
-            ++inPlaceLines_;
+            ++counts.inPlaceLines;
             Join join(ctx.eq());
             for (unsigned i = 0; i < wordsPerLine; ++i) {
                 const std::uint64_t delta = ctx.capturedLine()[i];
@@ -113,7 +133,7 @@ PhiMorph::onWriteback(EngineCtx &ctx)
             st.vertex[st.count] = vbase + i;
             st.delta[st.count] = delta;
             ++st.count;
-            ++binnedUpdates_;
+            ++counts.binnedUpdates;
             if (st.count == 4) {
                 const Addr entry = binAddr(bank, region) + cursor * 16;
                 for (unsigned e = 0; e < 4; ++e) {

@@ -60,8 +60,10 @@ class PhiMorph : public Morph
                    binCapacityBytes_;
     }
 
-    std::uint64_t inPlaceLines() const { return inPlaceLines_; }
-    std::uint64_t binnedUpdates() const { return binnedUpdates_; }
+    /** Lines applied in place, summed over banks. */
+    std::uint64_t inPlaceLines() const;
+    /** Updates logged to bins, summed over banks. */
+    std::uint64_t binnedUpdates() const;
 
     /**
      * Drain staged (not yet line-complete) bin entries after flushData.
@@ -99,8 +101,15 @@ class PhiMorph : public Morph
     };
     std::vector<Staged> staging_;
 
-    std::uint64_t inPlaceLines_ = 0;
-    std::uint64_t binnedUpdates_ = 0;
+    /** Per-bank policy outcomes. Like binCursor_, each bank's entry is
+     *  touched only by that bank's engine, i.e. by the one shard domain
+     *  owning the tile; padded so neighboring domains don't false-share. */
+    struct alignas(64) BankCounts
+    {
+        std::uint64_t inPlaceLines = 0;
+        std::uint64_t binnedUpdates = 0;
+    };
+    std::vector<BankCounts> bankCounts_;
 };
 
 } // namespace tako

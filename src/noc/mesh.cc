@@ -92,7 +92,6 @@ Mesh::traverse(Tick now, int src, int dst, unsigned bytes)
     // Destination router plus tail-flit serialization.
     head += params_.routerDelay + (flits - 1);
 
-    flitHops_ += std::uint64_t(flits) * hop_count;
     *flitHopsStat_ += static_cast<double>(std::uint64_t(flits) * hop_count);
     energy_.nocFlitHops(std::uint64_t(flits) * hop_count);
     return head - now;
@@ -164,11 +163,6 @@ Mesh::walk(Domains &dom, int src, int dst, unsigned bytes)
     // Destination router plus tail-flit serialization.
     head += params_.routerDelay + (flits - 1);
 
-    // The plain aggregate backs the flitHops() accessor (profiler
-    // cross-checks); with several domains it would be a data race, and
-    // the laned noc.flitHops stat already carries the total.
-    if (dom.domainCount() == 1)
-        flitHops_ += std::uint64_t(flits) * hop_count;
     *flitHopsStat_ += static_cast<double>(std::uint64_t(flits) * hop_count);
     energy_.nocFlitHops(std::uint64_t(flits) * hop_count);
     co_await dom.hopToAbs(dst, head);
@@ -185,7 +179,7 @@ void
 Mesh::reset()
 {
     std::fill(linkFree_.begin(), linkFree_.end(), 0);
-    flitHops_ = 0;
+    flitHopsStat_->reset();
     std::fill(linkBusy_.begin(), linkBusy_.end(), 0);
     std::fill(linkMsgs_.begin(), linkMsgs_.end(), 0);
 }

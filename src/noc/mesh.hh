@@ -67,7 +67,12 @@ class Mesh
      */
     Task<> walk(Domains &dom, int src, int dst, unsigned bytes);
 
-    std::uint64_t flitHops() const { return flitHops_; }
+    /** Total flit-hops so far (the noc.flitHops stat; after a run). */
+    std::uint64_t
+    flitHops() const
+    {
+        return static_cast<std::uint64_t>(flitHopsStat_->value());
+    }
 
     /**
      * Per-directed-link utilization (takoprof): piggybacks on the
@@ -101,7 +106,6 @@ class Mesh
     Counter *localMessages_; ///< src == dst deliveries (no link, no hops)
     Counter *flitHopsStat_;
     std::vector<Tick> linkFree_;
-    std::uint64_t flitHops_ = 0;
     std::vector<std::uint64_t> linkBusy_; ///< empty unless profiling
     std::vector<std::uint64_t> linkMsgs_;
 };

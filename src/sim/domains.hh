@@ -62,7 +62,7 @@ class Domains
             std::size_t{plan_.dimX} * plan_.dimY;
         streams_ = std::make_unique<StreamKeySource>(tiles + 1);
         for (unsigned d = 0; d < plan_.shards; ++d) {
-            queues_[d]->setStreamKeys(streams_.get());
+            queues_[d]->setStreamKeys(*streams_);
             queues_[d]->setDomainIndex(d);
         }
         // First tile (row 0, leftmost owned column) of each domain:
@@ -113,8 +113,8 @@ class Domains
 
     StreamKeySource &streams() { return *streams_; }
 
-    /** Executor carrying cross-domain posts; null while single-threaded
-     *  (before/after ShardedExecutor::run, or a monolithic run). */
+    /** Executor carrying cross-domain posts; null outside
+     *  ShardedExecutor::run (pre-run setup, post-run inspection). */
     void setExecutor(ShardedExecutor *exec) { exec_ = exec; }
 
     /**

@@ -43,10 +43,9 @@ struct EventNode
 
     Tick when;
     /**
-     * Total-order tie-break key for events at the same (tick, priority).
-     * Monolithic queues use a per-queue insertion counter; decomposed
-     * runs pack a partition-invariant (stream, per-stream seq) pair so
-     * the same order falls out at every shard count (see event_queue.hh).
+     * Total-order tie-break key for events at the same (tick, priority):
+     * a partition-invariant (stream, per-stream seq) pair, so the same
+     * order falls out at every shard count (see event_queue.hh).
      */
     std::uint64_t seq;
     EventNode *next;

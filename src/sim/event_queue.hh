@@ -2,11 +2,12 @@
  * @file
  * Deterministic discrete-event queue.
  *
- * Events are totally ordered by (tick, priority, insertion sequence), so a
+ * Events are totally ordered by (tick, priority, stream key), so a
  * simulation with the same inputs and seeds always replays identically.
  * Everything that takes simulated time in tako-sim — cache lookups, NoC
  * hops, DRAM accesses, engine callbacks, core compute — is an event chain
- * on one global queue.
+ * on the queue of the shard domain that owns the tile (one queue when
+ * the run is not split; see shard.hh).
  *
  * Internally this is a two-level calendar queue over pooled EventNodes
  * (see event_pool.hh) rather than a binary heap of std::function entries:
@@ -26,10 +27,10 @@
  * (2) the heap pops in (tick, priority, seq) order, so migration appends
  * to each lane in seq order; (3) a callback scheduling directly into the
  * wheel at tick T can only run after every overflow event at T has
- * already migrated (eager migration), and its seq is larger than theirs —
- * so lane FIFO order is seq order; (4) two different ticks in the window
- * cannot collide in a slot because the window spans exactly one wheel
- * period. See DESIGN.md "Simulation kernel internals".
+ * already migrated (eager migration), and wheelAppend places it by seq
+ * among them — so lane FIFO order is seq order; (4) two different ticks
+ * in the window cannot collide in a slot because the window spans
+ * exactly one wheel period. See DESIGN.md "Simulation kernel internals".
  */
 
 #ifndef TAKO_SIM_EVENT_QUEUE_HH
@@ -38,10 +39,6 @@
 #include <array>
 #include <bit>
 #include <cstdint>
-#ifdef TAKO_EVENT_TRACE
-#include <cstdio>
-#include <cstdlib>
-#endif
 #include <functional>
 #include <queue>
 #include <utility>
@@ -64,17 +61,16 @@ enum class EventPriority : int
 };
 
 /**
- * Partition-invariant tie-break keys for domain-decomposed runs.
+ * Partition-invariant tie-break keys.
  *
- * A monolithic queue breaks (tick, priority) ties with one insertion
- * counter — an order that depends on which other streams' events
- * interleave with the scheduler's, and therefore on how the model is
- * partitioned. Decomposed runs instead key every event by
- * (source stream, per-stream sequence): each logical stream (tile) hands
- * out its own sequence numbers in its own execution order, which is a
- * pure function of simulation state. Sorting same-tick events by that
- * packed key yields the identical total order at every shard count
- * (DESIGN.md §4.6).
+ * Every event is keyed by (source stream, per-stream sequence): each
+ * logical stream (tile) hands out its own sequence numbers in its own
+ * execution order, which is a pure function of simulation state — not
+ * of which other streams' events interleave with it, and therefore not
+ * of how the model is partitioned into domains. Sorting same-tick events
+ * by that packed key yields the identical total order at every shard
+ * count (DESIGN.md "Sharded execution"). A standalone queue keys
+ * everything on stream 0 of its own table, which is plain FIFO order.
  *
  * Each stream's cell is only ever touched by the one domain that owns
  * the stream's tile, so the shared table needs no atomics — just cache-
@@ -111,7 +107,7 @@ class StreamKeySource
 class EventQueue
 {
   public:
-    EventQueue() = default;
+    EventQueue() : streams_(&ownKeys_) {}
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -138,16 +134,11 @@ class EventQueue
                  (unsigned long long)when, (unsigned long long)now_);
         EventNode *n = pool_.alloc();
         n->when = when;
-        if (streams_) {
-            // Decomposed mode: key by the scheduling context's stream;
-            // the continuation keeps executing at the same place.
-            const std::uint32_t s = detail::execCtx.stream;
-            n->seq = streams_->next(s);
-            n->execStream = s;
-        } else {
-            n->seq = nextSeq_++;
-            n->execStream = 0;
-        }
+        // Key by the scheduling context's stream; the continuation keeps
+        // executing at the same place.
+        const std::uint32_t s = detail::execCtx.stream;
+        n->seq = streams_->next(s);
+        n->execStream = s;
         n->priority = static_cast<std::int8_t>(prio);
         n->emplace(std::forward<F>(fn));
         insert(n);
@@ -177,15 +168,11 @@ class EventQueue
     }
 
     /**
-     * Install the shared per-stream key source (null reverts to the
-     * insertion-counter order). All events scheduled afterwards are
-     * keyed (stream, per-stream seq), making the same-tick order a pure
-     * function of simulation state at any shard count.
+     * Install the key table shared by every domain of a decomposed model
+     * in place of the queue's own one-stream table, so streams keep one
+     * sequence each wherever their events execute.
      */
-    void setStreamKeys(StreamKeySource *streams) { streams_ = streams; }
-
-    /** True when this queue orders ties by partition-invariant keys. */
-    bool keyed() const { return streams_ != nullptr; }
+    void setStreamKeys(StreamKeySource &streams) { streams_ = &streams; }
 
     /** Shard-domain index published in ExecCtx while events run. */
     void setDomainIndex(std::uint32_t d) { domainIndex_ = d; }
@@ -214,12 +201,6 @@ class EventQueue
         if (now_ > base_)
             advanceBase(now_);
         ++fired_;
-#ifdef TAKO_EVENT_TRACE
-        if (FILE *f = eventTraceFile())
-            std::fprintf(f, "%llu %d %u %llu\n",
-                         (unsigned long long)e->when, (int)e->priority,
-                         e->execStream, (unsigned long long)e->seq);
-#endif
         // Publish where this event executes so model code that migrates
         // between tiles can find its current queue/stream/domain.
         detail::execCtx.queue = this;
@@ -263,8 +244,8 @@ class EventQueue
      * Run every event with when <= @p limit, leaving time at the last
      * executed event instead of forcing it to @p limit. This is the
      * window primitive for sharded execution: a shard simulates its
-     * quantum without disturbing final-time-derived statistics, so a
-     * sharded run's clock matches a monolithic run's bit for bit.
+     * quantum without disturbing final-time-derived statistics, so the
+     * clock matches at every shard count bit for bit.
      */
     void
     runThrough(Tick limit)
@@ -315,7 +296,6 @@ class EventQueue
         dropAll();
         now_ = 0;
         base_ = 0;
-        nextSeq_ = 0;
         fired_ = 0;
     }
 
@@ -402,11 +382,10 @@ class EventQueue
         const std::size_t idx = static_cast<std::size_t>(n->when & kWheelMask);
         Lane &lane = wheel_[idx].lanes[n->priority + 1];
         // A lane holds one (tick, priority) class, so FIFO position must
-        // equal key order. Monolithic keys are the insertion counter and
-        // always append; decomposed keys (stream, seq) usually ascend
-        // too — bursts come from one stream — so the tail compare stays
-        // the hot path and the walk only runs on genuine cross-stream
-        // collisions (a handful of nodes at most).
+        // equal key order. Keys (stream, seq) usually ascend — bursts
+        // come from one stream — so the tail compare stays the hot path
+        // and the walk only runs on genuine cross-stream collisions (a
+        // handful of nodes at most).
         n->next = nullptr;
         if (!lane.tail || lane.tail->seq <= n->seq) {
             if (lane.tail)
@@ -555,49 +534,30 @@ class EventQueue
     /** Window start: wheel covers [base_, base_ + kWheelSlots). */
     Tick base_ = 0;
     Tick now_ = 0;
-    std::uint64_t nextSeq_ = 0;
     std::uint64_t fired_ = 0;
-    /** Shared per-stream key source (null = insertion-counter order). */
-    StreamKeySource *streams_ = nullptr;
+    /** Key table of a standalone queue: stream 0 only. */
+    StreamKeySource ownKeys_{1};
+    /** Key table in use: ownKeys_ or the decomposed model's shared one. */
+    StreamKeySource *streams_;
     /** Shard domain this queue belongs to (ExecCtx, stats lanes). */
     std::uint32_t domainIndex_ = 0;
     /** Next tick the advance hook wants; kNoWatermark = hook off. */
     Tick hookWatermark_ = kNoWatermark;
     std::function<Tick(Tick)> advanceHook_;
-
-#ifdef TAKO_EVENT_TRACE
-    FILE *traceFile_ = nullptr;
-    FILE *
-    eventTraceFile()
-    {
-        if (!traceFile_) {
-            // takolint: ok(D2, debug-only: trace never feeds sim state)
-            const char *prefix = std::getenv("TAKO_EVENT_TRACE");
-            if (!prefix)
-                return nullptr;
-            char path[512];
-            std::snprintf(path, sizeof path, "%s.d%u", prefix,
-                          domainIndex_);
-            traceFile_ = std::fopen(path, "a");
-        }
-        return traceFile_;
-    }
-#endif
 };
 
 /**
  * Queue to schedule follow-up work on from model code that may be
- * executing away from home. In a decomposed (keyed) run, transactions
- * migrate across tiles, so the right queue is wherever the current event
- * is executing; outside keyed mode — standalone components, unit tests,
- * calls made before or after the run — it is the component's own stored
- * queue. Monolithic keyed runs have one queue, so both answers coincide.
+ * executing away from home. Transactions migrate across tiles, so the
+ * right queue is wherever the current event is executing; outside any
+ * event — calls made before or after a run, test code completing
+ * primitives inline — it is the component's own stored queue.
  */
 inline EventQueue &
 homeQueue(EventQueue &fallback)
 {
     EventQueue *q = detail::execCtx.queue;
-    return (q && q->keyed()) ? *q : fallback;
+    return q ? *q : fallback;
 }
 
 /** Simulated time at the current execution context (see homeQueue). */
@@ -605,7 +565,7 @@ inline Tick
 ctxNow(const EventQueue &fallback)
 {
     const EventQueue *q = detail::execCtx.queue;
-    return (q && q->keyed()) ? q->now() : fallback.now();
+    return q ? q->now() : fallback.now();
 }
 
 } // namespace tako

@@ -42,9 +42,12 @@ ShardedExecutor::ShardedExecutor(std::vector<EventQueue *> domains,
         panic_if(q == nullptr, "sharded executor given a null domain");
     const unsigned n = static_cast<unsigned>(domains_.size());
     threads_ = threads == 0 ? n : std::clamp(threads, 1u, n);
-    mail_.reserve(std::size_t{n} * n);
-    for (std::size_t i = 0; i < std::size_t{n} * n; ++i)
-        mail_.push_back(std::make_unique<SpscMailbox<ShardEvent>>());
+    mail_.resize(std::size_t{n} * n);
+    for (unsigned src = 0; src < n; ++src)
+        for (unsigned dst = 0; dst < n; ++dst)
+            if (src != dst)
+                mail_[std::size_t{src} * n + dst] =
+                    std::make_unique<SpscMailbox<ShardEvent>>();
     sendSeq_.resize(n);
     profiles_.resize(n);
     barrierWait_.resize(threads_);
@@ -67,18 +70,6 @@ ShardedExecutor::barrierWaitSeconds() const
 }
 
 void
-ShardedExecutor::send(unsigned src, unsigned dst, Tick when,
-                      EventPriority prio, std::function<void()> fn)
-{
-    // Legacy keying: pack (source shard, send order) in the key layout,
-    // which sorts exactly like the historical (src, srcSeq) drain order.
-    const std::uint64_t key =
-        (std::uint64_t{src} << StreamKeySource::kSeqBits) |
-        sendSeq_[src].value;
-    sendKeyed(src, dst, when, prio, key, 0, std::move(fn));
-}
-
-void
 ShardedExecutor::sendKeyed(unsigned src, unsigned dst, Tick when,
                            EventPriority prio, std::uint64_t key,
                            std::uint32_t execStream,
@@ -88,11 +79,8 @@ ShardedExecutor::sendKeyed(unsigned src, unsigned dst, Tick when,
     panic_if(src >= n || dst >= n, "shard send %u -> %u outside 0..%u",
              src, dst, n - 1);
     if (src == dst) {
-        EventQueue &q = *domains_[src];
-        if (q.keyed())
-            q.scheduleKeyed(when, std::move(fn), prio, key, execStream);
-        else
-            q.scheduleAbs(when, std::move(fn), prio);
+        domains_[src]->scheduleKeyed(when, std::move(fn), prio, key,
+                                     execStream);
         return;
     }
     ++sendSeq_[src].value;
@@ -102,13 +90,12 @@ ShardedExecutor::sendKeyed(unsigned src, unsigned dst, Tick when,
     ev.key = key;
     ev.execStream = execStream;
     ev.fn = std::move(fn);
-    const bool pushed = mail_[std::size_t{src} * n + dst]->tryPush(
-        std::move(ev));
-    panic_if(!pushed,
+    SpscMailbox<ShardEvent> &mb = *mail_[std::size_t{src} * n + dst];
+    panic_if(!mb.tryPush(std::move(ev)),
              "shard %u -> %u mailbox full (%zu events in one window); "
              "the quantum produced more cross-shard traffic than the "
              "ring holds",
-             src, dst, mail_[0]->capacity());
+             src, dst, mb.capacity());
 }
 
 void
@@ -119,6 +106,8 @@ ShardedExecutor::drainInbox(unsigned shard, Tick windowStart)
     ShardEvent ev;
     DomainProfile &prof = profiles_[shard];
     for (unsigned src = 0; src < n; ++src) {
+        if (src == shard)
+            continue;
         SpscMailbox<ShardEvent> &mb = *mail_[std::size_t{src} * n + shard];
         std::uint64_t depth = 0;
         while (mb.tryPop(ev)) {
@@ -139,11 +128,9 @@ ShardedExecutor::drainInbox(unsigned shard, Tick windowStart)
     }
     if (batch.empty())
         return;
-    // Insert in the global merge order (tick, priority, key). Keyed
-    // queues store the carried key directly, so same-tick arrivals land
-    // in the partition-invariant total order; legacy queues assign their
-    // tie-break seqs in insertion order, and the legacy key packs
-    // (src, srcSeq), reproducing the historical drain order.
+    // Insert in the global merge order (tick, priority, key). The queue
+    // stores the carried key directly, so same-tick arrivals land in the
+    // partition-invariant total order.
     std::stable_sort(batch.begin(), batch.end(),
                      [](const ShardEvent &a, const ShardEvent &b) {
                          if (a.when != b.when)
@@ -153,14 +140,9 @@ ShardedExecutor::drainInbox(unsigned shard, Tick windowStart)
                          return a.key < b.key;
                      });
     EventQueue &q = *domains_[shard];
-    const bool keyed = q.keyed();
-    for (ShardEvent &in : batch) {
-        if (keyed)
-            q.scheduleKeyed(in.when, std::move(in.fn), in.priority,
-                            in.key, in.execStream);
-        else
-            q.scheduleAbs(in.when, std::move(in.fn), in.priority);
-    }
+    for (ShardEvent &in : batch)
+        q.scheduleKeyed(in.when, std::move(in.fn), in.priority, in.key,
+                        in.execStream);
     prof.received += batch.size();
     delivered_.fetch_add(batch.size(), std::memory_order_relaxed);
 }
@@ -169,14 +151,17 @@ void
 ShardedExecutor::runSolo(unsigned shard)
 {
     EventQueue &q = *domains_[shard];
-    // A solo domain may run unboundedly: every other domain is idle and
-    // nothing can reach this one's inbox until it sends. The first
-    // outbound send ends the free run — from then on another domain has
-    // future work, and lockstep windows resume from this domain's
-    // current position.
+    // A solo domain may run free up to the cut: every other domain is
+    // idle and nothing can reach this one's inbox until it sends. The
+    // first outbound send ends the free run — from then on another
+    // domain has future work, and lockstep windows resume from this
+    // domain's current position.
     const std::uint64_t sentBefore = sendSeq_[shard].value;
     const std::uint64_t firedBefore = q.eventsFired();
-    while (sendSeq_[shard].value == sentBefore && q.step()) {}
+    Tick next = 0;
+    while (sendSeq_[shard].value == sentBefore &&
+           q.nextEventTime(next) && next <= limit_)
+        q.step();
     const std::uint64_t fired = q.eventsFired() - firedBefore;
     DomainProfile &prof = profiles_[shard];
     prof.executed += fired;
@@ -246,7 +231,7 @@ ShardedExecutor::advanceRound()
 
     bool anyMail = false;
     for (const auto &mb : mail_) {
-        if (!mb->empty()) {
+        if (mb && !mb->empty()) {
             anyMail = true;
             break;
         }
@@ -289,12 +274,19 @@ ShardedExecutor::advanceRound()
         } else {
             windowStart_ = windowStart_ + quantum_;
         }
+        // Nothing below the window start is pending anywhere, so a
+        // window past the cut means the bounded run is complete.
+        done_ = windowStart_ > limit_;
         return;
     }
     // No mail in flight: jump straight to the earliest pending event.
     // With a single busy domain there is nothing to synchronize against
     // until it sends, so let it run free.
     windowStart_ = minNext;
+    if (windowStart_ > limit_) {
+        done_ = true;
+        return;
+    }
     if (pendingDomains == 1) {
         soloDomain_ = pendingIdx;
         ++soloRounds_;
@@ -314,10 +306,11 @@ ShardedExecutor::workerLoop(unsigned worker)
             if (solo % threads_ == worker)
                 runSolo(solo);
         } else {
+            const Tick windowEnd = std::min(start + quantum_ - 1, limit_);
             for (unsigned s = worker; s < n; s += threads_) {
                 EventQueue &q = *domains_[s];
                 const std::uint64_t before = q.eventsFired();
-                q.runThrough(start + quantum_ - 1);
+                q.runThrough(windowEnd);
                 const std::uint64_t fired = q.eventsFired() - before;
                 DomainProfile &prof = profiles_[s];
                 prof.executed += fired;
@@ -345,19 +338,28 @@ ShardedExecutor::workerLoop(unsigned worker)
 }
 
 void
-ShardedExecutor::run()
+ShardedExecutor::run(Tick limit)
 {
+    limit_ = limit;
     windowStart_ = 0;
     soloDomain_ = kNoSolo;
     done_ = false;
     arrived_.store(0, std::memory_order_relaxed);
     generation_.store(0, std::memory_order_release);
     std::vector<std::thread> workers;
-    workers.reserve(threads_);
-    for (unsigned w = 0; w < threads_; ++w)
+    workers.reserve(threads_ - 1);
+    for (unsigned w = 1; w < threads_; ++w)
         workers.emplace_back([this, w] { workerLoop(w); });
+    workerLoop(0);
     for (std::thread &t : workers)
         t.join();
+    // A bounded run simulated the whole interval: bring every clock to
+    // the cut (firing advance hooks up to it). Nothing at or before the
+    // cut is left, so these calls run no event.
+    if (limit != kNoLimit)
+        for (EventQueue *q : domains_)
+            q->runUntil(limit);
+    EventQueue::clearExecCtx();
 }
 
 void

@@ -13,11 +13,12 @@
  *
  * Cross-shard events travel through per-shard-pair SPSC mailboxes and
  * are drained only at quantum barriers, sorted into the receiving
- * queue by (tick, priority, source shard, source sequence). Because the
- * drained set and its insertion order are functions of simulation state
- * alone — never of host-thread timing — a sharded run reproduces the
- * monolithic (tick, priority, seq) total order bit for bit (proof
- * sketch in DESIGN.md §4).
+ * queue by (tick, priority, stream key). Because the drained set and
+ * its keys are functions of simulation state alone — never of
+ * host-thread timing — every partition reproduces the same
+ * (tick, priority, key) total order bit for bit (proof sketch in
+ * DESIGN.md §4). One domain is the degenerate partition: no mailbox,
+ * no extra thread, one free-running (solo) round after the first.
  *
  * The same lane machinery drives deterministic ensembles: runLanes()
  * executes independent jobs (e.g. seed-offset replicas) across a fixed
@@ -136,12 +137,8 @@ struct ShardEvent
 {
     Tick when = 0;
     EventPriority priority = EventPriority::Default;
-    /**
-     * Tie-break key. Keyed sends carry the sender's partition-invariant
-     * (stream, per-stream seq) pack; legacy sends pack (source shard,
-     * send order) in the same layout, which reproduces the historical
-     * (src, srcSeq) drain order.
-     */
+    /** Tie-break key: the sender's partition-invariant
+     *  (stream, per-stream seq) pack (see StreamKeySource). */
     std::uint64_t key = 0;
     /** Stream published in ExecCtx while the delivered event runs. */
     std::uint32_t execStream = 0;
@@ -168,30 +165,33 @@ class ShardedExecutor
     ShardedExecutor(std::vector<EventQueue *> domains, Tick quantum,
                     unsigned threads = 0);
 
-    /**
-     * Post @p fn to shard @p dst at absolute tick @p when. Must be
-     * called from an event executing on shard @p src, and @p when must
-     * be at least the sending event's time plus the quantum — the
-     * receiver panics on anything earlier (lookahead violation).
-     * src == dst degenerates to a plain scheduleAbs.
-     */
-    void send(unsigned src, unsigned dst, Tick when, EventPriority prio,
-              std::function<void()> fn);
+    /** run() without a tick limit. */
+    static constexpr Tick kNoLimit = ~Tick{0};
 
     /**
-     * Like send(), but with an explicit partition-invariant tie-break
-     * key and execution stream (see StreamKeySource). Used by the
-     * domain router for decomposed single-run simulation: the key was
-     * drawn from the sending event's stream counter, so the receiver
-     * can merge arrivals into the exact monolithic total order.
+     * Post @p fn to shard @p dst at absolute tick @p when, with the
+     * partition-invariant tie-break @p key (drawn from the sending
+     * event's stream counter, see StreamKeySource) and the stream
+     * @p execStream it executes at. Must be called from an event
+     * executing on shard @p src, and @p when must be at least the
+     * sending event's time plus the quantum — the receiver panics on
+     * anything earlier (lookahead violation). src == dst schedules
+     * directly on the shard's queue.
      */
     void sendKeyed(unsigned src, unsigned dst, Tick when,
                    EventPriority prio, std::uint64_t key,
                    std::uint32_t execStream, std::function<void()> fn);
 
-    /** Run every domain to quiescence (all queues and mailboxes empty).
-     *  Blocks the calling thread; workers join before it returns. */
-    void run();
+    /**
+     * Run every domain to quiescence (all queues and mailboxes empty),
+     * or — with a @p limit — until no event at or before @p limit is
+     * left anywhere; later events stay pending and every domain's clock
+     * ends at @p limit (EventQueue::runUntil semantics). The calling
+     * thread is worker 0, so a one-domain run spawns no thread; extra
+     * workers join before this returns, and the caller's ExecCtx is
+     * cleared.
+     */
+    void run(Tick limit = kNoLimit);
 
     /** Quantum rounds completed (diagnostics; valid after run()). */
     std::uint64_t rounds() const { return rounds_; }
@@ -276,7 +276,10 @@ class ShardedExecutor
     /** Barrier spin iterations before falling back to yield(); near
      *  zero when workers outnumber hardware threads (see ctor). */
     unsigned spinLimit_ = 1u << 14;
-    /** mail_[src * N + dst]; only (src worker, dst worker) touch it. */
+    /** Cut in force for the current run() (kNoLimit = none). */
+    Tick limit_ = kNoLimit;
+    /** mail_[src * N + dst], null on the src == dst diagonal; only
+     *  (src worker, dst worker) touch it. */
     std::vector<std::unique_ptr<SpscMailbox<ShardEvent>>> mail_;
     std::vector<PaddedCounter> sendSeq_; ///< per-source send counters
 

@@ -110,10 +110,8 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
         mo.monPath = config_.monPath;
         mo.progressEvery = config_.progressEvery;
         mo.onBeat = config_.onBeat;
-        monitor_ = std::make_unique<mon::TimeSeriesSink>(eq_, stats_,
-                                                         std::move(mo));
-        if (plan_.shards > 1)
-            monitor_->shardAcross(dom_.queues());
+        monitor_ = std::make_unique<mon::TimeSeriesSink>(
+            dom_.queues(), stats_, std::move(mo));
     } else {
         fatal_if(!config_.monPath.empty(),
                  "a takomon output file needs a sampling interval");
@@ -160,24 +158,6 @@ System::postRunChecks() const
              mem_->inflight());
 }
 
-Tick
-System::runFor(Tick limit)
-{
-    fatal_if(plan_.shards > 1,
-             "runFor (crash injection) requires a monolithic run "
-             "(--shards=1): a bounded window cannot cut a multi-domain "
-             "run at one consistent tick");
-    const Tick start = eq_.now();
-    const auto host_start = std::chrono::steady_clock::now();
-    bootGuests();
-    eq_.runUntil(start + limit);
-    finishMonitor();
-    stampShardStats(nullptr, nullptr);
-    stampHostStats(host_start);
-    finalizeProfiler();
-    return eq_.now() - start;
-}
-
 void
 System::finishMonitor()
 {
@@ -186,16 +166,14 @@ System::finishMonitor()
 }
 
 void
-System::stampShardStats(const ShardPlan *plan,
-                        const ShardedExecutor *exec)
+System::stampShardStats(const ShardedExecutor &exec)
 {
     // Deterministic sharded-execution observability. Everything under
     // shard.* is a pure function of simulation state — CI diffs these
     // counters between host thread counts at a fixed shard count. Only
     // the barrier-stall gauge is host-timing-dependent, and it lives
-    // under host.* accordingly. Monolithic runs stamp the degenerate
-    // single-domain shape so benches always find the same extras.
-    const unsigned n = plan ? plan->shards : 1;
+    // under host.* accordingly.
+    const unsigned n = plan_.shards;
     stats_
         .counter("shard.domains", "",
                  "event-queue domains in the sharded run (1 = monolithic)")
@@ -203,36 +181,30 @@ System::stampShardStats(const ShardPlan *plan,
     stats_
         .counter("shard.quantum", "cycles",
                  "conservative lookahead window between quantum barriers")
-        .set(plan ? static_cast<double>(plan->quantum) : 0.0);
+        .set(static_cast<double>(plan_.quantum));
     stats_
         .counter("shard.boundary_links", "",
                  "directed mesh links crossing a shard cut")
-        .set(plan ? plan->boundaryLinks : 0.0);
+        .set(plan_.boundaryLinks);
     stats_
         .counter("shard.rounds", "",
                  "quantum rounds completed by the sharded executor")
-        .set(exec ? static_cast<double>(exec->rounds()) : 0.0);
+        .set(static_cast<double>(exec.rounds()));
     stats_
         .counter("shard.solo_rounds", "",
                  "rounds where one busy domain ran free (skip-ahead)")
-        .set(exec ? static_cast<double>(exec->soloRounds()) : 0.0);
+        .set(static_cast<double>(exec.soloRounds()));
     stats_
         .counter("shard.cross_msgs", "events",
                  "cross-shard events delivered through mailboxes")
-        .set(exec ? static_cast<double>(exec->crossShardEvents()) : 0.0);
+        .set(static_cast<double>(exec.crossShardEvents()));
 
     std::uint64_t maxEvents = 0;
     std::uint64_t totalEvents = 0;
     for (unsigned s = 0; s < n; ++s) {
-        ShardedExecutor::DomainProfile prof;
-        std::uint64_t sent = 0;
-        if (exec) {
-            prof = exec->domainProfiles()[s];
-            sent = exec->eventsSent(s);
-        } else {
-            prof.executed = eq_.eventsFired();
-            prof.maxRoundEvents = eq_.eventsFired();
-        }
+        const ShardedExecutor::DomainProfile &prof =
+            exec.domainProfiles()[s];
+        const std::uint64_t sent = exec.eventsSent(s);
         const std::string d = "shard.d" + std::to_string(s);
         stats_
             .counter(d + ".events", "events",
@@ -283,7 +255,7 @@ System::stampShardStats(const ShardPlan *plan,
         .counter("host.shard.barrier_wait_seconds", "s",
                  "host time workers spent parked at quantum barriers "
                  "(host-timing-dependent; determinism-exempt)")
-        .set(exec ? exec->barrierWaitSeconds() : 0.0);
+        .set(exec.barrierWaitSeconds());
 }
 
 void
@@ -334,24 +306,19 @@ System::finalizeProfiler()
 Tick
 System::run()
 {
-    if (plan_.shards > 1)
-        return runSharded();
-    const Tick start = eq_.now();
-    const auto host_start = std::chrono::steady_clock::now();
-    bootGuests();
-    eq_.run();
-    finishMonitor();
-    stampShardStats(nullptr, nullptr);
-    stampHostStats(host_start);
-    postRunChecks();
-    finalizeProfiler();
-    return eq_.now() - start;
+    return runDomains(ShardedExecutor::kNoLimit);
 }
 
 Tick
-System::runSharded()
+System::runFor(Tick limit)
 {
-    fatal_if(trace::spanSink() != nullptr,
+    return runDomains(eq_.now() + limit);
+}
+
+Tick
+System::runDomains(Tick limit)
+{
+    fatal_if(plan_.shards > 1 && trace::spanSink() != nullptr,
              "span tracing writes one shared trace file; record spans "
              "with --shards=1");
     const Tick start = eq_.now();
@@ -364,23 +331,23 @@ System::runSharded()
     // executor's keyed mailboxes while it is installed.
     ShardedExecutor exec(dom_.queues(), plan_.quantum);
     dom_.setExecutor(&exec);
-    exec.run();
+    exec.run(limit);
     dom_.setExecutor(nullptr);
 
     // Merge order matters: the monitor's tail rows read live lane
     // partials, so fold the stat lanes only after the series merge.
-    if (monitor_)
-        monitor_->mergeShardSamples();
+    finishMonitor();
     stats_.mergeLanes();
 
-    finishMonitor();
-    stampShardStats(&plan_, &exec);
+    stampShardStats(exec);
     stampHostStats(host_start);
-    postRunChecks();
+    // A bounded run stops mid-flight by design (crash injection).
+    if (limit == ShardedExecutor::kNoLimit)
+        postRunChecks();
     finalizeProfiler();
 
-    // The run ends at the globally-last event, wherever it executed —
-    // the same tick a monolithic run's clock stops at.
+    // The run ends at the globally-last event, wherever it executed (or
+    // at the cut, where every domain's clock stops).
     Tick end = start;
     for (const EventQueue *q : dom_.queues())
         end = std::max(end, q->now());

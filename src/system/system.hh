@@ -68,11 +68,11 @@ struct SystemConfig
     std::function<void(const mon::ProgressBeat &)> onBeat;
 
     /**
-     * Shard the run across a ShardPlan partition (1 = monolithic,
-     * today's behavior). run() then executes on a sharded conservative
-     * executor whose quantum derives from the mesh's minimum cross-
-     * shard latency; every non-host.* stat is bit-identical to the
-     * monolithic run (CI gates on it). Clamped to the mesh's columns.
+     * Shard the run across a ShardPlan partition of this many column
+     * bands (1 = one domain). run() executes on the conservative
+     * sharded executor whose quantum derives from the mesh's minimum
+     * cross-shard latency; every non-host.* stat is bit-identical at
+     * every shard count (CI gates on it). Clamped to the mesh's columns.
      */
     unsigned shards = 1;
 
@@ -115,8 +115,9 @@ class System
 
     /**
      * Run for at most @p limit cycles (crash-injection experiments):
-     * execution simply stops mid-flight, leaving caches and stores in
-     * their at-crash state for inspection. The system cannot be resumed.
+     * execution simply stops mid-flight — every domain at the same
+     * tick — leaving caches and stores in their at-crash state for
+     * inspection. The system cannot be resumed.
      */
     Tick runFor(Tick limit);
 
@@ -132,21 +133,23 @@ class System
     mon::TimeSeriesSink *monitor() { return monitor_.get(); }
 
   private:
-    /** run() body for config.shards > 1: every shard domain owns its
-     *  tiles' model state (cores, engines, caches, directory slices,
-     *  routers) and drains its own EventQueue on a ShardedExecutor
-     *  worker under quantum barriers; cross-domain edges travel through
-     *  Domains::post keyed mailboxes, so the merged order — and every
-     *  non-host.* stat — is bit-identical to the monolithic run
-     *  (DESIGN.md §4.6). */
-    Tick runSharded();
+    /** The one body of run() and runFor(): every shard domain (one when
+     *  config.shards == 1) owns its tiles' model state (cores, engines,
+     *  caches, directory slices, routers) and drains its own EventQueue
+     *  on a ShardedExecutor worker under quantum barriers; cross-domain
+     *  edges travel through Domains::post keyed mailboxes, so the
+     *  merged order — and every non-host.* stat — is bit-identical at
+     *  every shard count (DESIGN.md "Sharded execution"). @p limit is
+     *  an absolute cut tick, or ShardedExecutor::kNoLimit to run until
+     *  the queues drain (then deadlock/leak checks apply). */
+    Tick runDomains(Tick limit);
 
     /** Stage the queued guest threads as per-tile bootstrap events (the
      *  same keyed posts at every shard count, so coroutine frames are
      *  created, driven, and destroyed in the owning domain). */
     void bootGuests();
 
-    /** Post-run deadlock/leak checks shared by run() and runSharded(). */
+    /** Post-run deadlock/leak checks for runs that drain. */
     void postRunChecks() const;
 
     /** Harvest NoC/set-heat counters into the profiler and finalize it. */
@@ -160,11 +163,9 @@ class System
      * counters after a run. Registered post-run (like host.*) so the
      * takomon series set — fixed at construction — never depends on the
      * shard topology; the values themselves are deterministic and CI
-     * diffs them across host thread counts. @p exec is null for
-     * monolithic runs, which stamp the degenerate single-domain shape.
+     * diffs them across host thread counts.
      */
-    void stampShardStats(const ShardPlan *plan,
-                         const ShardedExecutor *exec);
+    void stampShardStats(const ShardedExecutor &exec);
 
     /** Close the takomon file (if any); write errors are fatal. */
     void finishMonitor();

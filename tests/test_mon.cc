@@ -19,7 +19,6 @@
 #include <map>
 #include <memory>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -28,7 +27,6 @@
 #include "mon/reader.hh"
 #include "mon/sink.hh"
 #include "mon/writer.hh"
-#include "sim/sampler.hh"
 #include "sim/shard.hh"
 #include "system/system.hh"
 #include "workloads/decompress.hh"
@@ -370,7 +368,7 @@ TEST(TimeSeriesSink, TakomonFileMatchesInMemorySeries)
     TimeSeriesSink::Options opt;
     opt.sampleEvery = 10;
     opt.monPath = f.path();
-    TimeSeriesSink sink(eq, stats, opt);
+    TimeSeriesSink sink({&eq}, stats, opt);
 
     eq.schedule(7, [&] {
         c += 1;
@@ -430,7 +428,7 @@ TEST(TimeSeriesSink, HeartbeatsFireAtDeterministicTicks)
         beatEvents.push_back(b.events);
         EXPECT_LT(b.fractionDone, 0); // unknown unless provided
     };
-    TimeSeriesSink sink(eq, stats, opt);
+    TimeSeriesSink sink({&eq}, stats, opt);
     sink.setFractionDone(nullptr);
 
     for (Tick t = 1; t <= 34; ++t)
@@ -445,18 +443,6 @@ TEST(TimeSeriesSink, HeartbeatsFireAtDeterministicTicks)
     EXPECT_EQ(sink.samplesTaken(), 0u); // no series cadence requested
 }
 
-TEST(TimeSeriesSink, StatsSamplerAliasStillCompiles)
-{
-    // PR-1 compatibility: StatsSampler is this sink (sim/sampler.hh).
-    static_assert(std::is_same_v<StatsSampler, mon::TimeSeriesSink>);
-    EventQueue eq;
-    StatsRegistry stats;
-    stats.counter("c");
-    StatsSampler sampler(eq, stats, 10, {"c*"});
-    eq.runUntil(25);
-    EXPECT_EQ(stats.timeSeries().numSamples(), 2u);
-}
-
 // ---- shard.* profile determinism --------------------------------------
 
 namespace
@@ -467,7 +453,8 @@ namespace
  * self-rescheduling event chain of different lengths (load imbalance by
  * construction), mailing work to the next domain every third hop. All
  * profile fields must be a pure function of this structure, never of
- * the worker thread count.
+ * the worker thread count. Domain d's events execute at stream d + 1 of
+ * one shared key table, as in a decomposed System.
  */
 struct ChainModel
 {
@@ -475,6 +462,7 @@ struct ChainModel
     static constexpr Tick kQuantum = 3;
 
     std::array<std::unique_ptr<EventQueue>, kDomains> queues;
+    StreamKeySource keys{kDomains + 1};
     std::unique_ptr<ShardedExecutor> exec;
 
     explicit ChainModel(unsigned threads)
@@ -482,6 +470,7 @@ struct ChainModel
         std::vector<EventQueue *> domains;
         for (auto &q : queues) {
             q = std::make_unique<EventQueue>();
+            q->setStreamKeys(keys);
             domains.push_back(q.get());
         }
         exec = std::make_unique<ShardedExecutor>(domains, kQuantum,
@@ -495,9 +484,10 @@ struct ChainModel
             return;
         if (left % 3 == 0) {
             const unsigned nxt = (d + 1) % kDomains;
-            exec->send(d, nxt, queues[d]->now() + kQuantum,
-                       EventPriority::Default,
-                       [this, nxt, left] { hop(nxt, left - 1); });
+            exec->sendKeyed(d, nxt, queues[d]->now() + kQuantum,
+                            EventPriority::Default, keys.next(d + 1),
+                            nxt + 1,
+                            [this, nxt, left] { hop(nxt, left - 1); });
             return;
         }
         queues[d]->schedule(1 + left % 5,
@@ -540,7 +530,9 @@ runChains(unsigned threads)
     ChainModel m(threads);
     for (unsigned d = 0; d < ChainModel::kDomains; ++d) {
         const unsigned len = 20 + d * 17; // deliberately unbalanced
-        m.queues[d]->schedule(d + 1, [&m, d, len] { m.hop(d, len); });
+        m.queues[d]->scheduleKeyed(
+            d + 1, [&m, d, len] { m.hop(d, len); }, EventPriority::Default,
+            m.keys.next(0), d + 1);
     }
     m.exec->run();
 

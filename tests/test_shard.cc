@@ -19,6 +19,7 @@
 #include "sim/shard.hh"
 #include "system/system.hh"
 #include "workloads/decompress.hh"
+#include "workloads/pagerank_push.hh"
 
 using namespace tako;
 
@@ -102,6 +103,8 @@ namespace
  * third hop mailing a payload to the next domain one-or-more quanta
  * ahead. Any reordering — across threads, rounds, or merge batches —
  * changes the accumulators, so equality below is bit-level determinism.
+ * Domain d's events all execute at stream d + 1 of one shared key table,
+ * the way Domains keys a decomposed System.
  */
 struct RingModel
 {
@@ -109,6 +112,7 @@ struct RingModel
     static constexpr Tick kQuantum = 3;
 
     std::array<std::unique_ptr<EventQueue>, kDomains> queues;
+    StreamKeySource keys{kDomains + 1};
     std::unique_ptr<ShardedExecutor> exec;
     std::array<std::uint64_t, kDomains> acc{};
     std::array<std::uint64_t, kDomains> received{};
@@ -118,10 +122,20 @@ struct RingModel
         std::vector<EventQueue *> domains;
         for (auto &q : queues) {
             q = std::make_unique<EventQueue>();
+            q->setStreamKeys(keys);
             domains.push_back(q.get());
         }
         exec = std::make_unique<ShardedExecutor>(domains, kQuantum,
                                                  threads);
+    }
+
+    /** Mail @p fn from domain @p d to @p dst, keyed on d's stream. */
+    void
+    mail(unsigned d, unsigned dst, Tick when, EventPriority prio,
+         std::function<void()> fn)
+    {
+        exec->sendKeyed(d, dst, when, prio, keys.next(d + 1), dst + 1,
+                        std::move(fn));
     }
 
     void
@@ -142,8 +156,8 @@ struct RingModel
             // Conservative: at least one quantum ahead of "now".
             const Tick when =
                 queues[d]->now() + kQuantum + (payload % (2 * kQuantum));
-            exec->send(d, dst, when, EventPriority::Default,
-                       [this, dst, payload] { recv(dst, payload, 2); });
+            mail(d, dst, when, EventPriority::Default,
+                 [this, dst, payload] { recv(dst, payload, 2); });
         }
         queues[d]->schedule(1 + (acc[d] % 3),
                             [this, d, remaining] {
@@ -159,9 +173,8 @@ struct RingModel
         if (ttl > 0 && payload % 2 == 0) {
             const unsigned dst = (d + 1) % kDomains;
             const std::uint64_t fwd = acc[d];
-            exec->send(d, dst, queues[d]->now() + kQuantum,
-                       EventPriority::High,
-                       [this, dst, fwd, ttl] { recv(dst, fwd, ttl - 1); });
+            mail(d, dst, queues[d]->now() + kQuantum, EventPriority::High,
+                 [this, dst, fwd, ttl] { recv(dst, fwd, ttl - 1); });
         }
     }
 
@@ -169,9 +182,9 @@ struct RingModel
     run(unsigned chainLength)
     {
         for (unsigned d = 0; d < kDomains; ++d) {
-            queues[d]->scheduleAbs(d, [this, d, chainLength] {
-                local(d, chainLength);
-            });
+            queues[d]->scheduleKeyed(
+                d, [this, d, chainLength] { local(d, chainLength); },
+                EventPriority::Default, keys.next(0), d + 1);
         }
         exec->run();
     }
@@ -495,5 +508,146 @@ TEST(ShardedSystem, CrossShardCallbackOrderIsPartitionInvariant)
             EXPECT_EQ(got[t], ref[t])
                 << "home tile " << t << " callback order differs at "
                 << "shards=" << shards;
+    }
+}
+
+// ------------------------------- PHI morph counters across shards (16t)
+
+namespace
+{
+
+/** Non-host, non-shard counters plus the PHI policy extras of a 16-core
+ *  PHI push run at the given shard count. */
+std::map<std::string, double>
+phiPushCounters(unsigned shards)
+{
+    PagerankPushConfig cfg;
+    cfg.graph.numVertices = 1024;
+    cfg.graph.avgDegree = 4;
+    cfg.graph.communitySize = 64;
+    cfg.threads = 16;
+    cfg.regionVertices = 128;
+    SystemConfig sys = SystemConfig::forCores(16);
+    sys.mem.l1Size = 2 * 1024;
+    sys.mem.l2Size = 4 * 1024;
+    sys.mem.l3BankSize = 8 * 1024;
+    sys.shards = shards;
+    const RunMetrics m = runPagerankPush(PushVariant::Phi, cfg, sys);
+    std::map<std::string, double> counters;
+    for (const auto &[name, c] : m.stats->counters())
+        if (name.rfind("host.", 0) != 0 && name.rfind("shard.", 0) != 0)
+            counters.emplace(name, c.value());
+    counters.emplace("__correct", m.extra.at("correct"));
+    counters.emplace("__inPlaceLines", m.extra.at("inPlaceLines"));
+    counters.emplace("__binnedUpdates", m.extra.at("binnedUpdates"));
+    return counters;
+}
+
+} // namespace
+
+TEST(ShardedSystem, PhiMorphCountersMatchAcrossShardCounts)
+{
+    // Every bank's engine bumps the PHI policy counters, so with several
+    // domains they are bumped from several workers at once; per-bank
+    // counts keep them exact (and TSan quiet).
+    const auto ref = phiPushCounters(1);
+    ASSERT_EQ(ref.at("__correct"), 1.0);
+    // Both writeback policies ran, so both counters are under test.
+    ASSERT_GT(ref.at("__inPlaceLines"), 0.0);
+    ASSERT_GT(ref.at("__binnedUpdates"), 0.0);
+    for (const unsigned shards : {2u, 4u}) {
+        const auto got = phiPushCounters(shards);
+        ASSERT_EQ(got.size(), ref.size()) << "shards=" << shards;
+        for (const auto &[name, value] : ref)
+            EXPECT_EQ(got.at(name), value)
+                << name << " differs at shards=" << shards;
+    }
+}
+
+// ------------------------------------ bounded runs (runFor) at any shards
+
+namespace
+{
+
+struct CutResult
+{
+    Tick ran = 0;
+    bool midRun = false; ///< some guest was still running at the cut
+    std::map<std::string, double> counters; ///< non-host, non-shard
+    std::vector<Tick> sampleTicks;
+    std::vector<std::vector<double>> samples;
+};
+
+/** A 16-tile system with guests in every mesh column, each streaming
+ *  stores and loads over lines homed all across the mesh. */
+void
+addColumnGuests(System &sys)
+{
+    for (const int core : {0, 5, 10, 15}) {
+        sys.addThread(core, [core](Guest &g) -> Task<> {
+            for (int i = 0; i < 96; ++i) {
+                const Addr a = 0x100000 + Addr(core) * 0x10000 +
+                               Addr(i * 7 % 64) * lineBytes;
+                co_await g.store(a, a + i);
+                co_await g.load(0x200000 + Addr(i * 5 % 48) * lineBytes);
+            }
+        });
+    }
+}
+
+SystemConfig
+cutConfig(unsigned shards)
+{
+    SystemConfig cfg = SystemConfig::forCores(16);
+    cfg.mem.l1Size = 2 * 1024;
+    cfg.mem.l2Size = 8 * 1024;
+    cfg.shards = shards;
+    cfg.sampleInterval = 250;
+    return cfg;
+}
+
+CutResult
+runCut(unsigned shards, Tick limit)
+{
+    System sys(cutConfig(shards));
+    addColumnGuests(sys);
+    CutResult r;
+    r.ran = sys.runFor(limit);
+    for (unsigned c = 0; c < sys.numCores(); ++c)
+        r.midRun = r.midRun || sys.core(static_cast<int>(c)).running();
+    for (const auto &[name, c] : sys.stats().counters())
+        if (name.rfind("host.", 0) != 0 && name.rfind("shard.", 0) != 0)
+            r.counters.emplace(name, c.value());
+    r.sampleTicks = sys.stats().timeSeries().ticks;
+    r.samples = sys.stats().timeSeries().samples;
+    return r;
+}
+
+} // namespace
+
+TEST(ShardedSystem, RunForCutsEveryShardCountAtTheSameTick)
+{
+    Tick full = 0;
+    {
+        System sys(cutConfig(1));
+        addColumnGuests(sys);
+        full = sys.run();
+    }
+    ASSERT_GT(full, 1000u);
+    const Tick cut = full / 2;
+
+    const CutResult ref = runCut(1, cut);
+    EXPECT_EQ(ref.ran, cut);
+    EXPECT_TRUE(ref.midRun);
+    ASSERT_FALSE(ref.samples.empty());
+    for (const unsigned shards : {2u, 4u}) {
+        const CutResult got = runCut(shards, cut);
+        EXPECT_EQ(got.ran, ref.ran) << "shards=" << shards;
+        EXPECT_EQ(got.sampleTicks, ref.sampleTicks) << "shards=" << shards;
+        EXPECT_EQ(got.samples, ref.samples) << "shards=" << shards;
+        ASSERT_EQ(got.counters.size(), ref.counters.size());
+        for (const auto &[name, value] : ref.counters)
+            EXPECT_EQ(got.counters.at(name), value)
+                << name << " differs at shards=" << shards;
     }
 }

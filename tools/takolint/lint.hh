@@ -26,7 +26,7 @@
  *       (SystemConfig::shards > 1) execute shards on concurrent host
  *       threads, so anything shared must either be immutable
  *       (const/constexpr/constinit), per-thread (thread_local), or go
- *       through the ShardedExecutor::send() mailbox API. Heuristic on
+ *       through the ShardedExecutor::sendKeyed() mailbox API. Heuristic on
  *       the `static` keyword; unmarked namespace-scope globals are a
  *       known blind spot.
  *

@@ -604,7 +604,7 @@ class Checker
                      "static-duration mutable state in model code: "
                      "shards run concurrently, so cross-shard "
                      "communication must go through "
-                     "ShardedExecutor::send() mailboxes; make this "
+                     "ShardedExecutor::sendKeyed() mailboxes; make this "
                      "const/constexpr, thread_local, or per-instance");
                 return;
             }

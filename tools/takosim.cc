@@ -125,8 +125,6 @@ usage(int code)
         "  --log-json=FILE    mirror warnings/errors/progress as\n"
         "                     severity-tagged JSON lines (one object\n"
         "                     per line; tail-able during long runs)\n"
-        "  --sample-every=N   deprecated alias of --mon-every\n"
-        "  --sample=PATS      deprecated alias of --mon-sample\n"
         "  --shards=N         run on the sharded conservative executor\n"
         "                     (quantum barriers from the mesh's minimum\n"
         "                     cross-shard latency); every non-host.*\n"
@@ -136,7 +134,7 @@ usage(int code)
         "                     is replica 0 plus ens.* aggregates and is\n"
         "                     identical at any lane count (incompatible\n"
         "                     with --profile/--folded/--trace-out/\n"
-        "                     --sample-every/--sample)\n"
+        "                     --mon-every/--mon-sample)\n"
         "  --list-workloads   print workloads and their variants\n"
         "  --version          print the embedded git revision\n"
         "  --help             this text\n");
@@ -219,7 +217,7 @@ parse(int argc, char **argv)
             o.traceOut = val;
         else if (key == "--trace-mask")
             o.traceMask = val;
-        else if (key == "--sample-every" || key == "--mon-every")
+        else if (key == "--mon-every")
             o.sampleEvery = parseNum(val);
         else if (key == "--mon-out")
             o.monOut = val;
@@ -235,7 +233,7 @@ parse(int argc, char **argv)
             o.replicate = static_cast<unsigned>(parseNum(val));
             if (o.replicate == 0)
                 o.replicate = 1;
-        } else if (key == "--sample" || key == "--mon-sample") {
+        } else if (key == "--mon-sample") {
             std::size_t pos = 0;
             while (pos <= val.size()) {
                 const std::size_t comma = val.find(',', pos);
@@ -476,7 +474,7 @@ main(int argc, char **argv)
         }
     } else {
         // Seed-offset ensemble across host lanes. Each replica runs
-        // monolithic (its own System, shards=1) — --shards spends the
+        // one domain (its own System, shards=1) — --shards spends the
         // host-parallelism budget on lanes here, and the job -> lane
         // map is index-pure, so the merged output is identical at any
         // lane count.
