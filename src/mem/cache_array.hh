@@ -94,11 +94,18 @@ class CacheArray
     CacheArray(std::uint64_t size_bytes, unsigned ways, ReplPolicy repl)
         : ways_(ways), repl_(repl)
     {
-        panic_if(ways == 0, "cache with zero ways");
+        // Geometry comes from user configuration (takosim --l1/--l2/
+        // --l3bank), so a bad one is a configuration error, not a bug.
         const std::uint64_t lines = size_bytes / lineBytes;
-        panic_if(lines % ways != 0, "cache size not divisible by ways");
+        fatal_if(ways == 0 || lines % ways != 0,
+                 "cache of %llu bytes cannot split into %u ways of %u-byte "
+                 "lines",
+                 (unsigned long long)size_bytes, ways, lineBytes);
         sets_ = static_cast<unsigned>(lines / ways);
-        panic_if(!isPow2(sets_), "number of sets must be a power of two");
+        fatal_if(!isPow2(sets_),
+                 "cache of %llu bytes with %u ways has %u sets; the set "
+                 "count must be a power of two",
+                 (unsigned long long)size_bytes, ways, sets_);
         ways_storage_.resize(lines);
     }
 
@@ -316,23 +323,6 @@ class CacheArray
         }
     }
 
-    /**
-     * Per-set access heat (takoprof). Off — and free — until
-     * enableSetHeat() allocates one counter per set; the memory system
-     * calls noteAccess at each profiled lookup.
-     */
-    void enableSetHeat() { setHeat_.assign(sets_, 0); }
-
-    void
-    noteAccess(Addr line_addr)
-    {
-        if (!setHeat_.empty())
-            ++setHeat_[setIndex(line_addr)];
-    }
-
-    /** Empty unless enableSetHeat() was called. */
-    const std::vector<std::uint64_t> &setHeat() const { return setHeat_; }
-
     static constexpr std::uint8_t rrpvMax = 7;
     static constexpr std::uint8_t rrpvLong = 6;
 
@@ -342,7 +332,6 @@ class CacheArray
     ReplPolicy repl_;
     std::uint64_t useClock_ = 0;
     std::vector<CacheWay> ways_storage_;
-    std::vector<std::uint64_t> setHeat_;
 };
 
 } // namespace tako

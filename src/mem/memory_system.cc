@@ -2,23 +2,21 @@
 
 #include <algorithm>
 
-#include "prof/profiler.hh"
 #include "sim/domains.hh"
-#include "sim/trace.hh"
-#include "sim/tracesink.hh"
 
 namespace tako
 {
 
 MemorySystem::MemorySystem(const MemParams &params, Domains &dom,
                            EventQueue &eq, StatsRegistry &stats,
-                           EnergyModel &energy, Mesh &noc)
+                           EnergyModel &energy, Mesh &noc, Recorder &rec)
     : params_(params),
       dom_(dom),
       eq_(eq),
       stats_(stats),
       energy_(energy),
       noc_(noc),
+      rec_(rec),
       l1Hits_(stats.handle("l1.hits", "accesses",
                            "demand hits in a core/engine L1d")),
       l1Misses_(stats.handle("l1.misses", "accesses",
@@ -97,7 +95,6 @@ MemorySystem::MemorySystem(const MemParams &params, Domains &dom,
 void
 MemorySystem::setPhase(const std::string &phase)
 {
-    phase_ = phase;
     if (!detail::execCtx.queue) {
         // Pre-run (constructor, test setup): no events are in flight, so
         // the replicas can change in place.
@@ -121,52 +118,6 @@ MemorySystem::setPhase(const std::string &phase)
             pl.writes = nullptr;
         });
     }
-}
-
-void
-MemorySystem::setProfiler(prof::Profiler *p)
-{
-    prof_ = p;
-    if (!p)
-        return;
-    for (auto &t : tiles_) {
-        t->l1.enableSetHeat();
-        t->engL1.enableSetHeat();
-        t->l2.enableSetHeat();
-        t->l3.enableSetHeat();
-    }
-}
-
-std::vector<std::uint64_t>
-MemorySystem::aggregateSetHeat(int level) const
-{
-    std::vector<std::uint64_t> out;
-    auto accum = [&out](const CacheArray &arr) {
-        const std::vector<std::uint64_t> &h = arr.setHeat();
-        if (h.empty())
-            return;
-        if (out.size() < h.size())
-            out.resize(h.size(), 0);
-        for (std::size_t i = 0; i < h.size(); ++i)
-            out[i] += h[i];
-    };
-    for (const auto &t : tiles_) {
-        switch (level) {
-          case 1:
-            accum(t->l1);
-            accum(t->engL1);
-            break;
-          case 2:
-            accum(t->l2);
-            break;
-          case 3:
-            accum(t->l3);
-            break;
-          default:
-            panic("aggregateSetHeat: bad level %d", level);
-        }
-    }
-    return out;
 }
 
 std::uint64_t
@@ -203,15 +154,37 @@ MemorySystem::hop(int src, int dst, unsigned bytes, LatBreakdown *bd)
         bd->noc += ctxNow(eq_) - t0;
 }
 
+void
+MemorySystem::recordLookup(RecordKind kind, int tile, const CacheArray &arr,
+                           Addr line, bool hit, std::uint8_t flags)
+{
+    if (hit)
+        flags |= Record::kHit;
+    rec_.push({.tick = ctxNow(eq_),
+               .addr = line,
+               .w = {arr.setIndex(line), arr.numSets()},
+               .tile = tile,
+               .kind = kind,
+               .flags = flags});
+}
+
 Task<std::uint64_t>
 MemorySystem::access(AccessReq req)
 {
     // Demand accesses only: prefetches, engine traffic, and täkō
     // callbacks are simulator-generated, not part of the guest's own
     // reference stream, so a recorded trace replays 1:1.
-    if (accessTracer_ && !req.prefetch && !req.fromEngine &&
-        req.callbackLevel < 0)
-        accessTracer_(ctxNow(eq_), req);
+    if (rec_.on(RecordKind::DemandIssue) && !req.prefetch &&
+        !req.fromEngine && req.callbackLevel < 0) {
+        const auto flags = static_cast<std::uint8_t>(
+            (req.noFetch ? Record::kNoFetch : 0) |
+            (req.useOnce ? Record::kUseOnce : 0));
+        rec_.push({.tick = ctxNow(eq_), .addr = req.addr,
+                   .w = {req.wdata}, .tile = req.tile,
+                   .kind = RecordKind::DemandIssue,
+                   .op = static_cast<std::uint8_t>(req.cmd),
+                   .flags = flags});
+    }
 
     const Addr line = lineAlign(req.addr);
     const bool need_m = req.cmd != MemCmd::Load;
@@ -268,14 +241,13 @@ MemorySystem::access(AccessReq req)
         return w2->coh == Coh::E || w2->coh == Coh::M;
     };
 
-    // takoprof: classify the demand L1 lookup once, at first probe, on
-    // tag presence (a permission upgrade is not a content miss). Merged
-    // hits after the tile lock re-probe but are not re-classified.
-    if (prof_ && !req.prefetch) {
-        l1.noteAccess(line);
-        prof_->l1Access(req.tile, req.fromEngine, line,
-                        l1.lookup(line) != nullptr);
-    }
+    // Record the demand L1 lookup once, at first probe, on tag presence
+    // (a permission upgrade is not a content miss). Merged hits after
+    // the tile lock re-probe but are not recorded again.
+    if (!req.prefetch && rec_.on(RecordKind::L1Lookup))
+        recordLookup(RecordKind::L1Lookup, req.tile, l1, line,
+                     l1.lookup(line) != nullptr,
+                     req.fromEngine ? Record::kEngine : std::uint8_t{0});
 
     if (!req.prefetch && l1_hit_ok()) {
         ++*l1Hits_;
@@ -327,12 +299,10 @@ MemorySystem::access(AccessReq req)
     energy_.l2Access();
 
     CacheWay *w2 = t.l2.lookup(line);
-
-    if (prof_) {
-        t.l2.noteAccess(line);
-        if (!req.prefetch)
-            prof_->l2Access(req.tile, line, w2 != nullptr);
-    }
+    if (rec_.on(RecordKind::L2Lookup))
+        recordLookup(RecordKind::L2Lookup, req.tile, t.l2, line,
+                     w2 != nullptr,
+                     req.prefetch ? Record::kPrefetch : std::uint8_t{0});
 
     // Train the stream prefetcher on demand core accesses (loads,
     // stores, and atomics all advance streams — e.g., HATS consumes its
@@ -352,9 +322,6 @@ MemorySystem::access(AccessReq req)
     const bool l2_ok =
         w2 && (!need_m || w2->coh == Coh::E || w2->coh == Coh::M);
 
-    TRACE(Cache, ctxNow(eq_), "tile %d %s %#llx %s L2", req.tile,
-          req.cmd == MemCmd::Load ? "ld" : "st/at",
-          (unsigned long long)line, l2_ok ? "hits" : "misses");
     if (l2_ok) {
         ++*l2Hits_;
         co_await Delay{eq_, params_.l2DataLat};
@@ -420,10 +387,7 @@ MemorySystem::finishAccess(const AccessReq &req, Tick start,
         hBdCbWait_->sample(bd.callbackWait);
         hBdTotal_->sample(ctxNow(eq_) - start);
     }
-    if (trace::spanEnabled(trace::Flag::Mem)) {
-        trace::ChromeTraceWriter &w = *trace::spanSink();
-        w.ensureTrack(0, "memory", req.tile,
-                      strprintf("tile%d", req.tile));
+    if (rec_.on(RecordKind::MemDone)) {
         const char *name = "load";
         if (req.prefetch)
             name = "prefetch";
@@ -431,18 +395,13 @@ MemorySystem::finishAccess(const AccessReq &req, Tick start,
             name = "store";
         else if (req.cmd != MemCmd::Load)
             name = "atomic";
-        w.completeEvent(
-            "mem", name, 0, req.tile, start, ctxNow(eq_) - start,
-            strprintf("{\"addr\":\"%#llx\",\"engine\":%s,"
-                      "\"cache\":%llu,\"noc\":%llu,\"lock_wait\":%llu,"
-                      "\"dram\":%llu,\"callback_wait\":%llu}",
-                      (unsigned long long)req.addr,
-                      req.fromEngine ? "true" : "false",
-                      (unsigned long long)bd.cache,
-                      (unsigned long long)bd.noc,
-                      (unsigned long long)bd.lockWait,
-                      (unsigned long long)bd.dram,
-                      (unsigned long long)bd.callbackWait));
+        rec_.push({.tick = ctxNow(eq_), .addr = req.addr,
+                   .w = {start, bd.cache, bd.noc, bd.lockWait, bd.dram,
+                         bd.callbackWait},
+                   .name = name, .tile = req.tile,
+                   .kind = RecordKind::MemDone,
+                   .flags = req.fromEngine ? Record::kEngine
+                                           : std::uint8_t{0}});
     }
 }
 
@@ -497,10 +456,8 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
     energy_.l3Access();
 
     CacheWay *w3 = b.l3.lookup(line);
-    if (prof_) {
-        b.l3.noteAccess(line);
-        prof_->l3Access(line, w3 != nullptr);
-    }
+    if (rec_.on(RecordKind::L3Lookup))
+        recordLookup(RecordKind::L3Lookup, bank, b.l3, line, w3 != nullptr);
     if (!w3) {
         ++*l3Misses_;
         w3 = co_await allocL3Way(bank, line, mb, engine, &bd);
@@ -555,9 +512,6 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
                     if (!(others & (1u << s)))
                         continue;
                     ++*invalidations_;
-                    TRACE(Coherence, ctxNow(eq_),
-                          "bank %d invalidates tile %u for %#llx", bank,
-                          s, (unsigned long long)line);
                     join.add(1);
                     spawn(coherenceVisit(bank, static_cast<int>(s), line,
                                          false, &vdirty),
@@ -633,17 +587,10 @@ MemorySystem::dramFetch(int bank_tile, Addr line, LatBreakdown *bd)
     const unsigned c = ctrlOf(line);
     co_await hop(bank_tile, ctrlTile(c), 8, bd);
     const Tick lat = ctrls_[c].access(ctxNow(eq_));
-    TRACE(Dram, ctxNow(eq_), "read %#llx via ctrl %u",
-          (unsigned long long)line, c);
-    if (trace::spanEnabled(trace::Flag::Dram)) {
-        trace::ChromeTraceWriter &w = *trace::spanSink();
-        w.ensureTrack(2, "dram", static_cast<int>(c),
-                      strprintf("ctrl%u", c));
-        w.completeEvent("dram", "read", 2, static_cast<int>(c),
-                        ctxNow(eq_), lat,
-                        strprintf("{\"addr\":\"%#llx\"}",
-                                  (unsigned long long)line));
-    }
+    if (rec_.on(RecordKind::DramRead))
+        rec_.push({.tick = ctxNow(eq_), .addr = line, .w = {lat},
+                   .tile = static_cast<std::int32_t>(c),
+                   .kind = RecordKind::DramRead});
     ++*dramReads_;
     PhaseLane &pl = phaseLanes_[c];
     if (!pl.reads) [[unlikely]]
@@ -651,8 +598,6 @@ MemorySystem::dramFetch(int bank_tile, Addr line, LatBreakdown *bd)
         pl.reads = stats_.handle("dram.reads." + pl.phase);
     ++*pl.reads;
     energy_.dramAccess();
-    if (dramTracer_)
-        dramTracer_(line, false);
     co_await Delay{eq_, lat};
     if (bd)
         bd->dram += lat;
@@ -665,15 +610,10 @@ MemorySystem::dramWritebackTask(int bank_tile, Addr line)
     const unsigned c = ctrlOf(line);
     co_await hop(bank_tile, ctrlTile(c), 72);
     const Tick lat = ctrls_[c].access(ctxNow(eq_));
-    if (trace::spanEnabled(trace::Flag::Dram)) {
-        trace::ChromeTraceWriter &w = *trace::spanSink();
-        w.ensureTrack(2, "dram", static_cast<int>(c),
-                      strprintf("ctrl%u", c));
-        w.completeEvent("dram", "write", 2, static_cast<int>(c),
-                        ctxNow(eq_), lat,
-                        strprintf("{\"addr\":\"%#llx\"}",
-                                  (unsigned long long)line));
-    }
+    if (rec_.on(RecordKind::DramWrite))
+        rec_.push({.tick = ctxNow(eq_), .addr = line, .w = {lat},
+                   .tile = static_cast<std::int32_t>(c),
+                   .kind = RecordKind::DramWrite});
     ++*dramWrites_;
     PhaseLane &pl = phaseLanes_[c];
     if (!pl.writes) [[unlikely]]
@@ -681,8 +621,6 @@ MemorySystem::dramWritebackTask(int bank_tile, Addr line)
         pl.writes = stats_.handle("dram.writes." + pl.phase);
     ++*pl.writes;
     energy_.dramAccess();
-    if (dramTracer_)
-        dramTracer_(line, true);
     co_await Delay{eq_, lat};
 }
 
@@ -786,9 +724,6 @@ MemorySystem::snapL3Way(CacheWay &w)
     ev.copies = w.sharers;
     if (w.owner >= 0)
         ev.copies |= 1u << static_cast<unsigned>(w.owner);
-    TRACE(Cache, ctxNow(eq_), "bank evicts %#llx%s%s",
-          (unsigned long long)ev.line, ev.dirty ? " dirty" : "",
-          w.morph ? " morph" : "");
     w.invalidate();
     return ev;
 }
@@ -889,9 +824,6 @@ MemorySystem::evictL2Way(int tile, CacheWay &w)
     TileState &t = *tiles_[tile];
     ++*l2Evictions_;
     const Addr line = w.lineAddr;
-    TRACE(Cache, ctxNow(eq_), "tile %d evicts %#llx%s%s", tile,
-          (unsigned long long)line, w.dirty ? " dirty" : "",
-          w.morph ? " morph" : "");
 
     // Inclusion: pull back L1 copies, merging dirtiness.
     for (CacheArray *l1 : {&t.l1, &t.engL1}) {
@@ -1041,8 +973,6 @@ MemorySystem::remoteAtomicAdd(int tile, Addr addr, std::uint64_t delta)
 {
     const MorphBinding *mb = resolve(tile, addr);
     ++*rmoOps_;
-    TRACE(Rmo, ctxNow(eq_), "tile %d rmoAdd %#llx += %llu", tile,
-          (unsigned long long)addr, (unsigned long long)delta);
     if (!mb || mb->level != MorphLevel::Shared) {
         // No shared Morph: execute as a local atomic through the caches.
         AccessReq r;
@@ -1066,10 +996,8 @@ MemorySystem::remoteAtomicAdd(int tile, Addr addr, std::uint64_t delta)
     energy_.l3Access();
 
     CacheWay *w3 = b.l3.lookup(line);
-    if (prof_) {
-        b.l3.noteAccess(line);
-        prof_->l3Access(line, w3 != nullptr);
-    }
+    if (rec_.on(RecordKind::L3Lookup))
+        recordLookup(RecordKind::L3Lookup, bank, b.l3, line, w3 != nullptr);
     if (!w3) {
         ++*l3Misses_;
         w3 = co_await allocL3Way(bank, line, mb, false);

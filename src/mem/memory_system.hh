@@ -41,19 +41,14 @@
 #include "mem/morph_types.hh"
 #include "noc/mesh.hh"
 #include "sim/event_queue.hh"
+#include "sim/record.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
-#include "sim/tracesink.hh"
 
 namespace tako
 {
 
 class Domains;
-
-namespace prof
-{
-class Profiler;
-} // namespace prof
 
 struct MemParams
 {
@@ -94,8 +89,8 @@ struct MemParams
      * Sample per-transaction latency breakdowns into mem.breakdown.*
      * histograms. Off by default: six histogram updates per demand
      * access are measurable on the L1-hit fast path, so — like
-     * TAKO_TRACE and the time-series sampler — you pay only when you
-     * ask. takosim and the observability tests turn it on.
+     * observation records and the time-series sampler — you pay only
+     * when you ask. takosim and the observability tests turn it on.
      */
     bool latBreakdown = false;
 };
@@ -164,10 +159,12 @@ class MemorySystem
      * @p dom routes every inter-tile movement (NoC walks, directory
      * messages, DRAM pinning) so the hierarchy can be partitioned across
      * shard domains; a monolithic run passes a single-domain Domains and
-     * executes the identical code on one queue.
+     * executes the identical code on one queue. @p rec receives the
+     * observation records (demand issue, lookups, transactions, DRAM).
      */
     MemorySystem(const MemParams &params, Domains &dom, EventQueue &eq,
-                 StatsRegistry &stats, EnergyModel &energy, Mesh &noc);
+                 StatsRegistry &stats, EnergyModel &energy, Mesh &noc,
+                 Recorder &rec);
 
     MemorySystem(const MemorySystem &) = delete;
     MemorySystem &operator=(const MemorySystem &) = delete;
@@ -179,20 +176,8 @@ class MemorySystem
 
     void setCallbackSink(CallbackSink *sink) { sink_ = sink; }
 
-    /**
-     * Install the takoprof profiler (nullptr to detach). Enables per-set
-     * heat tracking in every cache array and feeds each demand lookup
-     * into the miss classifiers. Purely observational: no timing event
-     * depends on it.
-     */
-    void setProfiler(prof::Profiler *p);
-
-    /**
-     * Sum per-set heat across the arrays of @p level (1: core+engine
-     * L1s, 2: private L2s, 3: L3 banks, folded by set index). Empty when
-     * no profiler ever enabled heat tracking.
-     */
-    std::vector<std::uint64_t> aggregateSetHeat(int level) const;
+    /** Where this hierarchy (and its engines) emit observation records. */
+    Recorder &recorder() { return rec_; }
 
     const MemParams &params() const { return params_; }
 
@@ -234,25 +219,6 @@ class MemorySystem
 
     /** Label DRAM accesses by workload phase (Figs. 14/17). */
     void setPhase(const std::string &phase);
-
-    /** Optional tracer invoked on every DRAM access (addr, is_write). */
-    void
-    setDramTracer(std::function<void(Addr, bool)> tracer)
-    {
-        dramTracer_ = std::move(tracer);
-    }
-
-    /**
-     * Optional tracer invoked at the issue of every demand access from
-     * a core (prefetches, engine traffic, and täkō callbacks excluded).
-     * Observational only — feeds takotrace recording (--trace-record).
-     */
-    void
-    setAccessTracer(std::function<void(Tick, const AccessReq &)> tracer)
-    {
-        accessTracer_ = std::move(tracer);
-    }
-    const std::string &phase() const { return phase_; }
 
     std::uint64_t dramReads() const;
     std::uint64_t dramWrites() const;
@@ -498,27 +464,32 @@ class MemorySystem
                                 LineData data,
                                 std::function<void()> after = {});
 
+    /** Push a lookup record for @p line in @p arr; callers gate on
+     *  rec_.on(@p kind). @p flags adds Record::kEngine / kPrefetch to
+     *  the hit bit. */
+    void recordLookup(RecordKind kind, int tile, const CacheArray &arr,
+                      Addr line, bool hit, std::uint8_t flags = 0);
+
     /** Apply the functional effect of a committed access. */
     std::uint64_t doFunctional(const AccessReq &req);
 
     /**
      * Per-access epilogue: fold @p bd into the mem.breakdown.*
-     * histograms (demand accesses only) and emit the transaction span
-     * when a trace sink is installed.
+     * histograms (demand accesses only) and push the MemDone record
+     * when one is wanted.
      */
     void finishAccess(const AccessReq &req, Tick start,
                       const LatBreakdown &bd);
 
     /**
      * True when some consumer wants per-access observability: either
-     * breakdown histograms (MemParams::latBreakdown) or memory-
-     * transaction spans (a trace sink with Flag::Mem enabled). The
-     * L1-hit fast path skips all attribution work when this is false.
+     * breakdown histograms (MemParams::latBreakdown) or MemDone records
+     * (memory-transaction spans). The L1-hit fast path skips all
+     * attribution work when this is false.
      */
     bool observing() const
     {
-        return params_.latBreakdown ||
-               trace::spanEnabled(trace::Flag::Mem);
+        return params_.latBreakdown || rec_.on(RecordKind::MemDone);
     }
 
     /** Stream-prefetcher bookkeeping; spawns prefetch transactions. */
@@ -532,10 +503,10 @@ class MemorySystem
     StatsRegistry &stats_;
     EnergyModel &energy_;
     Mesh &noc_;
+    Recorder &rec_;
 
     const MorphResolver *resolver_ = nullptr;
     CallbackSink *sink_ = nullptr;
-    prof::Profiler *prof_ = nullptr;
 
     BackingStore realStore_;
     BackingStore phantomStore_;
@@ -548,8 +519,6 @@ class MemorySystem
      *  +1/-1 arrives as a posted message, so flushData's await and the
      *  retirements serialize on one stream regardless of partition. */
     std::map<std::uint32_t, Outstanding> outstanding_;
-
-    std::string phase_ = "default";
 
     struct alignas(64) DomainCell
     {
@@ -574,9 +543,6 @@ class MemorySystem
     };
 
     std::vector<PhaseLane> phaseLanes_;
-
-    std::function<void(Addr, bool)> dramTracer_;
-    std::function<void(Tick, const AccessReq &)> accessTracer_;
 
     // Stats, as stable StatsRegistry handles cached at construction so
     // hot-path increments never re-hash the name.

@@ -37,24 +37,6 @@ Profiler::Profiler(const ProfilerConfig &cfg)
 }
 
 void
-Profiler::l1Access(int tile, bool engine, Addr line, bool hit)
-{
-    l1_.access(engine ? l1StackEng_[tile] : l1StackCore_[tile], line, hit);
-}
-
-void
-Profiler::l2Access(int tile, Addr line, bool hit)
-{
-    l2_.access(l2Stack_[tile], line, hit);
-}
-
-void
-Profiler::l3Access(Addr line, bool hit)
-{
-    l3_.access(0, line, hit);
-}
-
-void
 Profiler::occDelta(int tile, Tick now, int delta)
 {
     EngineOcc &o = occ_[tile];
@@ -73,23 +55,50 @@ Profiler::occDelta(int tile, Tick now, int delta)
 }
 
 void
-Profiler::callbackEnqueued(int tile, Tick now)
+Profiler::record(const Record &r)
 {
-    occDelta(tile, now, +1);
-}
-
-void
-Profiler::callbackRetired(const CallbackRecord &rec, Tick now)
-{
-    occDelta(rec.tile, now, -1);
-    CallbackAgg &a = callbacks_[{rec.tile, rec.morph, rec.kind}];
-    ++a.count;
-    a.admissionWait += rec.admissionWait;
-    a.addrWait += rec.addrWait;
-    a.dispatch += rec.dispatch;
-    a.xlate += rec.xlate;
-    a.body += rec.body;
-    a.total += rec.total;
+    const bool hit = r.has(Record::kHit);
+    // A level's heat spans its largest array; smaller arrays' sets
+    // share the low indices.
+    auto heat = [&r](std::vector<std::uint64_t> &h) {
+        if (h.size() < r.w[1])
+            h.resize(r.w[1], 0);
+        ++h[r.w[0]];
+    };
+    switch (r.kind) {
+      case RecordKind::L1Lookup:
+        heat(setHeat_[0]);
+        l1_.access(r.has(Record::kEngine) ? l1StackEng_[r.tile]
+                                          : l1StackCore_[r.tile],
+                   r.addr, hit);
+        break;
+      case RecordKind::L2Lookup:
+        heat(setHeat_[1]);
+        if (!r.has(Record::kPrefetch))
+            l2_.access(l2Stack_[r.tile], r.addr, hit);
+        break;
+      case RecordKind::L3Lookup:
+        heat(setHeat_[2]);
+        l3_.access(0, r.addr, hit);
+        break;
+      case RecordKind::CbEnqueue:
+        occDelta(r.tile, r.tick, +1);
+        break;
+      case RecordKind::CbRetire: {
+        occDelta(r.tile, r.tick, -1);
+        CallbackAgg &a = callbacks_[{r.tile, r.name, r.op}];
+        ++a.count;
+        a.admissionWait += r.w[1];
+        a.addrWait += r.w[2];
+        a.dispatch += r.w[3];
+        a.xlate += r.w[4];
+        a.body += r.w[5];
+        a.total += r.tick - r.w[0];
+        break;
+      }
+      default:
+        break;
+    }
 }
 
 void
@@ -105,13 +114,6 @@ Profiler::setNocTotals(std::uint64_t messages, std::uint64_t localMessages)
 {
     nocMessages_ = messages;
     nocLocalMessages_ = localMessages;
-}
-
-void
-Profiler::setSetHeat(const std::string &level,
-                     std::vector<std::uint64_t> heat)
-{
-    setHeat_[level] = std::move(heat);
 }
 
 void
@@ -280,12 +282,9 @@ Profiler::writeJson(
     os << "\n  }";
 
     os << ",\n  \"set_heat\": {";
-    first = true;
-    for (const auto &[level, heat] : setHeat_) {
-        os << (first ? "\n" : ",\n") << "    ";
-        first = false;
-        json::writeString(os, level);
-        os << ": [";
+    for (int l = 0; l < 3; ++l) {
+        const std::vector<std::uint64_t> &heat = setHeat_[l];
+        os << (l ? ",\n" : "\n") << "    \"l" << l + 1 << "\": [";
         for (std::size_t i = 0; i < heat.size(); ++i)
             os << (i ? ", " : "") << heat[i];
         os << "]";

@@ -3,21 +3,23 @@
  * takoprof: the profiling/attribution subsystem.
  *
  * One Profiler instance rides along a System when SystemConfig::profile
- * is set. It is wired by pointer into the layers it observes:
+ * is set. It consumes the System's observation records (record.hh) in
+ * their released (tick, priority, key) order, so its output is the same
+ * at every shard count:
  *
- *   - MemorySystem feeds every demand cache lookup (level, line, hit)
- *     into the miss classifiers and bumps per-set heat in CacheArray;
- *   - each Engine reports callback enqueue/retire with the same phase
- *     cycles it samples into the engine.breakdown.* histograms, keyed by
+ *   - cache lookups (level, line, hit) feed the miss classifiers
+ *     (demand probes), and the probed set feeds per-set heat (every
+ *     probe);
+ *   - callback enqueue/retire records carry the same phase cycles the
+ *     engine samples into the engine.breakdown.* histograms, keyed by
  *     (Morph, callback kind, tile), and the enqueue/retire pair drives a
  *     per-engine occupancy timeline;
  *   - Mesh counts busy cycles per directed link (enableLinkProfiling),
  *     harvested at finalize into a 2D heatmap.
  *
- * Every hook is passive — counters and shadow tag state only, never an
+ * Everything is passive — counters and shadow tag state only, never an
  * event-queue interaction — so a profiled run is cycle-identical to an
- * unprofiled one (tests/test_prof.cc proves it). When no Profiler is
- * installed the hook sites are a single null-pointer test.
+ * unprofiled one (tests/test_prof.cc proves it).
  *
  * Output: the versioned `takoprof-v1` JSON document (writeJson; consumed
  * by tools/plot_results.py and validated by tools/validate_takoprof.py),
@@ -38,6 +40,7 @@
 #include <vector>
 
 #include "prof/miss_classifier.hh"
+#include "sim/record.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -56,36 +59,23 @@ struct ProfilerConfig
     unsigned meshY = 1;
 };
 
-/** One retired callback, as reported by Engine::runCallback. */
-struct CallbackRecord
-{
-    int tile = 0;
-    std::string morph;
-    unsigned kind = 0; ///< CallbackKind cast: 0 Miss, 1 Evict, 2 WB
-    Tick admissionWait = 0; ///< callback-buffer (admission queue) wait
-    Tick addrWait = 0;      ///< same-address ordering wait
-    Tick dispatch = 0;      ///< scheduler + fabric-slot cycles
-    Tick xlate = 0;         ///< rTLB + bitstream cycles
-    Tick body = 0;          ///< morph callback body
-    Tick total = 0;         ///< trigger to retire
-};
-
 class Profiler
 {
   public:
     static constexpr unsigned kKinds = 3;
     static const char *kindName(unsigned kind);
 
+    /** Record kinds the profiler consumes. */
+    static constexpr std::uint32_t kRecordKinds =
+        recordBit(RecordKind::L1Lookup) | recordBit(RecordKind::L2Lookup) |
+        recordBit(RecordKind::L3Lookup) | recordBit(RecordKind::CbEnqueue) |
+        recordBit(RecordKind::CbRetire);
+
     explicit Profiler(const ProfilerConfig &cfg);
 
-    // --- memory-system hooks (demand lookups) ------------------------
-    void l1Access(int tile, bool engine, Addr line, bool hit);
-    void l2Access(int tile, Addr line, bool hit);
-    void l3Access(Addr line, bool hit);
-
-    // --- engine hooks ------------------------------------------------
-    void callbackEnqueued(int tile, Tick now);
-    void callbackRetired(const CallbackRecord &rec, Tick now);
+    /** Consume one released record (kinds outside kRecordKinds are
+     *  ignored). */
+    void record(const Record &r);
 
     // --- finalize inputs (System::run epilogue) ----------------------
     void setNocLinks(std::vector<std::uint64_t> busyCycles,
@@ -93,8 +83,6 @@ class Profiler
     /** Whole-mesh totals (noc.messages / noc.localMessages), so the
      *  profile's per-link counts can be reconciled against them. */
     void setNocTotals(std::uint64_t messages, std::uint64_t localMessages);
-    void setSetHeat(const std::string &level,
-                    std::vector<std::uint64_t> heat);
 
     /**
      * Close occupancy intervals at @p end and inject the prof.* scalar
@@ -120,12 +108,12 @@ class Profiler
     struct CallbackAgg
     {
         std::uint64_t count = 0;
-        Tick admissionWait = 0;
-        Tick addrWait = 0;
-        Tick dispatch = 0;
-        Tick xlate = 0;
-        Tick body = 0;
-        Tick total = 0;
+        Tick admissionWait = 0; ///< callback-buffer (admission) wait
+        Tick addrWait = 0;      ///< same-address ordering wait
+        Tick dispatch = 0;      ///< scheduler + fabric-slot cycles
+        Tick xlate = 0;         ///< rTLB + bitstream cycles
+        Tick body = 0;          ///< morph callback body
+        Tick total = 0;         ///< trigger to retire
     };
     using CallbackKey = std::tuple<int, std::string, unsigned>;
 
@@ -154,6 +142,13 @@ class Profiler
     {
         return linkBusy_;
     }
+    /** Probes per set index at @p level (1: core + engine L1s, 2: L2s,
+     *  3: L3 banks), summed over the level's arrays. */
+    const std::vector<std::uint64_t> &
+    setHeat(int level) const
+    {
+        return setHeat_[level - 1];
+    }
 
   private:
     /** Cap on stored occupancy transitions per engine; beyond this the
@@ -180,7 +175,7 @@ class Profiler
     std::vector<std::uint64_t> linkMsgs_;
     std::uint64_t nocMessages_ = 0;      ///< all traverses
     std::uint64_t nocLocalMessages_ = 0; ///< src == dst subset
-    std::map<std::string, std::vector<std::uint64_t>> setHeat_;
+    std::vector<std::uint64_t> setHeat_[3];
 
     Tick end_ = 0;
     bool finalized_ = false;

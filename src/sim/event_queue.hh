@@ -61,6 +61,29 @@ enum class EventPriority : int
 };
 
 /**
+ * An event's place in the kernel's total order: tick, then priority,
+ * then the partition-invariant key (StreamKeySource). The queue, the
+ * cross-shard inbox and the observation records (record.hh) all sort
+ * by this one comparison.
+ */
+struct EventOrder
+{
+    Tick tick;
+    int priority;
+    std::uint64_t key;
+
+    constexpr bool
+    operator<(const EventOrder &o) const
+    {
+        if (tick != o.tick)
+            return tick < o.tick;
+        if (priority != o.priority)
+            return priority < o.priority;
+        return key < o.key;
+    }
+};
+
+/**
  * Partition-invariant tie-break keys.
  *
  * Every event is keyed by (source stream, per-stream sequence): each
@@ -202,10 +225,13 @@ class EventQueue
             advanceBase(now_);
         ++fired_;
         // Publish where this event executes so model code that migrates
-        // between tiles can find its current queue/stream/domain.
+        // between tiles can find its current queue/stream/domain, and
+        // where it sits in the total order (observation records).
         detail::execCtx.queue = this;
         detail::execCtx.domain = domainIndex_;
         detail::execCtx.stream = e->execStream;
+        detail::execCtx.key = e->seq;
+        detail::execCtx.priority = e->priority;
         e->run();
         pool_.release(e);
         return true;
@@ -346,11 +372,8 @@ class EventQueue
         bool
         operator()(const EventNode *a, const EventNode *b) const
         {
-            if (a->when != b->when)
-                return a->when > b->when;
-            if (a->priority != b->priority)
-                return a->priority > b->priority;
-            return a->seq > b->seq;
+            return EventOrder{b->when, b->priority, b->seq} <
+                   EventOrder{a->when, a->priority, a->seq};
         }
     };
 

@@ -27,12 +27,15 @@ namespace tako
 
 class EventQueue;
 
-/** Where the current event is executing: queue, shard domain, stream. */
+/** Where the current event is executing: queue, shard domain, stream,
+ *  and the event's own place in the (tick, priority, key) order. */
 struct ExecCtx
 {
     EventQueue *queue = nullptr; ///< queue whose event is running
     std::uint32_t domain = 0;    ///< shard domain index (stats lanes)
     std::uint32_t stream = 0;    ///< logical source stream (tile + 1)
+    std::uint64_t key = 0;       ///< the event's tie-break key
+    std::int8_t priority = 0;    ///< the event's EventPriority
 };
 
 namespace detail

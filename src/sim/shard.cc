@@ -5,6 +5,7 @@
 #include <thread>
 
 #include "sim/logging.hh"
+#include "sim/record.hh"
 
 namespace tako
 {
@@ -33,9 +34,12 @@ ShardPlan::build(unsigned dimX, unsigned dimY, Tick routerDelay,
 }
 
 ShardedExecutor::ShardedExecutor(std::vector<EventQueue *> domains,
-                                 Tick quantum, unsigned threads)
+                                 Tick quantum, unsigned threads,
+                                 Recorder *recorder)
     : domains_(std::move(domains)), quantum_(std::max<Tick>(1, quantum))
 {
+    if (recorder && recorder->active())
+        recorder_ = recorder;
     panic_if(domains_.empty(),
              "sharded executor needs at least one domain");
     for (const EventQueue *q : domains_)
@@ -133,11 +137,7 @@ ShardedExecutor::drainInbox(unsigned shard, Tick windowStart)
     // partition-invariant total order.
     std::stable_sort(batch.begin(), batch.end(),
                      [](const ShardEvent &a, const ShardEvent &b) {
-                         if (a.when != b.when)
-                             return a.when < b.when;
-                         if (a.priority != b.priority)
-                             return a.priority < b.priority;
-                         return a.key < b.key;
+                         return a.order() < b.order();
                      });
     EventQueue &q = *domains_[shard];
     for (ShardEvent &in : batch)
@@ -160,8 +160,13 @@ ShardedExecutor::runSolo(unsigned shard)
     const std::uint64_t firedBefore = q.eventsFired();
     Tick next = 0;
     while (sendSeq_[shard].value == sentBefore &&
-           q.nextEventTime(next) && next <= limit_)
+           q.nextEventTime(next) && next <= limit_) {
         q.step();
+        // Every other domain is idle, so nothing can still be emitted
+        // below this domain's clock: keep its buffer bounded.
+        if (recorder_ && recorder_->buffered(shard) >= Recorder::kSoloCap)
+            recorder_->release(q.now());
+    }
     const std::uint64_t fired = q.eventsFired() - firedBefore;
     DomainProfile &prof = profiles_[shard];
     prof.executed += fired;
@@ -193,8 +198,14 @@ ShardedExecutor::barrierSync(unsigned worker, bool completion)
         // Last arriver: advance the round while everyone else spins,
         // then release them. arrived_ must reset before the generation
         // bump — workers may hit the next barrier immediately.
-        if (completion)
+        if (completion) {
             advanceRound();
+            // No domain executes anything below the next window start,
+            // so the records beneath it are final (run end releases
+            // the rest).
+            if (recorder_ && !done_)
+                recorder_->release(windowStart_);
+        }
         arrived_.store(0, std::memory_order_relaxed);
         generation_.store(gen + 1, std::memory_order_release);
     } else {
@@ -359,6 +370,8 @@ ShardedExecutor::run(Tick limit)
     if (limit != kNoLimit)
         for (EventQueue *q : domains_)
             q->runUntil(limit);
+    if (recorder_)
+        recorder_->releaseAll();
     EventQueue::clearExecCtx();
 }
 

@@ -40,6 +40,8 @@
 namespace tako
 {
 
+class Recorder;
+
 /**
  * Static tile -> shard partition plus the conservative lookahead bound.
  * Columns are assigned contiguously so every boundary is a vertical cut
@@ -143,6 +145,11 @@ struct ShardEvent
     /** Stream published in ExecCtx while the delivered event runs. */
     std::uint32_t execStream = 0;
     std::function<void()> fn;
+
+    EventOrder order() const
+    {
+        return {when, static_cast<int>(priority), key};
+    }
 };
 
 /**
@@ -160,10 +167,12 @@ class ShardedExecutor
     /**
      * @p domains one calendar queue per shard; @p quantum the plan's
      * conservative lookahead (>= 1); @p threads worker count, clamped
-     * to [1, domains.size()], 0 = one per domain.
+     * to [1, domains.size()], 0 = one per domain; @p recorder, if any,
+     * has its per-domain records released in (tick, priority, key)
+     * order below each safe horizon (see record.hh).
      */
     ShardedExecutor(std::vector<EventQueue *> domains, Tick quantum,
-                    unsigned threads = 0);
+                    unsigned threads = 0, Recorder *recorder = nullptr);
 
     /** run() without a tick limit. */
     static constexpr Tick kNoLimit = ~Tick{0};
@@ -273,6 +282,8 @@ class ShardedExecutor
     std::vector<EventQueue *> domains_;
     Tick quantum_;
     unsigned threads_;
+    /** Observation records to release (null when nothing observes). */
+    Recorder *recorder_ = nullptr;
     /** Barrier spin iterations before falling back to yield(); near
      *  zero when workers outnumber hardware threads (see ctor). */
     unsigned spinLimit_ = 1u << 14;

@@ -9,10 +9,10 @@
  * organized as pid/tid pairs: pid 0 = per-tile memory transactions,
  * pid 1 = per-tile engines, pid 2 = memory controllers.
  *
- * A writer is installed process-wide with setSpanSink(); emission sites
- * gate on spanEnabled(flag), which is a single branch on a cached mask
- * (zero when no sink is installed), mirroring the TAKO_TRACE printf
- * path's disabled-mode cost.
+ * A writer is one consumer of the observation records (record.hh): a
+ * System given one in SystemConfig::spanWriter subscribes it to the
+ * record kinds its category mask selects, so spans arrive in the
+ * executor's (tick, priority, key) order at every shard count.
  */
 
 #ifndef TAKO_SIM_TRACESINK_HH
@@ -23,23 +23,49 @@
 #include <set>
 #include <string>
 
-#include "sim/trace.hh"
+#include "sim/record.hh"
 #include "sim/types.hh"
 
 namespace tako::trace
 {
 
+/** Span categories (--trace-mask names: mem, engine, dram, all). */
+enum SpanCategory : std::uint32_t
+{
+    kMemSpans = 1u << 0,    ///< end-to-end memory transactions
+    kEngineSpans = 1u << 1, ///< callback enqueue to retire
+    kDramSpans = 1u << 2,   ///< memory-controller accesses
+    kAllSpans = kMemSpans | kEngineSpans | kDramSpans,
+};
+
+/**
+ * Parse a comma-separated category spec ("mem,dram" / "all") into
+ * @p mask. False — with the offending token in @p bad — on an empty
+ * spec or token, or any name that emits no spans.
+ */
+bool parseSpanMask(const std::string &spec, std::uint32_t &mask,
+                   std::string &bad);
+
 class ChromeTraceWriter
 {
   public:
-    /** Starts the JSON array; @p os must outlive the writer. */
-    explicit ChromeTraceWriter(std::ostream &os);
+    /** Starts the JSON array; @p os must outlive the writer. @p mask
+     *  selects the span categories record() emits. */
+    explicit ChromeTraceWriter(std::ostream &os,
+                               std::uint32_t mask = kAllSpans);
 
     /** Closes the array (idempotent; also runs at destruction). */
     ~ChromeTraceWriter();
 
     ChromeTraceWriter(const ChromeTraceWriter &) = delete;
     ChromeTraceWriter &operator=(const ChromeTraceWriter &) = delete;
+
+    /** Record kinds this writer turns into spans under its mask. */
+    std::uint32_t recordKinds() const { return kinds_; }
+
+    /** Emit the span for one released record (kinds outside the mask
+     *  are ignored). */
+    void record(const Record &r);
 
     /**
      * One complete-span event: [ts, ts+dur) on track (pid, tid).
@@ -48,10 +74,6 @@ class ChromeTraceWriter
     void completeEvent(const char *cat, const char *name, int pid,
                        int tid, Tick ts, Tick dur,
                        const std::string &args_json = "");
-
-    /** One instant event at @p ts on track (pid, tid). */
-    void instantEvent(const char *cat, const char *name, int pid, int tid,
-                      Tick ts, const std::string &args_json = "");
 
     /**
      * Name a track the first time it is seen (emits thread_name /
@@ -70,6 +92,7 @@ class ChromeTraceWriter
                const std::string &args_json);
 
     std::ostream &os_;
+    std::uint32_t kinds_ = 0;
     bool closed_ = false;
     bool first_ = true;
     std::uint64_t events_ = 0;
@@ -78,29 +101,6 @@ class ChromeTraceWriter
     std::set<std::uint64_t> tracks_;
     std::set<int> processes_;
 };
-
-namespace detail
-{
-extern ChromeTraceWriter *g_spanSink;
-extern std::uint32_t g_spanMask;
-} // namespace detail
-
-/**
- * Install @p sink as the process-wide span sink for the categories in
- * @p mask (default: every category). Pass nullptr to uninstall. The
- * caller keeps ownership and must uninstall before destroying the sink.
- */
-void setSpanSink(ChromeTraceWriter *sink,
-                 std::uint32_t mask = allFlagsMask());
-
-inline ChromeTraceWriter *spanSink() { return detail::g_spanSink; }
-
-/** One-branch gate: true iff a sink is installed and @p f is enabled. */
-inline bool
-spanEnabled(Flag f)
-{
-    return (detail::g_spanMask & static_cast<std::uint32_t>(f)) != 0;
-}
 
 } // namespace tako::trace
 

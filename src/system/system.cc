@@ -48,28 +48,36 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
     dom_.init(plan_, std::move(queues));
     // Per-domain stat lanes must exist before components cache handles.
     stats_.enableLanes(plan_.shards);
+    recorder_.setDomains(plan_.shards);
 
     energy_ = std::make_unique<EnergyModel>(stats_, config_.energy);
     noc_ = std::make_unique<Mesh>(config_.mesh, stats_, *energy_);
     mem_ = std::make_unique<MemorySystem>(config_.mem, dom_, eq_, stats_,
-                                          *energy_, *noc_);
+                                          *energy_, *noc_, recorder_);
     registry_ = std::make_unique<MorphRegistry>(*mem_, dom_, eq_);
     engines_ = std::make_unique<EngineCluster>(config_.mem.tiles,
                                                config_.engine, *mem_, dom_,
                                                eq_, stats_, *energy_);
     mem_->setCallbackSink(engines_.get());
+    if (trace::ChromeTraceWriter *w = config_.spanWriter) {
+        recorder_.subscribe(w->recordKinds(),
+                            [w](const Record &r) { w->record(r); });
+    }
     if (config_.accessTracer) {
-        // The tracer is one host-side consumer fed from every tile; with
-        // the model decomposed over worker threads it would race.
-        fatal_if(plan_.shards > 1,
-                 "access tracing requires a monolithic run (--shards=1)");
-        mem_->setAccessTracer(config_.accessTracer);
+        recorder_.subscribe(
+            recordBit(RecordKind::DemandIssue), [this](const Record &r) {
+                AccessReq req;
+                req.cmd = static_cast<MemCmd>(r.op);
+                req.addr = r.addr;
+                req.wdata = r.w[0];
+                req.tile = r.tile;
+                req.noFetch = r.has(Record::kNoFetch);
+                req.useOnce = r.has(Record::kUseOnce);
+                config_.accessTracer(r.tick, req);
+            });
     }
 
     if (config_.profile) {
-        fatal_if(plan_.shards > 1,
-                 "takoprof requires a monolithic run (--shards=1): the "
-                 "profiler aggregates into shared tables");
         prof::ProfilerConfig pc;
         pc.tiles = config_.mem.tiles;
         pc.l1Lines = config_.mem.l1Size / lineBytes;
@@ -83,9 +91,11 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
         pc.meshX = config_.mesh.dimX;
         pc.meshY = config_.mesh.dimY;
         prof_ = std::make_shared<prof::Profiler>(pc);
-        mem_->setProfiler(prof_.get());
-        engines_->setProfiler(prof_.get());
         noc_->enableLinkProfiling();
+        recorder_.subscribe(prof::Profiler::kRecordKinds,
+                            [p = prof_.get()](const Record &r) {
+                                p->record(r);
+                            });
     }
 
     cores_.reserve(config_.mem.tiles);
@@ -289,7 +299,7 @@ System::stampHostStats(
 }
 
 void
-System::finalizeProfiler()
+System::finalizeProfiler(Tick end)
 {
     if (!prof_ || prof_->finalized())
         return;
@@ -297,10 +307,7 @@ System::finalizeProfiler()
     prof_->setNocTotals(
         static_cast<std::uint64_t>(stats_.get("noc.messages")),
         static_cast<std::uint64_t>(stats_.get("noc.localMessages")));
-    prof_->setSetHeat("l1", mem_->aggregateSetHeat(1));
-    prof_->setSetHeat("l2", mem_->aggregateSetHeat(2));
-    prof_->setSetHeat("l3", mem_->aggregateSetHeat(3));
-    prof_->finalize(eq_.now(), stats_);
+    prof_->finalize(end, stats_);
 }
 
 Tick
@@ -318,9 +325,6 @@ System::runFor(Tick limit)
 Tick
 System::runDomains(Tick limit)
 {
-    fatal_if(plan_.shards > 1 && trace::spanSink() != nullptr,
-             "span tracing writes one shared trace file; record spans "
-             "with --shards=1");
     const Tick start = eq_.now();
     const auto host_start = std::chrono::steady_clock::now();
 
@@ -328,8 +332,9 @@ System::runDomains(Tick limit)
 
     // Each domain drains its own queue under quantum barriers; the
     // Domains router carries every cross-domain edge through the
-    // executor's keyed mailboxes while it is installed.
-    ShardedExecutor exec(dom_.queues(), plan_.quantum);
+    // executor's keyed mailboxes while it is installed, and the
+    // executor releases the observation records in merge order.
+    ShardedExecutor exec(dom_.queues(), plan_.quantum, 0, &recorder_);
     dom_.setExecutor(&exec);
     exec.run(limit);
     dom_.setExecutor(nullptr);
@@ -344,13 +349,13 @@ System::runDomains(Tick limit)
     // A bounded run stops mid-flight by design (crash injection).
     if (limit == ShardedExecutor::kNoLimit)
         postRunChecks();
-    finalizeProfiler();
 
     // The run ends at the globally-last event, wherever it executed (or
     // at the cut, where every domain's clock stops).
     Tick end = start;
     for (const EventQueue *q : dom_.queues())
         end = std::max(end, q->now());
+    finalizeProfiler(end);
     return end - start;
 }
 

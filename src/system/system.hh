@@ -22,6 +22,7 @@
 #include "sim/domains.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
+#include "sim/record.hh"
 #include "sim/shard.hh"
 #include "sim/stats.hh"
 #include "tako/engine.hh"
@@ -29,6 +30,11 @@
 
 namespace tako
 {
+
+namespace trace
+{
+class ChromeTraceWriter;
+} // namespace trace
 
 struct SystemConfig
 {
@@ -39,15 +45,22 @@ struct SystemConfig
     EnergyParams energy;
     std::uint64_t seed = 1;
 
-    /** takoprof: build a Profiler and hook it into the memory system,
-     *  engines, and NoC. Purely observational — enabling it changes no
-     *  simulated timing or stat (the determinism test holds it to that). */
+    /** takoprof: build a Profiler fed by the observation records, plus
+     *  set heat and NoC link counters. Purely observational — enabling
+     *  it changes no simulated timing or stat (the determinism test
+     *  holds it to that). */
     bool profile = false;
 
-    /** takotrace recording: invoked at the issue of every core demand
-     *  access (see MemorySystem::setAccessTracer). Observational only:
-     *  installing it changes no simulated timing or stat. */
+    /** takotrace recording: invoked for every core demand access issue
+     *  (prefetches, engine traffic, and täkō callbacks excluded), in
+     *  (tick, priority, key) order. Observational only: installing it
+     *  changes no simulated timing or stat. */
     std::function<void(Tick, const AccessReq &)> accessTracer;
+
+    /** Chrome trace-event output: the writer (borrowed; it must outlive
+     *  the run) receives the spans its category mask selects, in
+     *  (tick, priority, key) order. Observational only. */
+    trace::ChromeTraceWriter *spanWriter = nullptr;
 
     /** Periodic counter sampling: snapshot every @c sampleInterval
      *  cycles into StatsRegistry::timeSeries() (0 disables). Patterns
@@ -152,8 +165,9 @@ class System
     /** Post-run deadlock/leak checks for runs that drain. */
     void postRunChecks() const;
 
-    /** Harvest NoC/set-heat counters into the profiler and finalize it. */
-    void finalizeProfiler();
+    /** Harvest NoC counters into the profiler and finalize it
+     *  at @p end, the run's globally-last tick. */
+    void finalizeProfiler(Tick end);
 
     /** Set the host.* wall-clock/throughput gauges after a run. */
     void stampHostStats(std::chrono::steady_clock::time_point host_start);
@@ -180,6 +194,8 @@ class System
     /** Tile-to-domain router; every component schedules through it. */
     Domains dom_;
     StatsRegistry stats_;
+    /** Per-domain observation records; the executor releases them. */
+    Recorder recorder_;
     Rng rng_;
     std::unique_ptr<EnergyModel> energy_;
     std::unique_ptr<Mesh> noc_;

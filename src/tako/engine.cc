@@ -2,10 +2,7 @@
 
 #include <algorithm>
 
-#include "prof/profiler.hh"
 #include "sim/logging.hh"
-#include "sim/trace.hh"
-#include "sim/tracesink.hh"
 
 namespace tako
 {
@@ -390,8 +387,10 @@ Task<>
 Engine::runCallback(Request req)
 {
     const Tick enqueued = ctxNow(eq_);
-    if (prof_)
-        prof_->callbackEnqueued(tile_, enqueued);
+    Recorder &rec = mem_.recorder();
+    if (rec.on(RecordKind::CbEnqueue))
+        rec.push({.tick = enqueued, .tile = tile_,
+                  .kind = RecordKind::CbEnqueue});
 
     // Misses are latency-critical and hold a reserved MSHR (Sec. 5.2),
     // so on the dataflow/ideal engines they do not queue behind buffered
@@ -428,14 +427,6 @@ Engine::runCallback(Request req)
     EngineCtx ctx(*this, *req.binding, req.kind, req.line, req.data,
                   req.dirty);
     Morph &morph = *req.binding->morph;
-    const char *kind_name =
-        req.kind == CallbackKind::Miss
-            ? "onMiss"
-            : (req.kind == CallbackKind::Writeback ? "onWriteback"
-                                                   : "onEviction");
-    TRACE(Engine, ctxNow(eq_), "tile %d runs %s(%#llx) for '%s'", tile_,
-          kind_name, (unsigned long long)req.line,
-          morph.traits().name.c_str());
     const Tick body_start = ctxNow(eq_);
     switch (req.kind) {
       case CallbackKind::Miss:
@@ -464,36 +455,14 @@ Engine::runCallback(Request req)
     hBdXlate_->sample(xlate);
     hBdBody_->sample(body);
     hBdTotal_->sample(ctxNow(eq_) - enqueued);
-    if (prof_) {
-        prof::CallbackRecord rec;
-        rec.tile = tile_;
-        rec.morph = morph.traits().name;
-        rec.kind = static_cast<unsigned>(req.kind);
-        rec.admissionWait = admission_wait;
-        rec.addrWait = addr_wait;
-        rec.dispatch = dispatch;
-        rec.xlate = xlate;
-        rec.body = body;
-        rec.total = ctxNow(eq_) - enqueued;
-        prof_->callbackRetired(rec, ctxNow(eq_));
-    }
-    if (trace::spanEnabled(trace::Flag::Engine)) {
-        trace::ChromeTraceWriter &w = *trace::spanSink();
-        w.ensureTrack(1, "engines", tile_, strprintf("tile%d", tile_));
-        w.completeEvent(
-            "engine", kind_name, 1, tile_, enqueued, ctxNow(eq_) - enqueued,
-            strprintf("{\"addr\":\"%#llx\",\"morph\":\"%s\","
-                      "\"addr_wait\":%llu,\"dispatch\":%llu,"
-                      "\"xlate\":%llu,\"body\":%llu}",
-                      (unsigned long long)req.line,
-                      morph.traits().name.c_str(),
-                      (unsigned long long)addr_wait,
-                      (unsigned long long)dispatch,
-                      (unsigned long long)xlate,
-                      (unsigned long long)body));
-    }
-    TRACE(Engine, ctxNow(eq_), "tile %d retires callback on %#llx", tile_,
-          (unsigned long long)req.line);
+    // The morph (and so its name) outlives the run that retires it.
+    if (rec.on(RecordKind::CbRetire))
+        rec.push({.tick = ctxNow(eq_), .addr = req.line,
+                  .w = {enqueued, admission_wait, addr_wait, dispatch,
+                        xlate, body},
+                  .name = morph.traits().name.c_str(), .tile = tile_,
+                  .kind = RecordKind::CbRetire,
+                  .op = static_cast<std::uint8_t>(req.kind)});
     req.done();
 }
 

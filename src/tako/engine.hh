@@ -193,9 +193,6 @@ class Engine
 
     void raiseInterrupt(int core, Addr line);
 
-    /** takoprof: observe callback lifecycle; null when profiling is off. */
-    void setProfiler(prof::Profiler *p) { prof_ = p; }
-
   private:
     struct Request
     {
@@ -224,8 +221,6 @@ class Engine
     StatsRegistry &stats_;
     EnergyModel &energy_;
     EngineCluster &cluster_;
-
-    prof::Profiler *prof_ = nullptr;
 
     Semaphore bufferSlots_;  ///< callback buffer entries
     Semaphore fabricSlots_;  ///< concurrent callbacks on the fabric
@@ -291,13 +286,6 @@ class EngineCluster : public CallbackSink
     {
         if (interruptHandler_)
             interruptHandler_(core, line);
-    }
-
-    void
-    setProfiler(prof::Profiler *p)
-    {
-        for (auto &e : engines_)
-            e->setProfiler(p);
     }
 
   private:

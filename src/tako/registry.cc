@@ -1,7 +1,5 @@
 #include "tako/registry.hh"
 
-#include "sim/trace.hh"
-
 namespace tako
 {
 
@@ -21,11 +19,6 @@ MorphRegistry::insert(Morph &morph, MorphLevel level, Addr base,
     b.hasWriteback = t.hasWriteback;
     b.base = base;
     b.length = size;
-    TRACE(Morph, 0, "register '%s' %s %s [%#llx, +%llu) id %u",
-          t.name.c_str(),
-          level == MorphLevel::Private ? "PRIVATE" : "SHARED",
-          phantom ? "phantom" : "real", (unsigned long long)base,
-          (unsigned long long)size, b.id);
     storage_.push_back(b);
     const MorphBinding *mb = &storage_.back();
     const bool ok = master_.insert(base, size, mb);

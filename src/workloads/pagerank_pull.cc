@@ -1,8 +1,5 @@
 #include "workloads/pagerank_pull.hh"
 
-#include <array>
-#include <cstdlib>
-
 #include "morphs/hats_morph.hh"
 
 namespace tako
@@ -88,25 +85,6 @@ runPagerankPull(PullVariant variant, const PagerankPullConfig &cfg,
     HatsMorph morph(g, lay.visited, lay.log, g.numEdges, cfg.bdfsBound,
                     cfg.bdfsDepth);
 
-    std::array<std::uint64_t, 14> dtrace{};
-    if (std::getenv("TAKO_DRAM_TRACE")) {
-        sys.mem().setDramTracer([&](Addr a, bool w) {
-            unsigned cls = 6; // other
-            if (a >= g.rowPtrAddr && a < g.colIdxAddr)
-                cls = 0;
-            else if (a >= g.colIdxAddr && a < lay.contrib)
-                cls = 1;
-            else if (a >= lay.contrib && a < lay.next)
-                cls = 2;
-            else if (a >= lay.next && a < lay.rank)
-                cls = 3;
-            else if (a >= lay.rank && a < lay.visited)
-                cls = 4;
-            else if (a >= lay.visited)
-                cls = 5;
-            ++dtrace[cls * 2 + (w ? 1 : 0)];
-        });
-    }
     const MorphBinding *binding = nullptr;
     bool correct = false;
 
@@ -361,17 +339,6 @@ runPagerankPull(PullVariant variant, const PagerankPullConfig &cfg,
     });
 
     const Tick cycles = sys.run();
-    if (std::getenv("TAKO_DRAM_TRACE")) {
-        const char *names[] = {"rowPtr",  "colIdx", "contrib", "next",
-                               "rank",    "vis/log", "other"};
-        std::fprintf(stderr, "[dram %s]", name(variant));
-        for (int c = 0; c < 7; ++c) {
-            std::fprintf(stderr, " %s r=%llu w=%llu", names[c],
-                         (unsigned long long)dtrace[c * 2],
-                         (unsigned long long)dtrace[c * 2 + 1]);
-        }
-        std::fprintf(stderr, "\n");
-    }
     RunMetrics m = collectMetrics(sys, name(variant), cycles);
     m.extra["correct"] = correct ? 1.0 : 0.0;
     m.extra["edges"] = static_cast<double>(g.numEdges);

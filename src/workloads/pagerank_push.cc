@@ -1,8 +1,5 @@
 #include "workloads/pagerank_push.hh"
 
-#include <array>
-#include <cstdlib>
-
 #include "morphs/phi_morph.hh"
 
 namespace tako
@@ -130,27 +127,6 @@ runPagerankPush(PushVariant variant, const PagerankPushConfig &cfg,
     SimBarrier barrier(sys, threads);
     bool correct = false;
     Tick edgeEnd = 0;
-
-    // Optional DRAM traffic classification (TAKO_DRAM_TRACE=1).
-    std::array<std::uint64_t, 12> trace{};
-    if (std::getenv("TAKO_DRAM_TRACE")) {
-        sys.mem().setDramTracer([&](Addr a, bool w) {
-            if (sys.mem().phase() != "bin")
-                return;
-            unsigned cls = 5; // other
-            if (a >= g.rowPtrAddr && a < g.colIdxAddr)
-                cls = 0;
-            else if (a >= g.colIdxAddr && a < lay.rank)
-                cls = 1;
-            else if (a >= lay.rank && a < lay.next)
-                cls = 2;
-            else if (a >= lay.next && a < lay.bins)
-                cls = 3;
-            else if (a >= lay.bins)
-                cls = 4;
-            ++trace[cls * 2 + (w ? 1 : 0)];
-        });
-    }
 
     for (unsigned tid = 0; tid < threads; ++tid) {
         sys.addThread(static_cast<int>(tid), [&, tid](Guest &g2) -> Task<> {
@@ -395,17 +371,6 @@ runPagerankPush(PushVariant variant, const PagerankPushConfig &cfg,
                           sys.stats().get("dram.writes.bin");
     m.extra["dram.vertex"] = sys.stats().get("dram.reads.vertex") +
                              sys.stats().get("dram.writes.vertex");
-    if (std::getenv("TAKO_DRAM_TRACE")) {
-        const char *names[] = {"rowPtr", "colIdx", "rank",
-                               "next",   "bins",   "other"};
-        std::fprintf(stderr, "[dram trace %s]", name(variant));
-        for (int c = 0; c < 6; ++c) {
-            std::fprintf(stderr, " %s r=%llu w=%llu", names[c],
-                         (unsigned long long)trace[c * 2],
-                         (unsigned long long)trace[c * 2 + 1]);
-        }
-        std::fprintf(stderr, "\n");
-    }
     m.extra["dram.readsTotal"] = sys.stats().get("dram.reads");
     m.extra["dram.writesTotal"] = sys.stats().get("dram.writes");
     m.extra["prefetches"] = sys.stats().get("prefetch.issued");

@@ -642,4 +642,54 @@ TEST(ExptEndToEnd, SameSpecSameSeedIdenticalMetricsAcrossJobLevels)
     }
 }
 
+TEST(TakosimCli, MalformedArgvExitsWithoutSignal)
+{
+    const std::string takosim = siblingTakosim();
+    if (takosim.empty())
+        GTEST_SKIP() << "takosim binary not found next to tests";
+
+    // Usage errors exit 2 before any simulation runs; a cache geometry
+    // the model cannot build is a configuration error (fatal, exit 1).
+    // Neither may end in a signal (panic/abort).
+    struct Case
+    {
+        const char *arg;
+        int code;
+    };
+    const std::vector<Case> cases = {
+        {"--cores=0", 2},
+        {"--cores=abc", 2},
+        {"--cores=", 2},
+        {"--cores=4x", 2},
+        {"--cores=-4", 2},
+        {"--seed=1.5", 2},
+        {"--vertices=99999999999999999999999", 2},
+        {"--trace-mask=cache", 2},
+        {"--trace-mask=mem,bogus", 2},
+        {"--trace-mask=", 2},
+        {"--l2=100", 1},
+        {"--l1=3072", 1},
+    };
+    const std::string scratch = makeScratch();
+    std::vector<RunCommand> cmds;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        RunCommand cmd;
+        cmd.name = "argv" + std::to_string(i);
+        cmd.outputJson = scratch + "/" + cmd.name + ".json";
+        cmd.logPath = scratch + "/" + cmd.name + ".log";
+        cmd.timeoutSec = 60;
+        cmd.retries = 0;
+        cmd.argv = {takosim, "--workload=decompress", "--variant=tako",
+                    cases[i].arg};
+        cmds.push_back(cmd);
+    }
+    const std::vector<RunOutcome> out = runAll(cmds, 4);
+    ASSERT_EQ(out.size(), cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(out[i].status, RunStatus::Failed)
+            << cases[i].arg << ": " << runStatusName(out[i].status);
+        EXPECT_EQ(out[i].exitCode, cases[i].code) << cases[i].arg;
+    }
+}
+
 } // namespace

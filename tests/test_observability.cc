@@ -2,9 +2,9 @@
  * @file
  * Tests for the observability layer: JSON stats export, the periodic
  * time-series sampler, per-transaction latency breakdowns, the Chrome
- * trace-event sink, and the event-queue/trace/stats fixes that came with
- * them (runUntil time advance, histogram parameter checking, trace-mask
- * parsing derived from Flag::NumFlags).
+ * trace-event sink fed by the record stream, and the event-queue/stats
+ * fixes that came with them (runUntil time advance, histogram parameter
+ * checking).
  */
 
 #include <gtest/gtest.h>
@@ -284,27 +284,33 @@ TEST(Stats, DumpJsonEscapesAwkwardNames)
 }
 
 // -------------------------------------------------------------------
-// Trace-mask parsing: bounds derived from Flag::NumFlags.
+// Trace-mask parsing: every span category has a name, and only those.
 // -------------------------------------------------------------------
 
 TEST(Trace, ParseSpecCoversAllDefinedFlags)
 {
-    EXPECT_EQ(trace::parseSpec("all"), trace::allFlagsMask());
-    EXPECT_EQ(trace::parseSpec("cache"),
-              static_cast<std::uint32_t>(trace::Flag::Cache));
-    // "mem" sits above the old hardcoded 1u << 6 bound.
-    EXPECT_EQ(trace::parseSpec("mem"),
-              static_cast<std::uint32_t>(trace::Flag::Mem));
-    EXPECT_EQ(trace::parseSpec("cache,dram"),
-              static_cast<std::uint32_t>(trace::Flag::Cache) |
-                  static_cast<std::uint32_t>(trace::Flag::Dram));
-    EXPECT_EQ(trace::parseSpec("bogus"), 0u);
-    EXPECT_EQ(trace::parseSpec(nullptr), 0u);
-    // Every defined bit resolves to a real name (no "?" holes below
-    // NumFlags).
-    EXPECT_EQ(trace::allFlagsMask(),
-              (1u << static_cast<std::uint32_t>(trace::Flag::NumFlags)) -
-                  1);
+    std::uint32_t mask = 0;
+    std::string bad;
+    ASSERT_TRUE(trace::parseSpanMask("all", mask, bad));
+    EXPECT_EQ(mask, trace::kAllSpans);
+    ASSERT_TRUE(trace::parseSpanMask("mem", mask, bad));
+    EXPECT_EQ(mask, trace::kMemSpans);
+    ASSERT_TRUE(trace::parseSpanMask("engine,dram", mask, bad));
+    EXPECT_EQ(mask, trace::kEngineSpans | trace::kDramSpans);
+    // The single names together reach every defined category bit.
+    std::uint32_t named = 0;
+    for (const char *spec : {"mem", "engine", "dram"}) {
+        ASSERT_TRUE(trace::parseSpanMask(spec, mask, bad)) << spec;
+        EXPECT_EQ(mask & named, 0u) << spec;
+        named |= mask;
+    }
+    EXPECT_EQ(named, trace::kAllSpans);
+    // Names that emit no spans, and empty tokens, are rejected.
+    for (const char *spec : {"cache", "mem,bogus", "", "mem,"}) {
+        EXPECT_FALSE(trace::parseSpanMask(spec, mask, bad)) << spec;
+    }
+    EXPECT_FALSE(trace::parseSpanMask("dram,coherence", mask, bad));
+    EXPECT_EQ(bad, "coherence");
 }
 
 // -------------------------------------------------------------------
@@ -458,7 +464,7 @@ TEST(TraceSink, WriterEmitsValidJson)
         w.ensureTrack(0, "memory", 3, "tile3");
         w.completeEvent("mem", "load", 0, 3, 100, 42,
                         "{\"addr\":\"0x1000\"}");
-        w.instantEvent("mem", "marker", 0, 3, 150);
+        w.completeEvent("mem", "store", 0, 3, 150, 7);
         EXPECT_EQ(w.eventsWritten(), 4u); // 2 metadata + 2 payload
         w.close();
     }
@@ -490,37 +496,63 @@ TEST(TraceSink, WriterEmitsValidJson)
 
 TEST(TraceSink, SpanGatingIsMaskBased)
 {
-    EXPECT_FALSE(trace::spanEnabled(trace::Flag::Mem));
+    // The writer's mask decides which record kinds it subscribes to and
+    // which records become spans.
     std::ostringstream os;
-    trace::ChromeTraceWriter w(os);
-    trace::setSpanSink(&w,
-                       static_cast<std::uint32_t>(trace::Flag::Cache));
-    EXPECT_TRUE(trace::spanEnabled(trace::Flag::Cache));
-    EXPECT_FALSE(trace::spanEnabled(trace::Flag::Dram));
-    trace::setSpanSink(nullptr);
-    EXPECT_FALSE(trace::spanEnabled(trace::Flag::Cache));
+    trace::ChromeTraceWriter w(os, trace::kDramSpans);
+    EXPECT_EQ(w.recordKinds(), recordBit(RecordKind::DramRead) |
+                                   recordBit(RecordKind::DramWrite));
+    Record mem{.tick = 20, .addr = 0x40, .w = {10}, .name = "load",
+               .kind = RecordKind::MemDone};
+    Record dram{.tick = 30, .addr = 0x80, .w = {100}, .tile = 1,
+                .kind = RecordKind::DramRead};
+    w.record(mem);
+    w.record(dram);
+    w.close();
+    EXPECT_EQ(w.eventsWritten(), 3u); // dram process + thread + span
+    EXPECT_EQ(os.str().find("\"name\":\"load\""), std::string::npos);
+    EXPECT_NE(os.str().find("\"name\":\"read\",\"args\":"
+                            "{\"addr\":\"0x80\"}"),
+              std::string::npos);
 }
 
 TEST(TraceSink, SystemRunProducesSpans)
 {
-    std::ostringstream os;
-    {
+    // 16 tiles (4x4 mesh) with guests in every column, so --shards=4
+    // emits spans from four domains; the released stream must be the
+    // same bytes as the one-domain run's.
+    auto runAt = [](unsigned shards) {
+        std::ostringstream os;
         trace::ChromeTraceWriter w(os);
-        trace::setSpanSink(&w);
-        System sys(smallConfig());
-        sys.addThread(0, [&](Guest &g) -> Task<> {
-            for (Addr a = 0x40000; a < 0x41000; a += 64)
-                co_await g.load(a);
-        });
+        SystemConfig cfg = SystemConfig::forCores(16);
+        cfg.mem.l1Size = 1024;
+        cfg.mem.l2Size = 4 * 1024;
+        cfg.mem.l3BankSize = 16 * 1024;
+        cfg.shards = shards;
+        cfg.spanWriter = &w;
+        System sys(cfg);
+        EXPECT_EQ(sys.shardPlan().shards, shards);
+        for (int tile : {0, 1, 2, 3, 6, 13}) {
+            sys.addThread(tile, [tile](Guest &g) -> Task<> {
+                const Addr base = 0x40000 + static_cast<Addr>(tile) * 0x800;
+                for (Addr a = base; a < base + 0x1000; a += 64)
+                    co_await g.store(a, a);
+                for (Addr a = base; a < base + 0x1000; a += 64)
+                    co_await g.load(a);
+            });
+        }
         sys.run();
-        trace::setSpanSink(nullptr);
         EXPECT_GT(w.eventsWritten(), 0u);
         w.close();
-    }
-    EXPECT_TRUE(JsonChecker(os.str()).valid());
+        return os.str();
+    };
+    const std::string one = runAt(1);
+    EXPECT_TRUE(JsonChecker(one).valid());
     // Memory spans and DRAM bursts both appear.
-    EXPECT_NE(os.str().find("\"name\":\"load\""), std::string::npos);
-    EXPECT_NE(os.str().find("\"name\":\"read\""), std::string::npos);
+    EXPECT_NE(one.find("\"name\":\"load\""), std::string::npos);
+    EXPECT_NE(one.find("\"name\":\"store\""), std::string::npos);
+    EXPECT_NE(one.find("\"name\":\"read\""), std::string::npos);
+    EXPECT_EQ(runAt(4), one);
 }
 
 // -------------------------------------------------------------------

@@ -33,9 +33,9 @@ lineAddr(std::uint64_t n)
 }
 
 SystemConfig
-smallConfig(bool profile)
+smallConfig(bool profile, unsigned cores = 4)
 {
-    SystemConfig cfg = SystemConfig::forCores(4);
+    SystemConfig cfg = SystemConfig::forCores(cores);
     cfg.mem.l1Size = 1024;
     cfg.mem.l2Size = 4 * 1024;
     cfg.mem.l3BankSize = 16 * 1024;
@@ -64,7 +64,8 @@ class FillMorph : public Morph
     }
 };
 
-/** Mixed core + morph-callback workload exercising every prof hook. */
+/** Mixed core + morph-callback workload emitting every record kind the
+ *  profiler consumes. */
 void
 addProfWorkload(System &sys, FillMorph &morph)
 {
@@ -362,24 +363,55 @@ TEST(Profiler, NocLinkCountersMatchFlitHops)
 
 TEST(Profiler, EnablingProfilingChangesNoSimulatedStat)
 {
-    std::map<std::string, double> counters[2];
-    Tick cycles[2] = {0, 0};
-    for (int run = 0; run < 2; ++run) {
-        System sys(smallConfig(run == 1));
+    // One 8-tile (4x2 mesh) workload, unprofiled, profiled, and
+    // profiled across four shard domains: profiling moves no simulated
+    // stat, and the profile itself is the same at every shard count.
+    struct Run
+    {
+        bool profile;
+        unsigned shards;
+    };
+    const Run runs[] = {{false, 1}, {true, 1}, {true, 4}};
+    std::map<std::string, double> counters[3];
+    Tick cycles[3] = {0, 0, 0};
+    std::string json[3];
+    for (int run = 0; run < 3; ++run) {
+        SystemConfig cfg = smallConfig(runs[run].profile, 8);
+        cfg.shards = runs[run].shards;
+        System sys(cfg);
+        ASSERT_EQ(sys.shardPlan().shards, runs[run].shards);
         FillMorph morph;
         addProfWorkload(sys, morph);
         cycles[run] = sys.run();
         for (const auto &[name, c] : sys.stats().counters()) {
-            // prof.* exists only when profiled; host.* is wall-clock.
-            if (name.rfind("prof.", 0) != 0 &&
-                name.rfind("host.", 0) != 0)
+            // host.* is wall-clock.
+            if (name.rfind("host.", 0) != 0)
                 counters[run][name] = c.value();
         }
         // prof.* counters exist exactly when profiled.
-        EXPECT_EQ(sys.stats().get("prof.cb.count") > 0, run == 1);
+        EXPECT_EQ(sys.stats().get("prof.cb.count") > 0, runs[run].profile);
+        if (sys.profiler()) {
+            std::ostringstream os;
+            sys.profiler()->writeJson(os);
+            json[run] = os.str();
+        }
     }
+    auto without = [](std::map<std::string, double> m, const char *prefix) {
+        std::erase_if(m, [prefix](const auto &kv) {
+            return kv.first.rfind(prefix, 0) == 0;
+        });
+        return m;
+    };
+    // prof.* exists only when profiled; everything else, the executor's
+    // shard.* counters included, must match.
     EXPECT_EQ(cycles[0], cycles[1]);
-    EXPECT_EQ(counters[0], counters[1]);
+    EXPECT_EQ(without(counters[0], "prof."), without(counters[1], "prof."));
+    // shard.* describes the partition, so only it may differ across
+    // shard counts.
+    EXPECT_EQ(cycles[1], cycles[2]);
+    EXPECT_EQ(without(counters[1], "shard."), without(counters[2], "shard."));
+    EXPECT_FALSE(json[1].empty());
+    EXPECT_EQ(json[1], json[2]);
 }
 
 // -------------------------------------------------------------------
@@ -483,7 +515,7 @@ TEST(Profiler, SetHeatAggregatesPerLevel)
 
     // l2 heat: one counter per set, summing to every profiled l2 probe
     // (prefetch probes also bump heat, but prefetching is disabled here).
-    const std::vector<std::uint64_t> heat = sys.mem().aggregateSetHeat(2);
+    const std::vector<std::uint64_t> &heat = sys.profiler()->setHeat(2);
     ASSERT_FALSE(heat.empty());
     std::uint64_t total = 0;
     for (std::uint64_t h : heat)

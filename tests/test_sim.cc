@@ -16,7 +16,6 @@
 #include "sim/random.hh"
 #include "sim/stats.hh"
 #include "sim/task.hh"
-#include "sim/trace.hh"
 
 using namespace tako;
 
@@ -397,13 +396,4 @@ TEST(Stats, HistogramMoments)
     EXPECT_EQ(h.buckets()[0], 1u);
     EXPECT_EQ(h.buckets()[1], 1u);
     EXPECT_EQ(h.buckets().back(), 1u);
-}
-
-TEST(Trace, MaskParsesOncePerProcess)
-{
-    // TAKO_TRACE is unset in the test environment: nothing enabled.
-    EXPECT_FALSE(trace::enabled(trace::Flag::Cache));
-    EXPECT_FALSE(trace::enabled(trace::Flag::Engine));
-    // emit() is safe to call regardless (goes to stderr).
-    trace::emit(trace::Flag::Cache, 5, "test %d", 1);
 }

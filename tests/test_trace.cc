@@ -545,7 +545,8 @@ TEST(TraceReplay, IsDeterministicAndCountsRecords)
 
 TEST(TraceReplay, RecorderRoundTripReplays)
 {
-    ScratchFile src("src.takotrace"), rec("rec.takotrace");
+    ScratchFile src("src.takotrace"), rec("rec.takotrace"),
+        rec4("rec4.takotrace");
     GenParams p;
     p.kind = "scan";
     p.records = 1000;
@@ -558,11 +559,19 @@ TEST(TraceReplay, RecorderRoundTripReplays)
     ASSERT_TRUE(generateTrace(p, w, err)) << err;
     ASSERT_TRUE(w.close());
 
+    // 8 tiles (4x2 mesh): the four tenants replay in four columns, so
+    // --shards=4 records from four domains — into the same bytes.
     TraceReplayConfig cfg;
     cfg.path = src.path();
     cfg.recordPath = rec.path();
-    const TraceReplayResult first = runTraceReplay(cfg, tinySystem(4));
+    const TraceReplayResult first = runTraceReplay(cfg, tinySystem(8));
     ASSERT_TRUE(first.ok) << first.error;
+    SystemConfig sharded = tinySystem(8);
+    sharded.shards = 4;
+    cfg.recordPath = rec4.path();
+    const TraceReplayResult first4 = runTraceReplay(cfg, sharded);
+    ASSERT_TRUE(first4.ok) << first4.error;
+    EXPECT_EQ(readAll(rec4.path()), readAll(rec.path()));
 
     // The recorded (normalized) trace is itself a valid input: its
     // record count matches the replayed line ops, and replaying it
@@ -578,7 +587,7 @@ TEST(TraceReplay, RecorderRoundTripReplays)
 
     TraceReplayConfig cfg2;
     cfg2.path = rec.path();
-    const TraceReplayResult second = runTraceReplay(cfg2, tinySystem(4));
+    const TraceReplayResult second = runTraceReplay(cfg2, tinySystem(8));
     ASSERT_TRUE(second.ok) << second.error;
     EXPECT_EQ(second.records, recorded);
 }

@@ -15,6 +15,9 @@
  */
 
 #include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <climits>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -54,7 +57,7 @@ struct Options
     bool profileSet = false;
     std::string folded;
     std::string traceOut;
-    std::string traceMask = "all";
+    std::uint32_t traceMask = trace::kAllSpans;
     Tick sampleEvery = 0;
     std::vector<std::string> samplePatterns;
     std::string monOut;   ///< takomon-v1 binary series output
@@ -107,8 +110,9 @@ usage(int code)
         "                     (flamegraph.pl input; implies profiling)\n"
         "  --trace-out=FILE   write a Chrome trace-event JSON file\n"
         "                     (loadable in Perfetto / chrome://tracing)\n"
-        "  --trace-mask=SPEC  span categories for --trace-out; same names\n"
-        "                     as TAKO_TRACE (default: all)\n"
+        "  --trace-mask=SPEC  span categories for --trace-out: comma-\n"
+        "                     separated mem, engine, dram, or all\n"
+        "                     (default: all)\n"
         "  --mon-every=N      sample counters/histograms every N cycles\n"
         "                     into the time series exported by\n"
         "                     --stats-json and --mon-out\n"
@@ -157,10 +161,31 @@ listWorkloads(int code = 0)
     std::exit(code);
 }
 
+/**
+ * Strict number parse (decimal, 0x hex, 0 octal) for option @p key: an
+ * empty value, a sign, trailing garbage, or a value above @p max is a
+ * usage error, never a silent 0 or a wrapped count.
+ */
 std::uint64_t
-parseNum(const std::string &v)
+parseNum(const std::string &key, const std::string &v,
+         std::uint64_t max = ~std::uint64_t{0})
 {
-    return std::strtoull(v.c_str(), nullptr, 0);
+    errno = 0;
+    char *end = nullptr;
+    const unsigned long long n = std::strtoull(v.c_str(), &end, 0);
+    if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
+        *end != '\0' || errno == ERANGE || n > max) {
+        std::fprintf(stderr, "takosim: %s needs a number, got '%s'\n\n",
+                     key.c_str(), v.c_str());
+        usage(2);
+    }
+    return n;
+}
+
+unsigned
+parseCount(const std::string &key, const std::string &v)
+{
+    return static_cast<unsigned>(parseNum(key, v, UINT_MAX));
 }
 
 Options
@@ -190,20 +215,25 @@ parse(int argc, char **argv)
             o.trace = val;
         else if (key == "--trace-record")
             o.traceRecord = val;
-        else if (key == "--cores")
-            o.cores = static_cast<unsigned>(parseNum(val));
-        else if (key == "--l1")
-            o.l1 = parseNum(val);
+        else if (key == "--cores") {
+            o.cores = parseCount(key, val);
+            if (o.cores == 0) {
+                std::fprintf(stderr, "takosim: --cores must be at least "
+                                     "1\n\n");
+                usage(2);
+            }
+        } else if (key == "--l1")
+            o.l1 = parseNum(key, val);
         else if (key == "--l2")
-            o.l2 = parseNum(val);
+            o.l2 = parseNum(key, val);
         else if (key == "--l3bank")
-            o.l3bank = parseNum(val);
+            o.l3bank = parseNum(key, val);
         else if (key == "--vertices")
-            o.vertices = parseNum(val);
+            o.vertices = parseNum(key, val);
         else if (key == "--txbytes")
-            o.txBytes = parseNum(val);
+            o.txBytes = parseNum(key, val);
         else if (key == "--seed")
-            o.seed = parseNum(val);
+            o.seed = parseNum(key, val);
         else if (key == "--stats")
             o.dumpStats = true;
         else if (key == "--stats-json")
@@ -215,22 +245,29 @@ parse(int argc, char **argv)
             o.folded = val;
         else if (key == "--trace-out")
             o.traceOut = val;
-        else if (key == "--trace-mask")
-            o.traceMask = val;
-        else if (key == "--mon-every")
-            o.sampleEvery = parseNum(val);
+        else if (key == "--trace-mask") {
+            std::string bad;
+            if (!trace::parseSpanMask(val, o.traceMask, bad)) {
+                std::fprintf(stderr,
+                             "takosim: unknown --trace-mask category "
+                             "'%s' (valid: mem, engine, dram, all)\n\n",
+                             bad.c_str());
+                usage(2);
+            }
+        } else if (key == "--mon-every")
+            o.sampleEvery = parseNum(key, val);
         else if (key == "--mon-out")
             o.monOut = val;
         else if (key == "--progress")
-            o.progressEvery = val.empty() ? 1000000 : parseNum(val);
+            o.progressEvery = val.empty() ? 1000000 : parseNum(key, val);
         else if (key == "--log-json")
             o.logJson = val;
         else if (key == "--shards") {
-            o.shards = static_cast<unsigned>(parseNum(val));
+            o.shards = parseCount(key, val);
             if (o.shards == 0)
                 o.shards = 1;
         } else if (key == "--replicate") {
-            o.replicate = static_cast<unsigned>(parseNum(val));
+            o.replicate = parseCount(key, val);
             if (o.replicate == 0)
                 o.replicate = 1;
         } else if (key == "--mon-sample") {
@@ -283,7 +320,7 @@ parse(int argc, char **argv)
  * Run one replica of the selected workload at @p seed on a copy of
  * @p sys. Builds its own System and touches no process-global state,
  * so ensemble lanes may call it concurrently (main() forbids the
- * global-sink features — tracing, profiling, sampling — whenever more
+ * single-file outputs — tracing, profiling, sampling — whenever more
  * than one replica runs).
  */
 RunMetrics
@@ -409,8 +446,8 @@ main(int argc, char **argv)
                      "takosim: --replicate=%u is incompatible with "
                      "--profile/--folded/--trace-out/--mon-every/"
                      "--mon-sample/--mon-out/--progress/--trace-record "
-                     "(they write through process-global or "
-                     "single-file sinks; replicas run concurrently)\n",
+                     "(they write single-file outputs; replicas run "
+                     "concurrently)\n",
                      o.replicate);
         return 2;
     }
@@ -445,8 +482,8 @@ main(int argc, char **argv)
         }
     }
 
-    // The span sink must be live before the workload constructs and runs
-    // its System; it is closed (terminating the JSON array) after the run.
+    // The span writer rides into the workload's System through the
+    // config; it is closed (terminating the JSON array) after the run.
     std::ofstream traceFile;
     std::unique_ptr<trace::ChromeTraceWriter> traceWriter;
     if (!o.traceOut.empty()) {
@@ -456,10 +493,9 @@ main(int argc, char **argv)
                          o.traceOut.c_str());
             return 1;
         }
-        traceWriter =
-            std::make_unique<trace::ChromeTraceWriter>(traceFile);
-        trace::setSpanSink(traceWriter.get(),
-                           trace::parseSpec(o.traceMask.c_str()));
+        traceWriter = std::make_unique<trace::ChromeTraceWriter>(
+            traceFile, o.traceMask);
+        sys.spanWriter = traceWriter.get();
     }
 
     RunMetrics m;
@@ -518,7 +554,6 @@ main(int argc, char **argv)
     }
 
     if (traceWriter) {
-        trace::setSpanSink(nullptr);
         traceWriter->close();
         std::fprintf(stderr, "takosim: wrote %llu trace events to %s\n",
                      (unsigned long long)traceWriter->eventsWritten(),
