@@ -11,8 +11,9 @@
  *
  *  - draws the event's tie-break key from the *sending* stream's counter
  *    (owned by the executing domain, so no atomics), and
- *  - delivers same-domain work directly and cross-domain work through
- *    the sharded executor's mailboxes.
+ *  - schedules same-domain work directly on the domain's queue and
+ *    hands cross-domain work to the sharded executor, which delivers
+ *    it at the start of the receiver's next round.
  *
  * Because keys are partition-invariant (see StreamKeySource) and every
  * cross-domain post is at least one conservative quantum in the future,

@@ -62,9 +62,9 @@ enum class EventPriority : int
 
 /**
  * An event's place in the kernel's total order: tick, then priority,
- * then the partition-invariant key (StreamKeySource). The queue, the
- * cross-shard inbox and the observation records (record.hh) all sort
- * by this one comparison.
+ * then the partition-invariant key (StreamKeySource). The queue and
+ * the observation records (record.hh) both order by this one
+ * comparison.
  */
 struct EventOrder
 {
@@ -331,7 +331,7 @@ class EventQueue
     /**
      * Leaving an execution loop invalidates the published context: the
      * next consumer may be a different queue's loop (replica lanes, the
-     * sharded executor's drain phase) or plain test code completing
+     * sharded executor's mail delivery) or plain test code completing
      * primitives inline, which must fall back to their stored queue.
      */
     static void

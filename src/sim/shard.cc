@@ -46,12 +46,8 @@ ShardedExecutor::ShardedExecutor(std::vector<EventQueue *> domains,
         panic_if(q == nullptr, "sharded executor given a null domain");
     const unsigned n = static_cast<unsigned>(domains_.size());
     threads_ = threads == 0 ? n : std::clamp(threads, 1u, n);
-    mail_.resize(std::size_t{n} * n);
-    for (unsigned src = 0; src < n; ++src)
-        for (unsigned dst = 0; dst < n; ++dst)
-            if (src != dst)
-                mail_[std::size_t{src} * n + dst] =
-                    std::make_unique<SpscMailbox<ShardEvent>>();
+    for (std::vector<std::vector<ShardEvent>> &boxes : mail_)
+        boxes.resize(std::size_t{n} * n);
     sendSeq_.resize(n);
     profiles_.resize(n);
     barrierWait_.resize(threads_);
@@ -73,6 +69,15 @@ ShardedExecutor::barrierWaitSeconds() const
     return total;
 }
 
+std::uint64_t
+ShardedExecutor::crossShardEvents() const
+{
+    std::uint64_t total = 0;
+    for (const DomainProfile &prof : profiles_)
+        total += prof.received;
+    return total;
+}
+
 void
 ShardedExecutor::sendKeyed(unsigned src, unsigned dst, Tick when,
                            EventPriority prio, std::uint64_t key,
@@ -80,42 +85,26 @@ ShardedExecutor::sendKeyed(unsigned src, unsigned dst, Tick when,
                            std::function<void()> fn)
 {
     const unsigned n = static_cast<unsigned>(domains_.size());
-    panic_if(src >= n || dst >= n, "shard send %u -> %u outside 0..%u",
+    panic_if(src >= n || dst >= n || src == dst,
+             "shard send %u -> %u is not between two of shards 0..%u",
              src, dst, n - 1);
-    if (src == dst) {
-        domains_[src]->scheduleKeyed(when, std::move(fn), prio, key,
-                                     execStream);
-        return;
-    }
     ++sendSeq_[src].value;
-    ShardEvent ev;
-    ev.when = when;
-    ev.priority = prio;
-    ev.key = key;
-    ev.execStream = execStream;
-    ev.fn = std::move(fn);
-    SpscMailbox<ShardEvent> &mb = *mail_[std::size_t{src} * n + dst];
-    panic_if(!mb.tryPush(std::move(ev)),
-             "shard %u -> %u mailbox full (%zu events in one window); "
-             "the quantum produced more cross-shard traffic than the "
-             "ring holds",
-             src, dst, mb.capacity());
+    mail_[parity_][std::size_t{src} * n + dst].push_back(
+        {when, prio, key, execStream, std::move(fn)});
 }
 
 void
 ShardedExecutor::drainInbox(unsigned shard, Tick windowStart)
 {
     const unsigned n = static_cast<unsigned>(domains_.size());
-    std::vector<ShardEvent> batch;
-    ShardEvent ev;
+    std::vector<std::vector<ShardEvent>> &boxes = mail_[parity_ ^ 1];
+    EventQueue &q = *domains_[shard];
     DomainProfile &prof = profiles_[shard];
     for (unsigned src = 0; src < n; ++src) {
-        if (src == shard)
-            continue;
-        SpscMailbox<ShardEvent> &mb = *mail_[std::size_t{src} * n + shard];
-        std::uint64_t depth = 0;
-        while (mb.tryPop(ev)) {
-            ++depth;
+        std::vector<ShardEvent> &box = boxes[std::size_t{src} * n + shard];
+        // The queue's keyed insert places each event by (tick, priority,
+        // key), so delivery order within and across senders is free.
+        for (ShardEvent &ev : box) {
             panic_if(ev.when < windowStart,
                      "cross-shard event for shard %u at tick %llu "
                      "arrived in the window starting at %llu: the "
@@ -123,28 +112,14 @@ ShardedExecutor::drainInbox(unsigned shard, Tick windowStart)
                      shard, (unsigned long long)ev.when,
                      (unsigned long long)windowStart,
                      (unsigned long long)quantum_);
-            batch.push_back(std::move(ev));
+            q.scheduleKeyed(ev.when, std::move(ev.fn), ev.priority,
+                            ev.key, ev.execStream);
         }
-        // Drains empty the ring, so the pop count IS the depth this
-        // mailbox reached during the finished window.
-        if (depth > prof.maxInboxDepth)
-            prof.maxInboxDepth = depth;
+        prof.received += box.size();
+        prof.maxInboxDepth = std::max<std::uint64_t>(prof.maxInboxDepth,
+                                                     box.size());
+        box.clear();
     }
-    if (batch.empty())
-        return;
-    // Insert in the global merge order (tick, priority, key). The queue
-    // stores the carried key directly, so same-tick arrivals land in the
-    // partition-invariant total order.
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const ShardEvent &a, const ShardEvent &b) {
-                         return a.order() < b.order();
-                     });
-    EventQueue &q = *domains_[shard];
-    for (ShardEvent &in : batch)
-        q.scheduleKeyed(in.when, std::move(in.fn), in.priority, in.key,
-                        in.execStream);
-    prof.received += batch.size();
-    delivered_.fetch_add(batch.size(), std::memory_order_relaxed);
 }
 
 void
@@ -190,7 +165,7 @@ cpuRelax()
 } // namespace
 
 ShardedExecutor::RoundState
-ShardedExecutor::barrierSync(unsigned worker, bool completion)
+ShardedExecutor::barrierSync(unsigned worker)
 {
     const std::uint64_t gen = generation_.load(std::memory_order_acquire);
     if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 ==
@@ -198,14 +173,11 @@ ShardedExecutor::barrierSync(unsigned worker, bool completion)
         // Last arriver: advance the round while everyone else spins,
         // then release them. arrived_ must reset before the generation
         // bump — workers may hit the next barrier immediately.
-        if (completion) {
-            advanceRound();
-            // No domain executes anything below the next window start,
-            // so the records beneath it are final (run end releases
-            // the rest).
-            if (recorder_ && !done_)
-                recorder_->release(windowStart_);
-        }
+        advanceRound();
+        // No domain executes anything below the next window start, so
+        // the records beneath it are final (run end releases the rest).
+        if (recorder_ && !done_)
+            recorder_->release(windowStart_);
         arrived_.store(0, std::memory_order_relaxed);
         generation_.store(gen + 1, std::memory_order_release);
     } else {
@@ -240,13 +212,13 @@ ShardedExecutor::advanceRound()
     const unsigned prevSolo = soloDomain_;
     soloDomain_ = kNoSolo;
 
-    bool anyMail = false;
-    for (const auto &mb : mail_) {
-        if (mb && !mb->empty()) {
-            anyMail = true;
-            break;
-        }
-    }
+    // This round's sends are the next round's deliveries.
+    const bool anyMail =
+        std::any_of(mail_[parity_].begin(), mail_[parity_].end(),
+                    [](const std::vector<ShardEvent> &box) {
+                        return !box.empty();
+                    });
+    parity_ ^= 1;
     unsigned pendingDomains = 0;
     unsigned pendingIdx = 0;
     Tick minNext = 0;
@@ -311,14 +283,15 @@ ShardedExecutor::workerLoop(unsigned worker)
     Tick start = 0;
     unsigned solo = kNoSolo;
     while (true) {
-        // Execute phase: run this round's windows. All mailbox pushes
-        // happen here, never concurrently with a drain.
+        // A solo round follows a round that sent no mail, so it has
+        // nothing to deliver.
         if (solo != kNoSolo) {
             if (solo % threads_ == worker)
                 runSolo(solo);
         } else {
             const Tick windowEnd = std::min(start + quantum_ - 1, limit_);
             for (unsigned s = worker; s < n; s += threads_) {
+                drainInbox(s, start);
                 EventQueue &q = *domains_[s];
                 const std::uint64_t before = q.eventsFired();
                 q.runThrough(windowEnd);
@@ -331,18 +304,9 @@ ShardedExecutor::workerLoop(unsigned worker)
                     ++prof.idleRounds;
             }
         }
-        const RoundState rs = barrierSync(worker, true);
+        const RoundState rs = barrierSync(worker);
         if (rs.done)
             return;
-        // Drain phase: deliver the barrier snapshot of every inbox for
-        // the next round. The trailing barrier keeps these pops
-        // disjoint from the next execute phase's pushes, so the
-        // delivered set is a function of simulation state alone.
-        if (rs.solo == kNoSolo) {
-            for (unsigned s = worker; s < n; s += threads_)
-                drainInbox(s, rs.start);
-        }
-        barrierSync(worker, false);
         start = rs.start;
         solo = rs.solo;
     }

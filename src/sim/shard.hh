@@ -11,14 +11,17 @@
  * observe an event another shard produced in the same window, so each
  * shard's calendar queue runs free of locks.
  *
- * Cross-shard events travel through per-shard-pair SPSC mailboxes and
- * are drained only at quantum barriers, sorted into the receiving
- * queue by (tick, priority, stream key). Because the drained set and
- * its keys are functions of simulation state alone — never of
- * host-thread timing — every partition reproduces the same
- * (tick, priority, key) total order bit for bit (proof sketch in
- * DESIGN.md §4). One domain is the degenerate partition: no mailbox,
- * no extra thread, one free-running (solo) round after the first.
+ * Cross-shard events travel through per-shard-pair mail buffers, two
+ * per pair indexed by round parity: a round's sends append to one
+ * parity, and the next round's drains deliver the other, so one barrier
+ * per round separates every append from its pop. The receiving queue's
+ * keyed insert places delivered mail by (tick, priority, stream key).
+ * Because the delivered set and its keys are functions of simulation
+ * state alone — never of host-thread timing — every partition
+ * reproduces the same (tick, priority, key) total order bit for bit
+ * (proof sketch in DESIGN.md §4). One domain is the degenerate
+ * partition: no mail, no extra thread, one free-running (solo) round
+ * after the first.
  *
  * The same lane machinery drives deterministic ensembles: runLanes()
  * executes independent jobs (e.g. seed-offset replicas) across a fixed
@@ -29,10 +32,10 @@
 #ifndef TAKO_SIM_SHARD_HH
 #define TAKO_SIM_SHARD_HH
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "sim/event_queue.hh"
@@ -74,66 +77,6 @@ struct ShardPlan
     }
 };
 
-/**
- * Lock-free single-producer/single-consumer ring. One instance per
- * directed shard pair: only the source shard's worker pushes, only the
- * destination shard's worker pops, and pops happen exclusively at
- * quantum barriers (after every producer for the window has arrived),
- * so capacity bounds one window's traffic, not a whole run's.
- */
-template <typename T>
-class SpscMailbox
-{
-  public:
-    explicit SpscMailbox(std::size_t capacity = 4096)
-    {
-        std::size_t cap = 1;
-        while (cap < capacity)
-            cap <<= 1;
-        ring_.resize(cap);
-        mask_ = cap - 1;
-    }
-
-    /** Producer side. False = full (caller decides how to fail). */
-    bool
-    tryPush(T v)
-    {
-        const std::size_t t = tail_.load(std::memory_order_relaxed);
-        if (t - head_.load(std::memory_order_acquire) > mask_)
-            return false;
-        ring_[t & mask_] = std::move(v);
-        tail_.store(t + 1, std::memory_order_release);
-        return true;
-    }
-
-    /** Consumer side. False = empty. */
-    bool
-    tryPop(T &out)
-    {
-        const std::size_t h = head_.load(std::memory_order_relaxed);
-        if (tail_.load(std::memory_order_acquire) == h)
-            return false;
-        out = std::move(ring_[h & mask_]);
-        head_.store(h + 1, std::memory_order_release);
-        return true;
-    }
-
-    bool
-    empty() const
-    {
-        return tail_.load(std::memory_order_acquire) ==
-               head_.load(std::memory_order_acquire);
-    }
-
-    std::size_t capacity() const { return mask_ + 1; }
-
-  private:
-    std::vector<T> ring_;
-    std::size_t mask_ = 0;
-    alignas(64) std::atomic<std::size_t> head_{0}; ///< consumer cursor
-    alignas(64) std::atomic<std::size_t> tail_{0}; ///< producer cursor
-};
-
 /** One cross-shard event in flight. */
 struct ShardEvent
 {
@@ -145,18 +88,15 @@ struct ShardEvent
     /** Stream published in ExecCtx while the delivered event runs. */
     std::uint32_t execStream = 0;
     std::function<void()> fn;
-
-    EventOrder order() const
-    {
-        return {when, static_cast<int>(priority), key};
-    }
 };
 
 /**
  * Runs N event-queue domains in lockstep quantum windows on a fixed
- * worker pool, draining cross-shard mailboxes only at barriers. The
- * result is bit-identical at any thread count (1..N): thread timing can
- * change when host work happens, never which events run in what order.
+ * worker pool. Each round, a domain's worker first delivers the mail
+ * sent to it during the previous round, then runs the domain's window;
+ * one barrier ends the round. The result is bit-identical at any thread
+ * count (1..N): thread timing can change when host work happens, never
+ * which events run in what order.
  *
  * Domains are borrowed, not owned; each must only ever be touched by
  * executor callbacks (or before run() / after it returns).
@@ -182,17 +122,17 @@ class ShardedExecutor
      * partition-invariant tie-break @p key (drawn from the sending
      * event's stream counter, see StreamKeySource) and the stream
      * @p execStream it executes at. Must be called from an event
-     * executing on shard @p src, and @p when must be at least the
-     * sending event's time plus the quantum — the receiver panics on
-     * anything earlier (lookahead violation). src == dst schedules
-     * directly on the shard's queue.
+     * executing on shard @p src, @p dst must be another shard (a
+     * same-shard event goes straight onto its queue), and @p when must
+     * be at least the sending event's time plus the quantum — the
+     * receiver panics on anything earlier (lookahead violation).
      */
     void sendKeyed(unsigned src, unsigned dst, Tick when,
                    EventPriority prio, std::uint64_t key,
                    std::uint32_t execStream, std::function<void()> fn);
 
     /**
-     * Run every domain to quiescence (all queues and mailboxes empty),
+     * Run every domain to quiescence (all queues and mail empty),
      * or — with a @p limit — until no event at or before @p limit is
      * left anywhere; later events stay pending and every domain's clock
      * ends at @p limit (EventQueue::runUntil semantics). The calling
@@ -204,12 +144,8 @@ class ShardedExecutor
 
     /** Quantum rounds completed (diagnostics; valid after run()). */
     std::uint64_t rounds() const { return rounds_; }
-    /** Cross-shard events delivered through mailboxes. */
-    std::uint64_t
-    crossShardEvents() const
-    {
-        return delivered_.load(std::memory_order_relaxed);
-    }
+    /** Cross-shard events delivered (sum of per-domain `received`). */
+    std::uint64_t crossShardEvents() const;
 
     /**
      * Per-domain execution profile, valid after run(). Every field is a
@@ -226,7 +162,7 @@ class ShardedExecutor
         std::uint64_t maxRoundEvents = 0; ///< busiest single round
         std::uint64_t idleRounds = 0; ///< lockstep rounds with no events
         std::uint64_t received = 0;   ///< cross-shard events delivered in
-        std::uint64_t maxInboxDepth = 0; ///< deepest single-mailbox drain
+        std::uint64_t maxInboxDepth = 0; ///< largest one-sender drain
     };
 
     const std::vector<DomainProfile> &
@@ -235,7 +171,7 @@ class ShardedExecutor
         return profiles_;
     }
 
-    /** Events sent cross-shard by @p src (its mailbox sequence count). */
+    /** Events sent cross-shard by @p src. */
     std::uint64_t
     eventsSent(unsigned src) const
     {
@@ -263,7 +199,7 @@ class ShardedExecutor
         double value = 0;
     };
 
-    /** Snapshot of the next round, taken under the barrier mutex. */
+    /** The next round, as the barrier's last arriver published it. */
     struct RoundState
     {
         Tick start;
@@ -277,7 +213,7 @@ class ShardedExecutor
     void drainInbox(unsigned shard, Tick windowStart);
     void runSolo(unsigned shard);
     void advanceRound();
-    RoundState barrierSync(unsigned worker, bool completion);
+    RoundState barrierSync(unsigned worker);
 
     std::vector<EventQueue *> domains_;
     Tick quantum_;
@@ -289,9 +225,16 @@ class ShardedExecutor
     unsigned spinLimit_ = 1u << 14;
     /** Cut in force for the current run() (kNoLimit = none). */
     Tick limit_ = kNoLimit;
-    /** mail_[src * N + dst], null on the src == dst diagonal; only
-     *  (src worker, dst worker) touch it. */
-    std::vector<std::unique_ptr<SpscMailbox<ShardEvent>>> mail_;
+    /**
+     * mail_[parity][src * N + dst]: sendKeyed appends to mail_[parity_]
+     * and drainInbox empties mail_[parity_ ^ 1]. The src worker is the
+     * only writer of a pair's current buffer and the dst worker the only
+     * reader of its previous one, and advanceRound flips parity_ only
+     * while every worker waits at the barrier, so no buffer is ever
+     * touched by two threads between barriers.
+     */
+    std::array<std::vector<std::vector<ShardEvent>>, 2> mail_;
+    unsigned parity_ = 0;
     std::vector<PaddedCounter> sendSeq_; ///< per-source send counters
 
     // Centralized sense-reversing spin barrier. Rounds are short (one
@@ -311,7 +254,6 @@ class ShardedExecutor
 
     std::uint64_t rounds_ = 0;
     std::uint64_t soloRounds_ = 0;
-    std::atomic<std::uint64_t> delivered_{0};
 
     std::vector<DomainProfile> profiles_;    ///< one per domain
     std::vector<PaddedSeconds> barrierWait_; ///< one per worker (host.*)

@@ -80,15 +80,6 @@ load32(const std::vector<std::uint8_t> &b, std::size_t off)
            static_cast<std::uint32_t>(b[off + 3]) << 24;
 }
 
-void
-store32(std::vector<std::uint8_t> &b, std::size_t off, std::uint32_t v)
-{
-    b[off] = static_cast<std::uint8_t>(v);
-    b[off + 1] = static_cast<std::uint8_t>(v >> 8);
-    b[off + 2] = static_cast<std::uint8_t>(v >> 16);
-    b[off + 3] = static_cast<std::uint8_t>(v >> 24);
-}
-
 /** Deterministic two-series sample set: one integral-valued column
  *  (large magnitudes, both directions) and one fractional column. */
 std::vector<std::pair<Tick, std::vector<double>>>

@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the sharded conservative executor: plan partitioning and
- * quantum derivation, SPSC mailbox semantics, and — the load-bearing
- * property — bit-identical results at every worker-thread count, under
- * real host threads and real cross-shard traffic.
+ * quantum derivation, the lookahead checks on cross-shard mail, and —
+ * the load-bearing property — bit-identical results at every
+ * worker-thread count, under real host threads and real cross-shard
+ * traffic.
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +14,9 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <thread>
 #include <vector>
 
+#include "sim/domains.hh"
 #include "sim/shard.hh"
 #include "system/system.hh"
 #include "workloads/decompress.hh"
@@ -53,43 +54,6 @@ TEST(ShardPlan, ClampsToColumns)
     const ShardPlan two = ShardPlan::build(4, 2, 2, 1, 2);
     EXPECT_EQ(two.columnShard, (std::vector<unsigned>{0, 0, 1, 1}));
     EXPECT_EQ(two.boundaryLinks, 1u * 2u * 2u);
-}
-
-// ---------------------------------------------------------- SpscMailbox
-
-TEST(SpscMailbox, FifoAcrossThreads)
-{
-    SpscMailbox<std::uint64_t> mb(1024);
-    constexpr std::uint64_t kCount = 200000;
-    std::thread producer([&mb] {
-        for (std::uint64_t i = 0; i < kCount; ++i) {
-            while (!mb.tryPush(i))
-                std::this_thread::yield();
-        }
-    });
-    std::uint64_t expect = 0;
-    while (expect < kCount) {
-        std::uint64_t v = 0;
-        if (mb.tryPop(v)) {
-            ASSERT_EQ(v, expect); // strict FIFO, nothing lost
-            ++expect;
-        }
-    }
-    producer.join();
-    EXPECT_TRUE(mb.empty());
-}
-
-TEST(SpscMailbox, ReportsFullWithoutOverwriting)
-{
-    SpscMailbox<int> mb(4);
-    EXPECT_EQ(mb.capacity(), 4u);
-    for (int i = 0; i < 4; ++i)
-        EXPECT_TRUE(mb.tryPush(i));
-    EXPECT_FALSE(mb.tryPush(99));
-    int v = -1;
-    EXPECT_TRUE(mb.tryPop(v));
-    EXPECT_EQ(v, 0);
-    EXPECT_TRUE(mb.tryPush(4)); // slot freed
 }
 
 // ------------------------------------------------- ShardedExecutor core
@@ -272,6 +236,53 @@ TEST(ShardedExecutor, EmptyDomainsTerminate)
     ShardedExecutor exec(domains, 5);
     exec.run(); // must not hang
     EXPECT_EQ(exec.crossShardEvents(), 0u);
+}
+
+TEST(ShardedExecutor, DeliveryRejectsMailInsideTheQuantum)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto run = [] {
+        std::array<std::unique_ptr<EventQueue>, 2> queues;
+        std::vector<EventQueue *> domains;
+        for (auto &q : queues) {
+            q = std::make_unique<EventQueue>();
+            domains.push_back(q.get());
+        }
+        ShardedExecutor exec(domains, 3, 1);
+        // Domain 0 is the only busy domain, so it runs solo from tick 5;
+        // its mail for tick 5 reaches domain 1 only in the window that
+        // resumes after the solo clock, which already starts past it.
+        queues[0]->scheduleAbs(5, [&exec] {
+            exec.sendKeyed(0, 1, 5, EventPriority::Default, 1, 0, [] {});
+        });
+        exec.run();
+    };
+    EXPECT_DEATH(run(), "violated the lookahead quantum");
+}
+
+TEST(ShardedExecutor, CrossDomainPostRejectsDeltaBelowQuantum)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    auto run = [] {
+        // 4x4 mesh in two column bands: tile 0 is in domain 0, tile 2 in
+        // domain 1, and the quantum is 3.
+        const ShardPlan plan = ShardPlan::build(4, 4, 2, 1, 2);
+        std::array<std::unique_ptr<EventQueue>, 2> queues;
+        std::vector<EventQueue *> domains;
+        for (auto &q : queues) {
+            q = std::make_unique<EventQueue>();
+            domains.push_back(q.get());
+        }
+        Domains dom;
+        dom.init(plan, domains);
+        ShardedExecutor exec(domains, plan.quantum, 1);
+        dom.setExecutor(&exec);
+        queues[0]->scheduleKeyed(
+            1, [&dom] { dom.post(2, 1, [] {}); }, EventPriority::Default,
+            dom.streams().next(0), Domains::streamOf(0));
+        exec.run();
+    };
+    EXPECT_DEATH(run(), "violates the lookahead quantum");
 }
 
 // ------------------------------------------------------------- runLanes

@@ -4,11 +4,13 @@
 Usage: tools/perf_smoke.py [--bin-dir build] [--out BENCH_perf.json]
                            [--quick]
 
-Runs the kernel microbenchmarks (schedule/fire throughput old vs. new,
-coroutine spawn/resume) and one end-to-end profiled takosim run, then
-merges both into a single "takoperf-v1" JSON artifact. CI uploads the
-artifact per commit so events/sec has a trajectory; feed one or more of
-these files to tools/plot_results.py to render the trend.
+Runs the per-layer microbenchmarks (schedule/fire throughput old vs.
+new, coroutine spawn/resume, cache lookup and victim selection, mesh
+traversal, one simulated access) and one end-to-end profiled takosim
+run, then merges both into a single "takoperf-v1" JSON artifact. CI
+uploads the artifact per commit so events/sec has a trajectory; feed
+one or more of these files to tools/plot_results.py to render the
+trend.
 
 Exit status is non-zero if either child fails or if the new event queue
 fails to beat the legacy baseline by at least MIN_SPEEDUP (the PR's
@@ -40,7 +42,8 @@ MIN_SHARD_SPEEDUP = 2.0
 # four shard-domain workers (not an ensemble). Same host-CPU guard as
 # the ensemble gate.
 MIN_SINGLE_RUN_SPEEDUP = 1.8
-KERNEL_FILTER = "BM_EventQueue|BM_Coroutine"
+KERNEL_FILTER = ("BM_EventQueue|BM_Coroutine|BM_CacheLookup|"
+                 "BM_VictimSelection|BM_MeshTraverse|BM_SimulatedAccess")
 
 
 def trust_problems(build_type, git_rev):

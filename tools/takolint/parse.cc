@@ -60,12 +60,8 @@ parseLambda(const Cursor &c, int intro, Lambda &out)
     // return type, then `{`. Bail out fast on anything that cannot be
     // part of a lambda declarator.
     int j = capEnd + 1;
-    int paramBegin = -1, paramEnd = -1;
-    if (c.is(j, "(")) {
-        paramBegin = j;
-        paramEnd = c.match(j, "(", ")");
-        j = paramEnd + 1;
-    }
+    if (c.is(j, "("))
+        j = c.match(j, "(", ")") + 1;
     for (int guard = 0; guard < 64 && j < c.size(); ++guard) {
         const std::string &t = c.text(j);
         if (t == "{")
