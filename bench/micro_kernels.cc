@@ -38,11 +38,9 @@ class LegacyEventQueue
     using Callback = std::function<void()>;
 
     void
-    schedule(Tick delta, Callback fn,
-             EventPriority prio = EventPriority::Default)
+    schedule(Tick delta, Callback fn, int prio = 0)
     {
-        events_.push(Entry{now_ + delta, static_cast<int>(prio),
-                           nextSeq_++, std::move(fn)});
+        events_.push(Entry{now_ + delta, prio, nextSeq_++, std::move(fn)});
     }
 
     bool

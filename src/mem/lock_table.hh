@@ -34,9 +34,6 @@ class LineLockTable
 
     bool held(Addr line) const { return locks_.contains(line); }
 
-    /** Number of currently held locks (deadlock diagnostics). */
-    std::size_t heldCount() const { return locks_.size(); }
-
     /** Awaitable: suspends until the line lock is acquired. */
     auto
     acquire(Addr line)

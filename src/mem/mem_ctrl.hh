@@ -45,13 +45,6 @@ class MemCtrl
     std::uint64_t accesses() const { return accesses_; }
     Tick serviceCycles() const { return serviceCycles_; }
 
-    void
-    reset()
-    {
-        nextFree_ = 0;
-        accesses_ = 0;
-    }
-
   private:
     Tick latency_;
     Tick serviceCycles_;

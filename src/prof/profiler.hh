@@ -4,8 +4,8 @@
  *
  * One Profiler instance rides along a System when SystemConfig::profile
  * is set. It consumes the System's observation records (record.hh) in
- * their released (tick, priority, key) order, so its output is the same
- * at every shard count:
+ * their released (tick, key) order, so its output is the same at every
+ * shard count:
  *
  *   - cache lookups (level, line, hit) feed the miss classifiers
  *     (demand probes), and the probed set feeds per-set heat (every

@@ -66,12 +66,6 @@ class Domains
             queues_[d]->setStreamKeys(*streams_);
             queues_[d]->setDomainIndex(d);
         }
-        // First tile (row 0, leftmost owned column) of each domain:
-        // the anchor stream for domain-wide control work (per-domain
-        // bootstrap, registry replica updates).
-        homeTile_.assign(plan_.shards, 0);
-        for (unsigned c = plan_.dimX; c-- > 0;)
-            homeTile_[plan_.columnShard[c]] = static_cast<int>(c);
     }
 
     bool active() const { return !queues_.empty(); }
@@ -100,9 +94,6 @@ class Domains
     EventQueue &queueOf(int tile) { return *queues_[domainOf(tile)]; }
     const std::vector<EventQueue *> &queues() const { return queues_; }
 
-    /** Anchor tile for domain-wide control work in domain @p d. */
-    int homeTile(unsigned d) const { return homeTile_[d]; }
-
     /** Tile the current event executes at (@p fallback when the context
      *  runs on the system stream, e.g. pre-run setup). */
     int
@@ -127,8 +118,7 @@ class Domains
      */
     template <typename F>
     void
-    postAbs(int dstTile, Tick when, F &&fn,
-            EventPriority prio = EventPriority::Default)
+    postAbs(int dstTile, Tick when, F &&fn)
     {
         const unsigned dstDom = domainOf(dstTile);
         const std::uint64_t key = streams_->next(detail::execCtx.stream);
@@ -136,8 +126,8 @@ class Domains
         EventQueue *cq = detail::execCtx.queue;
         if (!exec_ || !cq || cq == queues_[dstDom]) {
             // takolint: ok(X2, the router itself: same-domain or pre-run posts land directly, guarded by the cq == queues_[dstDom] test above)
-            queues_[dstDom]->scheduleKeyed(when, std::forward<F>(fn),
-                                           prio, key, es);
+            queues_[dstDom]->scheduleKeyed(when, std::forward<F>(fn), key,
+                                           es);
             return;
         }
         panic_if(when < cq->now() + plan_.quantum,
@@ -146,19 +136,18 @@ class Domains
                  dstTile, (unsigned long long)when,
                  (unsigned long long)cq->now(),
                  (unsigned long long)plan_.quantum);
-        exec_->sendKeyed(cq->domainIndex(), dstDom, when, prio, key, es,
+        exec_->sendKeyed(cq->domainIndex(), dstDom, when, key, es,
                          std::forward<F>(fn));
     }
 
     /** postAbs at (current context time + @p delta). */
     template <typename F>
     void
-    post(int dstTile, Tick delta, F &&fn,
-         EventPriority prio = EventPriority::Default)
+    post(int dstTile, Tick delta, F &&fn)
     {
         EventQueue *cq = detail::execCtx.queue;
         const Tick now = cq ? cq->now() : queueOf(dstTile).now();
-        postAbs(dstTile, now + delta, std::forward<F>(fn), prio);
+        postAbs(dstTile, now + delta, std::forward<F>(fn));
     }
 
     /**
@@ -168,44 +157,40 @@ class Domains
      * destination tile's domain and draws keys from its stream.
      */
     auto
-    hopToAbs(int dstTile, Tick when,
-             EventPriority prio = EventPriority::Default)
+    hopToAbs(int dstTile, Tick when)
     {
         struct Hop
         {
             Domains &d;
             int tile;
             Tick when;
-            EventPriority prio;
 
             bool await_ready() const noexcept { return false; }
 
             void
             await_suspend(std::coroutine_handle<> h)
             {
-                d.postAbs(tile, when, [h]() { h.resume(); }, prio);
+                d.postAbs(tile, when, [h]() { h.resume(); });
             }
 
             void await_resume() const noexcept {}
         };
-        return Hop{*this, dstTile, when, prio};
+        return Hop{*this, dstTile, when};
     }
 
     /** hopToAbs at (current context time + @p delta). */
     auto
-    hopTo(int dstTile, Tick delta,
-          EventPriority prio = EventPriority::Default)
+    hopTo(int dstTile, Tick delta)
     {
         EventQueue *cq = detail::execCtx.queue;
         const Tick now = cq ? cq->now() : queueOf(dstTile).now();
-        return hopToAbs(dstTile, now + delta, prio);
+        return hopToAbs(dstTile, now + delta);
     }
 
   private:
     ShardPlan plan_;
     std::vector<EventQueue *> queues_;
     std::unique_ptr<StreamKeySource> streams_;
-    std::vector<int> homeTile_;
     ShardedExecutor *exec_ = nullptr;
 };
 

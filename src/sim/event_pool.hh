@@ -6,11 +6,11 @@
  * priority_queue entry: one heap allocation per event for any capture
  * larger than the libstdc++ SBO (16 bytes), plus vector churn on heap
  * sifts. An EventNode is instead a fixed 128-byte slab-pooled record with
- * the callable constructed in place; callables that genuinely do not fit
- * the inline buffer fall back to a single heap cell (rare — every
- * kernel-internal capture fits). Nodes are singly linked so the calendar
- * queue can chain them into per-slot lanes and the pool can chain them
- * into a free list without any auxiliary storage.
+ * the callable constructed in place. Every callable must fit the inline
+ * buffer — a capture that does not is a compile error, so the kernel
+ * never boxes a callable on the heap. Nodes are singly linked so the calendar queue can
+ * chain them into per-slot lanes and the pool can chain them into a free
+ * list without any auxiliary storage.
  */
 
 #ifndef TAKO_SIM_EVENT_POOL_HH
@@ -43,15 +43,14 @@ struct EventNode
 
     Tick when;
     /**
-     * Total-order tie-break key for events at the same (tick, priority):
-     * a partition-invariant (stream, per-stream seq) pair, so the same
+     * Total-order tie-break key for events at the same tick: a
+     * partition-invariant (stream, per-stream seq) pair, so the same
      * order falls out at every shard count (see event_queue.hh).
      */
     std::uint64_t seq;
     EventNode *next;
     /// One indirect call replaces the std::function vtable pair.
     void (*dispatch)(EventNode &, EventOp);
-    std::int8_t priority;
     /// Stream context published in ExecCtx while the callback runs.
     std::uint32_t execStream;
     alignas(std::max_align_t) unsigned char storage[kInlineBytes];
@@ -67,14 +66,11 @@ struct EventNode
     emplace(F &&fn)
     {
         using D = std::decay_t<F>;
-        if constexpr (fitsInline<D>) {
-            ::new (static_cast<void *>(storage)) D(std::forward<F>(fn));
-            dispatch = &inlineStub<D>;
-        } else {
-            ::new (static_cast<void *>(storage))
-                D *(new D(std::forward<F>(fn)));
-            dispatch = &heapStub<D>;
-        }
+        static_assert(fitsInline<D>,
+                      "event callable exceeds EventNode::kInlineBytes: "
+                      "capture pointers, not values");
+        ::new (static_cast<void *>(storage)) D(std::forward<F>(fn));
+        dispatch = &stub<D>;
     }
 
     void run() { dispatch(*this, EventOp::Run); }
@@ -83,22 +79,12 @@ struct EventNode
   private:
     template <typename F>
     static void
-    inlineStub(EventNode &n, EventOp op)
+    stub(EventNode &n, EventOp op)
     {
         F *f = std::launder(reinterpret_cast<F *>(n.storage));
         if (op == EventOp::Run)
             (*f)();
         f->~F();
-    }
-
-    template <typename F>
-    static void
-    heapStub(EventNode &n, EventOp op)
-    {
-        F *f = *std::launder(reinterpret_cast<F **>(n.storage));
-        if (op == EventOp::Run)
-            (*f)();
-        delete f;
     }
 };
 

@@ -2,30 +2,30 @@
  * @file
  * Deterministic discrete-event queue.
  *
- * Events are totally ordered by (tick, priority, stream key), so a
- * simulation with the same inputs and seeds always replays identically.
- * Everything that takes simulated time in tako-sim — cache lookups, NoC
- * hops, DRAM accesses, engine callbacks, core compute — is an event chain
- * on the queue of the shard domain that owns the tile (one queue when
- * the run is not split; see shard.hh).
+ * Events are totally ordered by (tick, stream key), so a simulation
+ * with the same inputs and seeds always replays identically. Everything
+ * that takes simulated time in tako-sim — cache lookups, NoC hops, DRAM
+ * accesses, engine callbacks, core compute — is an event chain on the
+ * queue of the shard domain that owns the tile (one queue when the run
+ * is not split; see shard.hh).
  *
  * Internally this is a two-level calendar queue over pooled EventNodes
  * (see event_pool.hh) rather than a binary heap of std::function entries:
  *
  *  - A wheel of kWheelSlots power-of-two buckets covers the near window
  *    [base_, base_ + kWheelSlots). An event at tick T lives in slot
- *    (T & kWheelMask); within a slot, one FIFO lane per EventPriority.
- *    Schedule and pop are O(1) — no sift, no per-event allocation.
+ *    (T & kWheelMask), in one FIFO lane ordered by key. Schedule and
+ *    pop are O(1) — no sift, no per-event allocation.
  *  - Events beyond the window go to a small overflow min-heap ordered by
- *    (tick, priority, seq). Whenever base_ advances, every overflow event
- *    that now falls inside the window migrates into the wheel *before*
- *    any callback at the new time runs.
+ *    (tick, seq). Whenever base_ advances, every overflow event that now
+ *    falls inside the window migrates into the wheel *before* any
+ *    callback at the new time runs.
  *
  * Why that preserves the exact total order: (1) wheel events are always
  * < base_ + kWheelSlots and overflow events >= base_ + kWheelSlots, so
  * the global minimum is in the wheel whenever the wheel is non-empty;
- * (2) the heap pops in (tick, priority, seq) order, so migration appends
- * to each lane in seq order; (3) a callback scheduling directly into the
+ * (2) the heap pops in (tick, seq) order, so migration appends to each
+ * lane in seq order; (3) a callback scheduling directly into the
  * wheel at tick T can only run after every overflow event at T has
  * already migrated (eager migration), and wheelAppend places it by seq
  * among them — so lane FIFO order is seq order; (4) two different ticks
@@ -52,24 +52,14 @@
 namespace tako
 {
 
-/** Scheduling priority for events at the same tick (lower runs first). */
-enum class EventPriority : int
-{
-    High = -1,
-    Default = 0,
-    Low = 1,
-};
-
 /**
- * An event's place in the kernel's total order: tick, then priority,
- * then the partition-invariant key (StreamKeySource). The queue and
- * the observation records (record.hh) both order by this one
- * comparison.
+ * An event's place in the kernel's total order: tick, then the
+ * partition-invariant key (StreamKeySource). The queue and the
+ * observation records (record.hh) both order by this one comparison.
  */
 struct EventOrder
 {
     Tick tick;
-    int priority;
     std::uint64_t key;
 
     constexpr bool
@@ -77,8 +67,6 @@ struct EventOrder
     {
         if (tick != o.tick)
             return tick < o.tick;
-        if (priority != o.priority)
-            return priority < o.priority;
         return key < o.key;
     }
 };
@@ -142,29 +130,20 @@ class EventQueue
     /** Schedule @p fn to run @p delta ticks from now. */
     template <typename F>
     void
-    schedule(Tick delta, F &&fn, EventPriority prio = EventPriority::Default)
+    schedule(Tick delta, F &&fn)
     {
-        scheduleAbs(now_ + delta, std::forward<F>(fn), prio);
+        scheduleAbs(now_ + delta, std::forward<F>(fn));
     }
 
     /** Schedule @p fn at absolute tick @p when (must not be in the past). */
     template <typename F>
     void
-    scheduleAbs(Tick when, F &&fn,
-                EventPriority prio = EventPriority::Default)
+    scheduleAbs(Tick when, F &&fn)
     {
-        panic_if(when < now_, "scheduling event in the past (%llu < %llu)",
-                 (unsigned long long)when, (unsigned long long)now_);
-        EventNode *n = pool_.alloc();
-        n->when = when;
         // Key by the scheduling context's stream; the continuation keeps
         // executing at the same place.
         const std::uint32_t s = detail::execCtx.stream;
-        n->seq = streams_->next(s);
-        n->execStream = s;
-        n->priority = static_cast<std::int8_t>(prio);
-        n->emplace(std::forward<F>(fn));
-        insert(n);
+        scheduleKeyed(when, std::forward<F>(fn), streams_->next(s), s);
     }
 
     /**
@@ -176,8 +155,8 @@ class EventQueue
      */
     template <typename F>
     void
-    scheduleKeyed(Tick when, F &&fn, EventPriority prio,
-                  std::uint64_t key, std::uint32_t execStream)
+    scheduleKeyed(Tick when, F &&fn, std::uint64_t key,
+                  std::uint32_t execStream)
     {
         panic_if(when < now_, "scheduling event in the past (%llu < %llu)",
                  (unsigned long long)when, (unsigned long long)now_);
@@ -185,7 +164,6 @@ class EventQueue
         n->when = when;
         n->seq = key;
         n->execStream = execStream;
-        n->priority = static_cast<std::int8_t>(prio);
         n->emplace(std::forward<F>(fn));
         insert(n);
     }
@@ -231,7 +209,6 @@ class EventQueue
         detail::execCtx.domain = domainIndex_;
         detail::execCtx.stream = e->execStream;
         detail::execCtx.key = e->seq;
-        detail::execCtx.priority = e->priority;
         e->run();
         pool_.release(e);
         return true;
@@ -352,28 +329,22 @@ class EventQueue
     static constexpr unsigned kWheelBits = 8;
     static constexpr std::size_t kWheelSlots = std::size_t{1} << kWheelBits;
     static constexpr Tick kWheelMask = Tick{kWheelSlots - 1};
-    static constexpr std::size_t kLanes = 3; // High / Default / Low
     static constexpr std::size_t kBitmapWords = kWheelSlots / 64;
 
+    /** One wheel slot: the events of one tick, FIFO in key order. */
     struct Lane
     {
         EventNode *head = nullptr;
         EventNode *tail = nullptr;
     };
 
-    struct Slot
-    {
-        Lane lanes[kLanes];
-    };
-
-    /** Min-heap order for the overflow heap: full (tick, prio, seq). */
+    /** Min-heap order for the overflow heap: full (tick, seq). */
     struct FarGreater
     {
         bool
         operator()(const EventNode *a, const EventNode *b) const
         {
-            return EventOrder{b->when, b->priority, b->seq} <
-                   EventOrder{a->when, a->priority, a->seq};
+            return EventOrder{b->when, b->seq} < EventOrder{a->when, a->seq};
         }
     };
 
@@ -403,12 +374,11 @@ class EventQueue
     wheelAppend(EventNode *n)
     {
         const std::size_t idx = static_cast<std::size_t>(n->when & kWheelMask);
-        Lane &lane = wheel_[idx].lanes[n->priority + 1];
-        // A lane holds one (tick, priority) class, so FIFO position must
-        // equal key order. Keys (stream, seq) usually ascend — bursts
-        // come from one stream — so the tail compare stays the hot path
-        // and the walk only runs on genuine cross-stream collisions (a
-        // handful of nodes at most).
+        Lane &lane = wheel_[idx];
+        // A lane holds one tick, so FIFO position must equal key order.
+        // Keys (stream, seq) usually ascend — bursts come from one stream
+        // — so the tail compare stays the hot path and the walk only runs
+        // on genuine cross-stream collisions (a handful of nodes at most).
         n->next = nullptr;
         if (!lane.tail || lane.tail->seq <= n->seq) {
             if (lane.tail)
@@ -490,21 +460,16 @@ class EventQueue
             advanceBase(overflow_.top()->when);
         }
         const std::size_t idx = firstOccupied();
-        Slot &slot = wheel_[idx];
-        for (Lane &lane : slot.lanes) {
-            if (!lane.head)
-                continue;
-            EventNode *n = lane.head;
-            lane.head = n->next;
-            if (!lane.head)
-                lane.tail = nullptr;
-            --wheelCount_;
-            if (!slot.lanes[0].head && !slot.lanes[1].head &&
-                !slot.lanes[2].head)
-                occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
-            return n;
+        Lane &lane = wheel_[idx];
+        EventNode *n = lane.head;
+        panic_if(!n, "occupied wheel slot with an empty lane");
+        lane.head = n->next;
+        if (!lane.head) {
+            lane.tail = nullptr;
+            occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
         }
-        panic("occupied wheel slot with empty lanes");
+        --wheelCount_;
+        return n;
     }
 
     /** Minimum pending tick, if any. */
@@ -526,16 +491,14 @@ class EventQueue
     void
     dropAll()
     {
-        for (Slot &slot : wheel_) {
-            for (Lane &lane : slot.lanes) {
-                for (EventNode *n = lane.head; n;) {
-                    EventNode *next = n->next;
-                    n->drop();
-                    pool_.release(n);
-                    n = next;
-                }
-                lane.head = lane.tail = nullptr;
+        for (Lane &lane : wheel_) {
+            for (EventNode *n = lane.head; n;) {
+                EventNode *next = n->next;
+                n->drop();
+                pool_.release(n);
+                n = next;
             }
+            lane.head = lane.tail = nullptr;
         }
         occupied_.fill(0);
         wheelCount_ = 0;
@@ -547,7 +510,7 @@ class EventQueue
         }
     }
 
-    std::array<Slot, kWheelSlots> wheel_{};
+    std::array<Lane, kWheelSlots> wheel_{};
     std::array<std::uint64_t, kBitmapWords> occupied_{};
     std::size_t wheelCount_ = 0;
     std::priority_queue<EventNode *, std::vector<EventNode *>, FarGreater>

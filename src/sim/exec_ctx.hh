@@ -28,14 +28,13 @@ namespace tako
 class EventQueue;
 
 /** Where the current event is executing: queue, shard domain, stream,
- *  and the event's own place in the (tick, priority, key) order. */
+ *  and the event's own place (key) in the (tick, key) order. */
 struct ExecCtx
 {
     EventQueue *queue = nullptr; ///< queue whose event is running
     std::uint32_t domain = 0;    ///< shard domain index (stats lanes)
     std::uint32_t stream = 0;    ///< logical source stream (tile + 1)
     std::uint64_t key = 0;       ///< the event's tie-break key
-    std::int8_t priority = 0;    ///< the event's EventPriority
 };
 
 namespace detail
@@ -47,34 +46,6 @@ inline ExecCtx &execCtx() { return detail::execCtx; }
 
 /** Shard-domain index of the running event (0 when monolithic). */
 inline std::uint32_t ctxDomain() { return detail::execCtx.domain; }
-
-/** Logical stream of the running event (0 = system/default). */
-inline std::uint32_t ctxStream() { return detail::execCtx.stream; }
-
-/** Queue the current event is executing on (null outside events). */
-inline EventQueue *ctxQueue() { return detail::execCtx.queue; }
-
-/**
- * RAII stream override for code that starts work on behalf of another
- * stream from a context that has none (per-domain guest bootstrap).
- */
-class ScopedStream
-{
-  public:
-    explicit ScopedStream(std::uint32_t stream)
-        : saved_(detail::execCtx.stream)
-    {
-        detail::execCtx.stream = stream;
-    }
-
-    ~ScopedStream() { detail::execCtx.stream = saved_; }
-
-    ScopedStream(const ScopedStream &) = delete;
-    ScopedStream &operator=(const ScopedStream &) = delete;
-
-  private:
-    std::uint32_t saved_;
-};
 
 } // namespace tako
 

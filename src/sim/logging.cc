@@ -1,10 +1,12 @@
 #include "sim/logging.hh"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <mutex>
+#include <sstream>
 #include <vector>
+
+#include "sim/stats.hh"
 
 namespace tako
 {
@@ -19,31 +21,6 @@ bool verboseFlag = true;
 // whole when worker threads warn concurrently.
 std::mutex jsonLogMutex;
 std::FILE *jsonLogFile = nullptr;
-
-/** Append a JSON string literal (quoted, escaped) to @p out. */
-void
-appendJsonString(std::string &out, const std::string &s)
-{
-    out += '"';
-    for (const char c : s) {
-        switch (c) {
-          case '"': out += "\\\""; break;
-          case '\\': out += "\\\\"; break;
-          case '\n': out += "\\n"; break;
-          case '\r': out += "\\r"; break;
-          case '\t': out += "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20) {
-                char buf[8];
-                std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-                out += buf;
-            } else {
-                out += c;
-            }
-        }
-    }
-    out += '"';
-}
 
 void
 jsonLogLine(const char *sev, const std::string &msg, const char *file,
@@ -91,27 +68,23 @@ jsonLogEvent(
     std::lock_guard<std::mutex> lk(jsonLogMutex);
     if (!jsonLogFile)
         return;
-    std::string out = "{\"event\":";
-    appendJsonString(out, event);
+    std::ostringstream os;
+    os << "{\"event\":";
+    json::writeString(os, event);
     for (const auto &[k, v] : strFields) {
-        out += ',';
-        appendJsonString(out, k);
-        out += ':';
-        appendJsonString(out, v);
+        os << ',';
+        json::writeString(os, k);
+        os << ':';
+        json::writeString(os, v);
     }
     for (const auto &[k, v] : numFields) {
-        out += ',';
-        appendJsonString(out, k);
-        out += ':';
-        char buf[40];
-        if (std::nearbyint(v) == v && std::fabs(v) < 1e15)
-            std::snprintf(buf, sizeof(buf), "%lld",
-                          static_cast<long long>(v));
-        else
-            std::snprintf(buf, sizeof(buf), "%.17g", v);
-        out += buf;
+        os << ',';
+        json::writeString(os, k);
+        os << ':';
+        json::writeNumber(os, v);
     }
-    out += "}\n";
+    os << "}\n";
+    const std::string out = os.str();
     std::fwrite(out.data(), 1, out.size(), jsonLogFile);
     // Line-buffered on purpose: the run log is the thing humans tail
     // while a long simulation spins, and the crash lines (panic/fatal)

@@ -59,13 +59,6 @@ class Rng
             (static_cast<unsigned __int128>(next()) * bound) >> 64);
     }
 
-    /** Uniform integer in [lo, hi] inclusive. */
-    std::uint64_t
-    inRange(std::uint64_t lo, std::uint64_t hi)
-    {
-        return lo + below(hi - lo + 1);
-    }
-
     /** Uniform double in [0, 1). */
     double
     real()

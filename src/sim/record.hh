@@ -5,13 +5,13 @@
  *
  * Model code pushes one Record per observable step into the buffer of
  * the shard domain it executes in, stamped with the emitting event's
- * (tick, priority, key) from ExecCtx. ShardedExecutor releases records
- * once no domain can still emit below them (each barrier, solo rounds
- * past kSoloCap, run end), in (tick, priority, key) order and stable
- * within an event, so every consumer — Chrome spans, takoprof, trace
- * recording — sees the same stream at every shard count while the
- * buffers stay bounded. With nothing subscribed a site costs one branch
- * (Recorder::on). DESIGN.md §4.5 has the argument.
+ * (tick, key) from ExecCtx. ShardedExecutor releases records once no
+ * domain can still emit below them (each barrier, solo rounds past
+ * kSoloCap, run end), in (tick, key) order and stable within an event,
+ * so every consumer — Chrome spans, takoprof, trace recording — sees
+ * the same stream at every shard count while the buffers stay bounded.
+ * With nothing subscribed a site costs one branch (Recorder::on).
+ * DESIGN.md §4.5 has the argument.
  */
 
 #ifndef TAKO_SIM_RECORD_HH
@@ -80,7 +80,6 @@ struct Record
     std::uint64_t w[6] = {};  ///< kind-specific payload words
     const char *name = nullptr;
     std::int32_t tile = 0;
-    std::int8_t priority = 0; ///< the emitting event's priority
     RecordKind kind = RecordKind::DemandIssue;
     std::uint8_t op = 0;
     std::uint8_t flags = 0;
@@ -88,7 +87,7 @@ struct Record
     bool has(std::uint8_t flag) const { return (flags & flag) != 0; }
 
     /** The emitting event's place in the kernel's total order. */
-    EventOrder order() const { return {tick, priority, key}; }
+    EventOrder order() const { return {tick, key}; }
 };
 
 static_assert(std::is_trivially_copyable_v<Record>);
@@ -124,13 +123,12 @@ class Recorder
     bool active() const { return mask_ != 0; }
 
     /** Buffer @p r (tick set by the caller) in the executing domain,
-     *  stamped with the running event's priority and key. */
+     *  stamped with the running event's key. */
     void
     push(Record r)
     {
         const ExecCtx &ctx = execCtx();
         r.key = ctx.key;
-        r.priority = ctx.priority;
         lanes_[ctx.domain].recs.push_back(r);
     }
 

@@ -80,8 +80,7 @@ ShardedExecutor::crossShardEvents() const
 
 void
 ShardedExecutor::sendKeyed(unsigned src, unsigned dst, Tick when,
-                           EventPriority prio, std::uint64_t key,
-                           std::uint32_t execStream,
+                           std::uint64_t key, std::uint32_t execStream,
                            std::function<void()> fn)
 {
     const unsigned n = static_cast<unsigned>(domains_.size());
@@ -90,7 +89,7 @@ ShardedExecutor::sendKeyed(unsigned src, unsigned dst, Tick when,
              src, dst, n - 1);
     ++sendSeq_[src].value;
     mail_[parity_][std::size_t{src} * n + dst].push_back(
-        {when, prio, key, execStream, std::move(fn)});
+        {when, key, execStream, std::move(fn)});
 }
 
 void
@@ -102,8 +101,8 @@ ShardedExecutor::drainInbox(unsigned shard, Tick windowStart)
     DomainProfile &prof = profiles_[shard];
     for (unsigned src = 0; src < n; ++src) {
         std::vector<ShardEvent> &box = boxes[std::size_t{src} * n + shard];
-        // The queue's keyed insert places each event by (tick, priority,
-        // key), so delivery order within and across senders is free.
+        // The queue's keyed insert places each event by (tick, key), so
+        // delivery order within and across senders is free.
         for (ShardEvent &ev : box) {
             panic_if(ev.when < windowStart,
                      "cross-shard event for shard %u at tick %llu "
@@ -112,8 +111,8 @@ ShardedExecutor::drainInbox(unsigned shard, Tick windowStart)
                      shard, (unsigned long long)ev.when,
                      (unsigned long long)windowStart,
                      (unsigned long long)quantum_);
-            q.scheduleKeyed(ev.when, std::move(ev.fn), ev.priority,
-                            ev.key, ev.execStream);
+            q.scheduleKeyed(ev.when, std::move(ev.fn), ev.key,
+                            ev.execStream);
         }
         prof.received += box.size();
         prof.maxInboxDepth = std::max<std::uint64_t>(prof.maxInboxDepth,

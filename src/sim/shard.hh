@@ -15,13 +15,12 @@
  * per pair indexed by round parity: a round's sends append to one
  * parity, and the next round's drains deliver the other, so one barrier
  * per round separates every append from its pop. The receiving queue's
- * keyed insert places delivered mail by (tick, priority, stream key).
- * Because the delivered set and its keys are functions of simulation
- * state alone — never of host-thread timing — every partition
- * reproduces the same (tick, priority, key) total order bit for bit
- * (proof sketch in DESIGN.md §4). One domain is the degenerate
- * partition: no mail, no extra thread, one free-running (solo) round
- * after the first.
+ * keyed insert places delivered mail by (tick, stream key). Because the
+ * delivered set and its keys are functions of simulation state alone —
+ * never of host-thread timing — every partition reproduces the same
+ * (tick, key) total order bit for bit (proof sketch in DESIGN.md §4).
+ * One domain is the degenerate partition: no mail, no extra thread, one
+ * free-running (solo) round after the first.
  *
  * The same lane machinery drives deterministic ensembles: runLanes()
  * executes independent jobs (e.g. seed-offset replicas) across a fixed
@@ -81,7 +80,6 @@ struct ShardPlan
 struct ShardEvent
 {
     Tick when = 0;
-    EventPriority priority = EventPriority::Default;
     /** Tie-break key: the sender's partition-invariant
      *  (stream, per-stream seq) pack (see StreamKeySource). */
     std::uint64_t key = 0;
@@ -108,8 +106,8 @@ class ShardedExecutor
      * @p domains one calendar queue per shard; @p quantum the plan's
      * conservative lookahead (>= 1); @p threads worker count, clamped
      * to [1, domains.size()], 0 = one per domain; @p recorder, if any,
-     * has its per-domain records released in (tick, priority, key)
-     * order below each safe horizon (see record.hh).
+     * has its per-domain records released in (tick, key) order below
+     * each safe horizon (see record.hh).
      */
     ShardedExecutor(std::vector<EventQueue *> domains, Tick quantum,
                     unsigned threads = 0, Recorder *recorder = nullptr);
@@ -128,8 +126,8 @@ class ShardedExecutor
      * receiver panics on anything earlier (lookahead violation).
      */
     void sendKeyed(unsigned src, unsigned dst, Tick when,
-                   EventPriority prio, std::uint64_t key,
-                   std::uint32_t execStream, std::function<void()> fn);
+                   std::uint64_t key, std::uint32_t execStream,
+                   std::function<void()> fn);
 
     /**
      * Run every domain to quiescence (all queues and mail empty),

@@ -119,17 +119,6 @@ StatsRegistry::histogramNamesMatching(const std::string &pattern) const
 }
 
 void
-StatsRegistry::recordSample(Tick tick)
-{
-    timeseries_.ticks.push_back(tick);
-    std::vector<double> row;
-    row.reserve(timeseries_.names.size());
-    for (const std::string &name : timeseries_.names)
-        row.push_back(get(name));
-    timeseries_.samples.push_back(std::move(row));
-}
-
-void
 StatsRegistry::dump(std::ostream &os) const
 {
     os << std::left;

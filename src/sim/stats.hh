@@ -102,8 +102,6 @@ class Counter
         laneCount_ = n;
     }
 
-    bool hasLanes() const { return static_cast<bool>(lanes_); }
-
     /**
      * Domain @p d's partial (mid-run safe: each domain reads its own).
      * Domain 0's partial carries the unlaned base (values set() before
@@ -211,8 +209,6 @@ class Histogram
         for (unsigned i = 0; i < n; ++i)
             lanes_[i] = Histogram(numBuckets(), bucketWidth());
     }
-
-    bool hasLanes() const { return static_cast<bool>(lanes_); }
 
     /** Mid-run per-domain partials (each domain reads only its own).
      *  Domain 0's partial carries the unlaned base fields, mirroring
@@ -359,8 +355,6 @@ class StatsRegistry
             kv.second.enableLanes(n);
     }
 
-    unsigned laneCount() const { return laneCount_; }
-
     /** Fold every stat's lane partials (post-run, single-threaded). */
     void
     mergeLanes()
@@ -506,9 +500,6 @@ class StatsRegistry
 
     StatsTimeSeries &timeSeries() { return timeseries_; }
     const StatsTimeSeries &timeSeries() const { return timeseries_; }
-
-    /** Append one time-series sample: timeseries_.names read at @p tick. */
-    void recordSample(Tick tick);
 
     void dump(std::ostream &os) const;
 

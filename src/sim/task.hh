@@ -250,14 +250,13 @@ struct Delay
 {
     EventQueue &eq;
     Tick delta;
-    EventPriority prio = EventPriority::Default;
 
     bool await_ready() const noexcept { return delta == 0; }
 
     void
     await_suspend(std::coroutine_handle<> h) const
     {
-        homeQueue(eq).schedule(delta, [h]() { h.resume(); }, prio);
+        homeQueue(eq).schedule(delta, [h]() { h.resume(); });
     }
 
     void await_resume() const noexcept {}
@@ -463,8 +462,6 @@ class Semaphore
             ++count_;
         }
     }
-
-    unsigned available() const { return count_; }
 
   private:
     EventQueue &eq_;

@@ -12,7 +12,7 @@
  * A writer is one consumer of the observation records (record.hh): a
  * System given one in SystemConfig::spanWriter subscribes it to the
  * record kinds its category mask selects, so spans arrive in the
- * executor's (tick, priority, key) order at every shard count.
+ * executor's (tick, key) order at every shard count.
  */
 
 #ifndef TAKO_SIM_TRACESINK_HH

@@ -75,15 +75,6 @@ isPow2(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
-/** log2 of a power of two. */
-constexpr unsigned
-log2Floor(std::uint64_t v)
-{
-    unsigned r = 0;
-    while (v > 1) { v >>= 1; ++r; }
-    return r;
-}
-
 } // namespace tako
 
 #endif // TAKO_SIM_TYPES_HH

@@ -139,16 +139,14 @@ System::bootGuests()
 {
     // One keyed post per queued guest, in addThread order, onto the
     // owning core's tile. The posts draw system-stream (0) keys before
-    // any event has run, so the bootstrap order is identical at every
-    // shard count — and each coroutine frame is created, driven, and
-    // destroyed in the domain that owns its core.
+    // any event has run, and stream 0 orders below every tile stream,
+    // so at their tick the boot events run first, in addThread order,
+    // at every shard count — and each coroutine frame is created,
+    // driven, and destroyed in the domain that owns its core.
     for (auto &[core, fn] : pending_) {
-        dom_.post(
-            core, 0,
-            [this, c = core, f = std::move(fn)]() mutable {
-                cores_[c]->run(std::move(f));
-            },
-            EventPriority::High);
+        dom_.post(core, 0, [this, c = core, f = std::move(fn)]() mutable {
+            cores_[c]->run(std::move(f));
+        });
     }
     pending_.clear();
 }

@@ -53,13 +53,13 @@ struct SystemConfig
 
     /** takotrace recording: invoked for every core demand access issue
      *  (prefetches, engine traffic, and täkō callbacks excluded), in
-     *  (tick, priority, key) order. Observational only: installing it
-     *  changes no simulated timing or stat. */
+     *  (tick, key) order. Observational only: installing it changes no
+     *  simulated timing or stat. */
     std::function<void(Tick, const AccessReq &)> accessTracer;
 
     /** Chrome trace-event output: the writer (borrowed; it must outlive
      *  the run) receives the spans its category mask selects, in
-     *  (tick, priority, key) order. Observational only. */
+     *  (tick, key) order. Observational only. */
     trace::ChromeTraceWriter *spanWriter = nullptr;
 
     /** Periodic counter sampling: snapshot every @c sampleInterval

@@ -223,15 +223,23 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
 
     System sys(sys_cfg);
     ReplayStats stats(sys.stats());
-    // The replay frontend knows its total work up front (res.records
-    // decoded above), so progress heartbeats can carry a done-fraction
-    // and an ETA. Reads a deterministic counter at deterministic beat
-    // ticks — observability only, nothing feeds back into the run.
+    // The replay frontend knows its total work up front (decoded
+    // above), so progress heartbeats can carry a done-fraction and an
+    // ETA. Beats fire on domain 0's worker while the other workers bump
+    // their own stat lanes, so — like the beat's event count — the
+    // fraction covers domain 0 only: its lane of the records counter
+    // against the records of the cores it owns. Observability only;
+    // nothing feeds back into the run.
     if (sys.monitor()) {
+        std::size_t owned = 0;
+        for (unsigned c = 0; c < cores; ++c)
+            if (sys.domains().domainOf(static_cast<int>(c)) == 0)
+                owned += perCore[c].size();
         Counter *done = stats.records;
-        const double total = static_cast<double>(res.records);
-        sys.monitor()->setFractionDone(
-            [done, total] { return done->value() / total; });
+        const double total = static_cast<double>(owned);
+        sys.monitor()->setFractionDone([done, total] {
+            return total > 0 ? done->laneValue(0) / total : -1.0;
+        });
     }
     for (unsigned c = 0; c < cores; ++c) {
         if (perCore[c].empty())

@@ -58,9 +58,9 @@ class Arena
  * events at a fixed anchor tile. Each arriver posts an "arrived"
  * message to the anchor through the domain router (one quantum out, the
  * cross-domain minimum), where arrivals merge in the partition-invariant
- * (tick, priority, key) total order; the arrival that completes the
- * rendezvous releases every waiter by posting the resume back to its own
- * tile, another quantum out. Counting arrivals in the awaiter directly
+ * (tick, key) total order; the arrival that completes the rendezvous
+ * releases every waiter by posting the resume back to its own tile,
+ * another quantum out. Counting arrivals in the awaiter directly
  * would mutate shared host state from concurrently-executing domains —
  * a data race — and even run-to-run-stable arrival order is
  * domain-major, not the merged event order, so the release's key draws

@@ -1,7 +1,7 @@
 // Seeded X2 violations: direct EventQueue::schedule* on a foreign
 // domain's queue, bypassing Domains::post/postAbs and the executor's
 // sendKeyed mailbox — the event would not merge in the
-// partition-invariant (tick, priority, key) order.
+// partition-invariant (tick, key) order.
 
 void
 bypassViaTrackedBinding(Domains &dom, Tick when)
@@ -19,5 +19,5 @@ bypassViaDirectChain(Domains &dom, Tick when)
 void
 bypassViaQueueTable(EventQueue **queues_, int d, Tick when)
 {
-    queues_[d]->scheduleKeyed(when, []() {}, 0, 1, 2); // takolint-expect: X2
+    queues_[d]->scheduleKeyed(when, []() {}, 1, 2); // takolint-expect: X2
 }

@@ -22,5 +22,5 @@ void
 routerInternal(EventQueue **queues_, int d, Tick when)
 {
     // takolint: ok(X2, the router's own delivery path, the key is already drawn)
-    queues_[d]->scheduleKeyed(when, []() {}, 0, 1, 2);
+    queues_[d]->scheduleKeyed(when, []() {}, 1, 2);
 }

@@ -359,7 +359,7 @@ TEST(FlowRules, SuppressionsApplyToFlowFindings)
              // X2 on line 3, suppressed on line 2.
              "void f(EventQueue **queues_, Tick w) {\n"
              "  // takolint: ok(X2, reviewed)\n"
-             "  queues_[0]->scheduleKeyed(w, []() {}, 0, 1, 2);\n"
+             "  queues_[0]->scheduleKeyed(w, []() {}, 1, 2);\n"
              "}\n",
              // H1 on line 4, suppressed same line.
              "Task<> f(Domains &dom, Bank **banks, int bank) {\n"

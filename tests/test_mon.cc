@@ -476,8 +476,7 @@ struct ChainModel
         if (left % 3 == 0) {
             const unsigned nxt = (d + 1) % kDomains;
             exec->sendKeyed(d, nxt, queues[d]->now() + kQuantum,
-                            EventPriority::Default, keys.next(d + 1),
-                            nxt + 1,
+                            keys.next(d + 1), nxt + 1,
                             [this, nxt, left] { hop(nxt, left - 1); });
             return;
         }
@@ -522,8 +521,7 @@ runChains(unsigned threads)
     for (unsigned d = 0; d < ChainModel::kDomains; ++d) {
         const unsigned len = 20 + d * 17; // deliberately unbalanced
         m.queues[d]->scheduleKeyed(
-            d + 1, [&m, d, len] { m.hop(d, len); }, EventPriority::Default,
-            m.keys.next(0), d + 1);
+            d + 1, [&m, d, len] { m.hop(d, len); }, m.keys.next(0), d + 1);
     }
     m.exec->run();
 

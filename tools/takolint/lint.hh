@@ -38,7 +38,7 @@
  *       (obtained via Domains::queueOf/queueOfDomain/queues or the
  *       queues_ table): cross-domain work must go through
  *       Domains::post/postAbs or ShardedExecutor::sendKeyed so it
- *       lands in the partition-invariant (tick, priority, key) order.
+ *       lands in the partition-invariant (tick, key) order.
  *   H1  no use of a pre-hop reference (or, in a lambda, a by-ref
  *       capture or explicit `this`) after a migrating suspension point
  *       (`co_await hopTo/hopToAbs/hop`): the coroutine resumes in
