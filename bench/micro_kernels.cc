@@ -2,8 +2,8 @@
  * @file
  * google-benchmark microbenchmarks for the simulator's own primitives:
  * event-queue throughput, coroutine context switches, tag-array lookups
- * and victim selection, NoC traversal, Zipfian sampling, and a small
- * end-to-end simulated access. These track the *simulator's* host-side
+ * and victim selection, line locks, functional-memory reads, NoC
+ * traversal, Zipfian sampling, and a small end-to-end simulated access. These track the *simulator's* host-side
  * performance (events/sec), which bounds how large the figure benches
  * can scale.
  */
@@ -14,7 +14,9 @@
 #include <queue>
 #include <vector>
 
+#include "mem/backing_store.hh"
 #include "mem/cache_array.hh"
+#include "mem/lock_table.hh"
 #include "noc/mesh.hh"
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
@@ -214,6 +216,61 @@ BM_VictimSelection(benchmark::State &state)
     }
 }
 BENCHMARK(BM_VictimSelection);
+
+Task<>
+holdLines(LineLockTable &locks, Addr base, int n)
+{
+    for (int i = 0; i < n; ++i)
+        co_await locks.acquire(base + Addr(i) * lineBytes);
+}
+
+Task<>
+lockUnlock(LineLockTable &locks, Addr base, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        const Addr line = base + Addr(i) * lineBytes;
+        co_await locks.acquire(line);
+        locks.release(line);
+    }
+}
+
+void
+BM_LineLockAcquireRelease(benchmark::State &state)
+{
+    // Uncontended acquire + release, the per-transaction lock cost, with
+    // 32 other lines held (a busy tile's in-flight transactions).
+    EventQueue eq;
+    LineLockTable locks(eq);
+    spawn(holdLines(locks, 0x100000, 32));
+    eq.run();
+    for (auto _ : state) {
+        spawn(lockUnlock(locks, 0x200000, 1024));
+        eq.run();
+    }
+    state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_LineLockAcquireRelease);
+
+void
+BM_BackingStoreRead64(benchmark::State &state)
+{
+    // Random word reads over a kv-replay-sized footprint (~17K pages).
+    constexpr std::uint64_t pages = 17 * 1024;
+    constexpr Addr base = 0x10000000;
+    BackingStore st;
+    for (std::uint64_t p = 0; p < pages; ++p)
+        st.write64(base + p * BackingStore::pageBytes, p);
+    Rng rng(5);
+    std::uint64_t sum = 0;
+    for (auto _ : state) {
+        const Addr a =
+            base + rng.below(pages * BackingStore::pageBytes / 8) * 8;
+        sum += st.read64(a);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BackingStoreRead64);
 
 void
 BM_MeshTraverse(benchmark::State &state)

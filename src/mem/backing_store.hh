@@ -13,9 +13,8 @@
 #define TAKO_MEM_BACKING_STORE_HH
 
 #include <array>
+#include <atomic>
 #include <cstring>
-#include <map>
-#include <memory>
 #include <mutex>
 
 #include "sim/logging.hh"
@@ -43,6 +42,15 @@ class BackingStore
 {
   public:
     static constexpr std::uint64_t pageBytes = 4096;
+    /** The page table covers [0, 2^addrBits). The morph registry's
+     *  phantom ranges start at 2^46, so both stores fit. */
+    static constexpr unsigned addrBits = 48;
+
+    BackingStore() = default;
+    ~BackingStore();
+
+    BackingStore(const BackingStore &) = delete;
+    BackingStore &operator=(const BackingStore &) = delete;
 
     /** Read the aligned 64-bit word containing @p addr. */
     std::uint64_t
@@ -118,12 +126,7 @@ class BackingStore
     std::size_t
     allocatedPages() const
     {
-        std::size_t n = 0;
-        for (const Stripe &s : stripes_) {
-            std::lock_guard<std::mutex> g(s.mu);
-            n += s.pages.size();
-        }
-        return n;
+        return pages_.load(std::memory_order_relaxed);
     }
 
   private:
@@ -133,25 +136,32 @@ class BackingStore
     };
 
     /**
-     * Pages shard across 64 stripes by page number so shard domains
-     * committing functional data rarely contend on the same map. Only
-     * the map structure is guarded: word accesses go through the
-     * returned pointer unguarded, which is safe because coherence
-     * serializes every same-line access (one M/E owner at a time) and
-     * distinct words never alias. Pages are never freed, so pointers
-     * obtained under the lock cannot dangle. (The previous single-entry
-     * mutable MRU cache was dropped: it was a write on the read path,
-     * a data race under decomposition.)
+     * An insert-only three-level radix table over the page number. Shard
+     * domains commit functional data from several threads, so:
+     *  - lookups are lock-free: three acquire loads, no write;
+     *  - nodes and pages are created zeroed under createMu_ and
+     *    published with a release store, so a reader that finds a
+     *    pointer also sees the zeroed contents behind it;
+     *  - nothing is unlinked or freed before destruction, so a pointer
+     *    once found never dangles.
+     * Word accesses through a found page need no lock either: coherence
+     * serializes every same-line access (one M/E owner at a time), and
+     * distinct words never alias.
      */
-    struct Stripe
+    static constexpr unsigned levelBits = (addrBits - 12) / 3;
+    static constexpr std::size_t fanout = std::size_t(1) << levelBits;
+    static_assert(pageBytes == std::uint64_t(1) << 12 &&
+                  (addrBits - 12) % 3 == 0);
+
+    struct Leaf
     {
-        mutable std::mutex mu;
-        std::map<std::uint64_t, std::unique_ptr<Page>> pages;
+        std::array<std::atomic<Page *>, fanout> pages{};
     };
 
-    static constexpr std::size_t numStripes = 64;
-
-    static std::uint64_t pageNumber(Addr addr) { return addr / pageBytes; }
+    struct Mid
+    {
+        std::array<std::atomic<Leaf *>, fanout> leaves{};
+    };
 
     static std::size_t
     wordIndex(Addr addr)
@@ -159,30 +169,98 @@ class BackingStore
         return (addr % pageBytes) / 8;
     }
 
-    const Page *
+    /** Page number of @p addr; panics outside the table's span instead
+     *  of aliasing another page. */
+    static std::uint64_t
+    pageNumber(Addr addr)
+    {
+        panic_if(addr >> addrBits, "BackingStore: address %#llx is outside "
+                 "the %u-bit page table",
+                 (unsigned long long)addr, addrBits);
+        return addr / pageBytes;
+    }
+
+    static std::size_t
+    slot(std::uint64_t pn, unsigned level)
+    {
+        return static_cast<std::size_t>(pn >> (levelBits * level)) &
+               (fanout - 1);
+    }
+
+    Page *
     findPage(Addr addr) const
     {
         const std::uint64_t pn = pageNumber(addr);
-        const Stripe &s = stripes_[pn % numStripes];
-        std::lock_guard<std::mutex> g(s.mu);
-        auto it = s.pages.find(pn);
-        return it == s.pages.end() ? nullptr : it->second.get();
+        const Mid *mid = root_[slot(pn, 2)].load(std::memory_order_acquire);
+        if (!mid)
+            return nullptr;
+        const Leaf *leaf =
+            mid->leaves[slot(pn, 1)].load(std::memory_order_acquire);
+        if (!leaf)
+            return nullptr;
+        return leaf->pages[slot(pn, 0)].load(std::memory_order_acquire);
     }
 
     Page &
     getPage(Addr addr)
     {
-        const std::uint64_t pn = pageNumber(addr);
-        Stripe &s = stripes_[pn % numStripes];
-        std::lock_guard<std::mutex> g(s.mu);
-        auto &slot = s.pages[pn];
-        if (!slot)
-            slot = std::make_unique<Page>();
-        return *slot;
+        if (Page *page = findPage(addr)) [[likely]]
+            return *page;
+        return createPage(pageNumber(addr));
     }
 
-    std::array<Stripe, numStripes> stripes_;
+    /** Find-or-create @p pn's page and the nodes above it. */
+    Page &
+    createPage(std::uint64_t pn)
+    {
+        std::lock_guard<std::mutex> g(createMu_);
+        Mid *mid = publish(root_[slot(pn, 2)]);
+        Leaf *leaf = publish(mid->leaves[slot(pn, 1)]);
+        std::atomic<Page *> &cell = leaf->pages[slot(pn, 0)];
+        Page *page = cell.load(std::memory_order_relaxed);
+        if (!page) {
+            page = new Page();
+            cell.store(page, std::memory_order_release);
+            pages_.fetch_add(1, std::memory_order_relaxed);
+        }
+        return *page;
+    }
+
+    /** @p cell 's node, created and published if absent (createMu_). */
+    template <typename Node>
+    static Node *
+    publish(std::atomic<Node *> &cell)
+    {
+        Node *node = cell.load(std::memory_order_relaxed);
+        if (!node) {
+            node = new Node();
+            cell.store(node, std::memory_order_release);
+        }
+        return node;
+    }
+
+    std::array<std::atomic<Mid *>, fanout> root_{};
+    std::mutex createMu_;
+    std::atomic<std::size_t> pages_{0};
 };
+
+inline BackingStore::~BackingStore()
+{
+    for (std::atomic<Mid *> &m : root_) {
+        Mid *mid = m.load(std::memory_order_relaxed);
+        if (!mid)
+            continue;
+        for (std::atomic<Leaf *> &l : mid->leaves) {
+            Leaf *leaf = l.load(std::memory_order_relaxed);
+            if (!leaf)
+                continue;
+            for (std::atomic<Page *> &p : leaf->pages)
+                delete p.load(std::memory_order_relaxed);
+            delete leaf;
+        }
+        delete mid;
+    }
+}
 
 } // namespace tako
 

@@ -20,8 +20,8 @@
 #ifndef TAKO_MEM_CACHE_ARRAY_HH
 #define TAKO_MEM_CACHE_ARRAY_HH
 
+#include <algorithm>
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -88,8 +88,11 @@ struct CacheWay
 class CacheArray
 {
   public:
-    /** Predicate restricting victim choice (e.g., skip locked lines). */
-    using CanEvict = std::function<bool(const CacheWay &)>;
+    /** Default victim constraint: any way may be chosen. */
+    struct AnyWay
+    {
+        bool operator()(const CacheWay &) const { return true; }
+    };
 
     CacheArray(std::uint64_t size_bytes, unsigned ways, ReplPolicy repl)
         : ways_(ways), repl_(repl)
@@ -179,19 +182,17 @@ class CacheArray
      *
      * @param inserting_morph the incoming line is morph-registered; under
      *        Trrip the last non-morph line of the set is protected.
-     * @param can_evict additional constraint (locked lines, etc.).
+     * @param can_evict predicate restricting the choice (locked lines,
+     *        etc.).
      * @return the victim way, or nullptr if no way satisfies the
      *         constraints (caller must retry/wait).
      */
+    template <typename CanEvict = AnyWay>
     CacheWay *
     findVictim(Addr line_addr, bool inserting_morph,
-               const CanEvict &can_evict = {})
+               CanEvict can_evict = {})
     {
         auto ways = set(setIndex(line_addr));
-
-        auto allowed = [&](const CacheWay &w) {
-            return !can_evict || can_evict(w);
-        };
 
         // trrîp morph-reserve rule (Sec. 5.2): a set must always retain
         // one way with no Morph registered (invalid counts), so there is
@@ -218,7 +219,7 @@ class CacheArray
         }
 
         auto candidate_ok = [&](const CacheWay &w) {
-            return &w != protected_way && allowed(w);
+            return &w != protected_way && can_evict(w);
         };
 
         switch (repl_) {
@@ -314,8 +315,9 @@ class CacheArray
     }
 
     /** Visit every valid way (flush walks, invariant checks). */
+    template <typename Fn>
     void
-    forEachValid(const std::function<void(CacheWay &)> &fn)
+    forEachValid(Fn &&fn)
     {
         for (CacheWay &w : ways_storage_) {
             if (w.valid)

@@ -8,15 +8,19 @@
  * address that triggered the callback is locked for the duration of
  * callback execution" (Sec. 4.3). Waiters resume through the event queue
  * in FIFO order, keeping the simulation deterministic.
+ *
+ * Neither acquire nor release allocates: held lines live in a flat
+ * AddrMap, and each line's waiters form an intrusive FIFO threaded
+ * through the acquire awaiters, which sit in the suspended coroutines'
+ * frames until they are resumed.
  */
 
 #ifndef TAKO_MEM_LOCK_TABLE_HH
 #define TAKO_MEM_LOCK_TABLE_HH
 
 #include <coroutine>
-#include <deque>
-#include <map>
 
+#include "sim/addr_map.hh"
 #include "sim/event_queue.hh"
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -34,87 +38,83 @@ class LineLockTable
 
     bool held(Addr line) const { return locks_.contains(line); }
 
-    /** Awaitable: suspends until the line lock is acquired. */
-    auto
-    acquire(Addr line)
+    /** Awaitable that suspends until the line lock is acquired; while
+     *  suspended it is the line's wait-queue node. */
+    class Awaiter
     {
-        struct Awaiter
+      public:
+        Awaiter(const Awaiter &) = delete;
+        Awaiter &operator=(const Awaiter &) = delete;
+
+        bool
+        await_ready() noexcept
         {
-            LineLockTable &table;
-            Addr line;
+            return table_.locks_.tryEmplace(line_).second;
+        }
 
-            bool
-            await_ready() const noexcept
-            {
-                auto [it, inserted] = table.locks_.try_emplace(line);
-                (void)it;
-                return inserted;
-            }
+        void
+        await_suspend(std::coroutine_handle<> h)
+        {
+            handle_ = h;
+            Waiters &q = *table_.locks_.find(line_);
+            if (q.tail)
+                q.tail->next_ = this;
+            else
+                q.head = this;
+            q.tail = this;
+        }
 
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                table.locks_[line].push_back(h);
-            }
+        void await_resume() const noexcept {}
 
-            void await_resume() const noexcept {}
-        };
-        return Awaiter{*this, line};
-    }
+      private:
+        friend class LineLockTable;
+
+        Awaiter(LineLockTable &table, Addr line)
+            : table_(table), line_(line)
+        {
+        }
+
+        LineLockTable &table_;
+        Addr line_;
+        std::coroutine_handle<> handle_;
+        Awaiter *next_ = nullptr;
+    };
+
+    Awaiter acquire(Addr line) { return Awaiter{*this, line}; }
 
     /** Release; hands the lock to the oldest waiter if any. */
     void
     release(Addr line)
     {
-        auto it = locks_.find(line);
-        panic_if(it == locks_.end(), "releasing unheld lock %#llx",
+        Waiters *q = locks_.find(line);
+        panic_if(!q, "releasing unheld lock %#llx",
                  (unsigned long long)line);
-        if (it->second.empty()) {
-            locks_.erase(it);
-        } else {
-            auto h = it->second.front();
-            it->second.pop_front();
-            // Resume in the releasing context's domain: lock tables are
-            // tile-affine under decomposition, so the waiter belongs to
-            // the same domain the release executes in.
-            homeQueue(eq_).schedule(0, [h]() { h.resume(); });
+        Awaiter *w = q->head;
+        if (!w) {
+            locks_.erase(line);
+            return;
         }
+        q->head = w->next_;
+        if (!q->head)
+            q->tail = nullptr;
+        // Resume in the releasing context's domain: lock tables are
+        // tile-affine under decomposition, so the waiter belongs to
+        // the same domain the release executes in.
+        const std::coroutine_handle<> h = w->handle_;
+        homeQueue(eq_).schedule(0, [h]() { h.resume(); });
     }
 
   private:
+    /** A held line's waiters, oldest first; both null when none. */
+    struct Waiters
+    {
+        Awaiter *head = nullptr;
+        Awaiter *tail = nullptr;
+    };
+
     EventQueue &eq_;
-    /**
-     * Present key == lock held; value == FIFO of waiters. Ordered
-     * (takolint D1): never iterated today, but lock state is exactly the
-     * kind of table a future diagnostic dump would walk.
-     */
-    std::map<Addr, std::deque<std::coroutine_handle<>>> locks_;
-};
-
-/** RAII-ish helper: released explicitly, asserts on leaks in debug. */
-class LineLockGuard
-{
-  public:
-    LineLockGuard(LineLockTable &table, Addr line)
-        : table_(&table), line_(line)
-    {
-    }
-
-    ~LineLockGuard() { panic_if(table_ != nullptr, "leaked line lock"); }
-
-    LineLockGuard(const LineLockGuard &) = delete;
-    LineLockGuard &operator=(const LineLockGuard &) = delete;
-
-    void
-    release()
-    {
-        table_->release(line_);
-        table_ = nullptr;
-    }
-
-  private:
-    LineLockTable *table_;
-    Addr line_;
+    /** Present key == lock held. */
+    AddrMap<Waiters> locks_;
 };
 
 } // namespace tako

@@ -1202,39 +1202,44 @@ MemorySystem::maybePrefetch(int tile, Addr miss_line)
     constexpr std::uint64_t regionBytes = 4096;
     const std::uint64_t region = miss_line / regionBytes;
 
-    auto it = t.streams.find(region);
-    if (it == t.streams.end()) {
+    auto find = [&t](std::uint64_t r) -> TileState::Stream * {
+        for (TileState::Stream &s : t.streams) {
+            if (s.lastUse != 0 && s.region == r)
+                return &s;
+        }
+        return nullptr;
+    };
+
+    TileState::Stream *st = find(region);
+    if (!st) {
         // A stream crossing into a fresh region continues its run.
-        auto prev = t.streams.find((miss_line - lineBytes) / regionBytes);
+        TileState::Stream *prev =
+            find((miss_line - lineBytes) / regionBytes);
         unsigned run = 0;
         Addr next_issue = 0;
-        if (prev != t.streams.end() &&
-            prev->second.lastLine == miss_line - lineBytes) {
-            run = prev->second.run + 1;
-            next_issue = prev->second.nextIssue;
-            if (prev->first != region)
-                t.streams.erase(prev);
+        if (prev && prev->lastLine == miss_line - lineBytes) {
+            run = prev->run + 1;
+            next_issue = prev->nextIssue;
+            prev->lastUse = 0;
         }
-        if (t.streams.size() >= 16) {
-            auto lru = std::min_element(
-                t.streams.begin(), t.streams.end(),
-                [](const auto &a, const auto &b) {
-                    return a.second.lastUse < b.second.lastUse;
-                });
-            t.streams.erase(lru);
-        }
-        it = t.streams.emplace(region, TileState::Stream{}).first;
-        it->second.run = run;
-        it->second.nextIssue = next_issue;
-    } else if (miss_line == it->second.lastLine + lineBytes) {
-        ++it->second.run;
-    } else if (miss_line != it->second.lastLine) {
-        it->second.run = 0;
-        it->second.nextIssue = 0;
+        // A free slot, else the least recently used detector.
+        st = &*std::min_element(
+            t.streams.begin(), t.streams.end(),
+            [](const TileState::Stream &a, const TileState::Stream &b) {
+                return a.lastUse < b.lastUse;
+            });
+        *st = TileState::Stream{.region = region,
+                                .nextIssue = next_issue,
+                                .run = run};
+    } else if (miss_line == st->lastLine + lineBytes) {
+        ++st->run;
+    } else if (miss_line != st->lastLine) {
+        st->run = 0;
+        st->nextIssue = 0;
     }
-    it->second.lastLine = miss_line;
-    it->second.lastUse = ++t.streamClock;
-    if (it->second.run < 2)
+    st->lastLine = miss_line;
+    st->lastUse = ++t.streamClock;
+    if (st->run < 2)
         return;
 
     // Adaptive degree: throttle when prefetched lines die unused.
@@ -1256,17 +1261,16 @@ MemorySystem::maybePrefetch(int tile, Addr miss_line)
     // never re-requests lines the stream already prefetched (they may
     // have been evicted, but re-fetching them wholesale thrashes DRAM).
     const MorphBinding *mb = resolve(tile, miss_line);
-    const Addr start =
-        std::max(miss_line + lineBytes, it->second.nextIssue);
+    const Addr start = std::max(miss_line + lineBytes, st->nextIssue);
     const Addr end =
         miss_line + std::uint64_t(t.pfDegree) * lineBytes;
     for (Addr cand = start; cand <= end; cand += lineBytes) {
         if (resolve(tile, cand) != mb)
             break; // don't cross morph/range boundaries
-        it->second.nextIssue = cand + lineBytes;
+        st->nextIssue = cand + lineBytes;
         if (t.inflightPrefetch.contains(cand) || t.l2.lookup(cand))
             continue;
-        t.inflightPrefetch.insert(cand);
+        t.inflightPrefetch.tryEmplace(cand);
         ++*prefetchesIssued_;
         ++t.pfIssuedWindow;
         spawn(prefetchLine(tile, cand));

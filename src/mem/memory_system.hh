@@ -26,10 +26,10 @@
 #ifndef TAKO_MEM_MEMORY_SYSTEM_HH
 #define TAKO_MEM_MEMORY_SYSTEM_HH
 
+#include <array>
 #include <coroutine>
 #include <map>
 #include <memory>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -40,6 +40,7 @@
 #include "mem/mem_ctrl.hh"
 #include "mem/morph_types.hh"
 #include "noc/mesh.hh"
+#include "sim/addr_map.hh"
 #include "sim/event_queue.hh"
 #include "sim/record.hh"
 #include "sim/stats.hh"
@@ -272,17 +273,20 @@ class MemorySystem
         // so interleaved random traffic does not break stream detection.
         struct Stream
         {
+            std::uint64_t region = 0;
             Addr lastLine = invalidAddr;
             /** High-water mark of issued prefetches (no re-issue). */
             Addr nextIssue = 0;
             unsigned run = 0;
+            /** streamClock stamp of the last update; 0 = free slot.
+             *  Stamps are unique, so the LRU pick has no ties and slot
+             *  order never matters. */
             std::uint64_t lastUse = 0;
         };
-        // Ordered (takolint D1): the LRU victim scan below iterates, and
-        // lastUse ties would otherwise break on hash order.
-        std::map<std::uint64_t, Stream> streams;
+        static constexpr std::size_t maxStreams = 16;
+        std::array<Stream, maxStreams> streams{};
         std::uint64_t streamClock = 0;
-        std::set<Addr> inflightPrefetch;
+        AddrSet inflightPrefetch;
 
         // Usefulness-based prefetch throttling: when prefetched lines
         // die unused (thrash), back the degree off; when they are

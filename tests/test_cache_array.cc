@@ -7,6 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <thread>
+#include <vector>
+
 #include "mem/backing_store.hh"
 #include "mem/cache_array.hh"
 
@@ -213,4 +217,57 @@ TEST(BackingStore, SparseAllocation)
     EXPECT_EQ(st.allocatedPages(), 2u);
     EXPECT_EQ(st.read64(1ull << 30), 0u); // untouched page reads zero
     EXPECT_EQ(st.allocatedPages(), 2u);   // reads don't allocate
+}
+
+TEST(BackingStore, ConcurrentFirstTouchKeepsEveryPageAndWord)
+{
+    // Shard domains commit functional data from several threads. Four
+    // threads first-touch the same pages at once, each writing its own
+    // words: no page may be created twice and no write lost. Pages span
+    // several radix nodes and the phantom half of the address space.
+    constexpr unsigned threads = 4;
+    constexpr unsigned pages = 96;
+    constexpr unsigned words = BackingStore::pageBytes / 8;
+    auto pageAddr = [](unsigned p) {
+        return Addr(p) * 40961 * BackingStore::pageBytes +
+               (p % 3 == 0 ? Addr(1) << 46 : 0);
+    };
+    auto value = [](unsigned p, unsigned w) {
+        return (std::uint64_t(p) << 32) | (w + 1);
+    };
+
+    BackingStore st;
+    std::atomic<unsigned> ready{0};
+    std::vector<std::thread> workers;
+    for (unsigned t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+            ready.fetch_add(1);
+            while (ready.load() < threads) {
+            }
+            for (unsigned p = 0; p < pages; ++p) {
+                for (unsigned w = t; w < words; w += threads)
+                    st.write64(pageAddr(p) + w * 8, value(p, w));
+            }
+        });
+    }
+    for (std::thread &w : workers)
+        w.join();
+
+    EXPECT_EQ(st.allocatedPages(), pages);
+    for (unsigned p = 0; p < pages; ++p) {
+        for (unsigned w = 0; w < words; ++w)
+            ASSERT_EQ(st.read64(pageAddr(p) + w * 8), value(p, w))
+                << "page " << p << " word " << w;
+    }
+}
+
+TEST(BackingStore, AddressOutsidePageTableDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    BackingStore st;
+    const Addr beyond = Addr(1) << BackingStore::addrBits;
+    st.write64(beyond - 8, 1); // the last word is inside
+    EXPECT_EQ(st.read64(beyond - 8), 1u);
+    EXPECT_DEATH(st.write64(beyond, 1), "outside the 48-bit page table");
+    EXPECT_DEATH(st.read64(beyond | 0x1000), "0x1000000001000");
 }

@@ -692,4 +692,44 @@ TEST(TakosimCli, MalformedArgvExitsWithoutSignal)
     }
 }
 
+TEST(TakosimCli, StampsBuildType)
+{
+    const std::string takosim = siblingTakosim();
+    if (takosim.empty())
+        GTEST_SKIP() << "takosim binary not found next to tests";
+
+    // perf tooling keys trust on this stamp: `--version` prints
+    // "takosim <rev> <build type>" (the rev stays the second token) and
+    // --stats-json carries the same build type.
+    const std::string scratch = makeScratch();
+    RunCommand version;
+    version.name = "version";
+    version.logPath = scratch + "/version.log";
+    version.argv = {takosim, "--version"};
+    RunCommand stats;
+    stats.name = "stats";
+    stats.outputJson = scratch + "/stats.json";
+    stats.logPath = scratch + "/stats.log";
+    stats.argv = {takosim, "--workload=decompress", "--variant=tako",
+                  "--cores=1", "--stats-json=" + stats.outputJson};
+    const std::vector<RunOutcome> out = runAll({version, stats}, 2);
+    ASSERT_EQ(out.size(), 2u);
+    ASSERT_EQ(out[0].status, RunStatus::Ok);
+    ASSERT_EQ(out[1].status, RunStatus::Ok);
+
+    std::ifstream log(version.logPath);
+    std::string tool, rev, buildType, extra;
+    log >> tool >> rev >> buildType;
+    EXPECT_EQ(tool, "takosim");
+    EXPECT_FALSE(rev.empty());
+    EXPECT_EQ(buildType, TAKO_EXPECTED_BUILD_TYPE);
+    EXPECT_FALSE(log >> extra) << "unexpected token " << extra;
+
+    std::string err;
+    const Json doc = Json::parseFile(stats.outputJson, &err);
+    ASSERT_TRUE(err.empty()) << err;
+    EXPECT_EQ(doc["build_type"].asString(), TAKO_EXPECTED_BUILD_TYPE);
+    EXPECT_EQ(doc["git_rev"].asString(), rev);
+}
+
 } // namespace

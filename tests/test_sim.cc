@@ -1,15 +1,21 @@
 /**
  * @file
  * Unit tests for the simulation kernel: event queue ordering, coroutine
- * tasks, synchronization primitives, RNG distributions.
+ * tasks, synchronization primitives (including the per-line lock
+ * table), RNG distributions.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
+#include <deque>
+#include <map>
 #include <memory>
 #include <vector>
 
+#include "mem/lock_table.hh"
+#include "sim/addr_map.hh"
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
 #include "sim/interval_map.hh"
@@ -313,6 +319,144 @@ TEST(Join, WaitsForAll)
     eq.run();
     EXPECT_TRUE(flag);
     EXPECT_EQ(eq.now(), 13u);
+}
+
+namespace
+{
+
+/** Takes @p line at tick @p arrive, logs @p id, holds it for @p hold. */
+Task<>
+lockHold(EventQueue &eq, LineLockTable &locks, Addr line, Tick arrive,
+         Tick hold, int id, std::vector<std::pair<int, Tick>> &log)
+{
+    co_await Delay{eq, arrive};
+    co_await locks.acquire(line);
+    log.emplace_back(id, eq.now());
+    co_await Delay{eq, hold};
+    locks.release(line);
+}
+
+/** Takes @p line and records @p id as its owner once granted. */
+Task<>
+lockTake(LineLockTable &locks, Addr line, int id, std::map<Addr, int> &owner)
+{
+    co_await locks.acquire(line);
+    owner[line] = id;
+}
+
+} // namespace
+
+TEST(LineLockTable, WaitersAcquireInArrivalOrder)
+{
+    EventQueue eq;
+    LineLockTable locks(eq);
+    std::vector<std::pair<int, Tick>> log;
+    // Holder 0 takes the line at tick 0; waiters arrive as 3, 1, 2.
+    spawn(lockHold(eq, locks, 0x1000, 0, 10, 0, log));
+    spawn(lockHold(eq, locks, 0x1000, 3, 10, 1, log));
+    spawn(lockHold(eq, locks, 0x1000, 4, 10, 2, log));
+    spawn(lockHold(eq, locks, 0x1000, 2, 10, 3, log));
+    eq.run();
+    const std::vector<std::pair<int, Tick>> want = {
+        {0, 0}, {3, 10}, {1, 20}, {2, 30}};
+    EXPECT_EQ(log, want);
+    EXPECT_FALSE(locks.held(0x1000));
+}
+
+TEST(LineLockTable, HeldAcrossHandoffsUntilLastRelease)
+{
+    EventQueue eq;
+    LineLockTable locks(eq);
+    std::map<Addr, int> owner;
+    spawn(lockTake(locks, 0x40, 1, owner));
+    spawn(lockTake(locks, 0x40, 2, owner));
+    spawn(lockTake(locks, 0x40, 3, owner));
+    eq.run();
+    EXPECT_EQ(owner[0x40], 1);
+    EXPECT_FALSE(locks.held(0x80));
+    for (int next = 2; next <= 3; ++next) {
+        locks.release(0x40);
+        // Handed off, not dropped: held before the waiter even runs.
+        EXPECT_TRUE(locks.held(0x40));
+        eq.run();
+        EXPECT_EQ(owner[0x40], next);
+        EXPECT_TRUE(locks.held(0x40));
+    }
+    locks.release(0x40);
+    EXPECT_FALSE(locks.held(0x40));
+}
+
+TEST(LineLockTable, ReleasingUnheldLineDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EventQueue eq;
+    LineLockTable locks(eq);
+    EXPECT_DEATH(locks.release(0x40), "releasing unheld lock 0x40");
+    std::map<Addr, int> owner;
+    spawn(lockTake(locks, 0x40, 1, owner));
+    eq.run();
+    locks.release(0x40);
+    EXPECT_DEATH(locks.release(0x40), "releasing unheld lock 0x40");
+}
+
+TEST(LineLockTable, RandomOpsOnCollidingLinesMatchReferenceModel)
+{
+    // Lines that all hash to two neighbouring home slots of the initial
+    // table: long probe chains, so releases exercise backward-shift
+    // deletes, and the table must grow while they cluster.
+    std::vector<Addr> lines;
+    const unsigned log2_initial =
+        std::countr_zero(AddrSet::initialCapacity);
+    for (Addr line = 0; lines.size() < 48; line += lineBytes) {
+        if (AddrSet::home(line, log2_initial) <= 1)
+            lines.push_back(line);
+    }
+
+    EventQueue eq;
+    LineLockTable locks(eq);
+    std::map<Addr, int> owner;
+    // Reference: held line -> (owner, FIFO of waiting ids).
+    std::map<Addr, std::pair<int, std::deque<int>>> ref;
+    Rng rng(16);
+    std::size_t max_held = 0;
+    int next_id = 0;
+    for (int step = 0; step < 4000; ++step) {
+        // Acquire-heavy first half (grow), release-heavy second half.
+        const std::uint64_t acquire_pct = step < 2000 ? 65 : 35;
+        if (ref.empty() || rng.below(100) < acquire_pct) {
+            const Addr line = lines[rng.below(lines.size())];
+            const int id = next_id++;
+            spawn(lockTake(locks, line, id, owner));
+            auto [it, fresh] = ref.try_emplace(line);
+            if (fresh)
+                it->second.first = id;
+            else
+                it->second.second.push_back(id);
+        } else {
+            auto it = ref.begin();
+            std::advance(it, rng.below(ref.size()));
+            locks.release(it->first);
+            if (it->second.second.empty()) {
+                ref.erase(it);
+            } else {
+                it->second.first = it->second.second.front();
+                it->second.second.pop_front();
+            }
+        }
+        eq.run();
+        max_held = std::max(max_held, ref.size());
+        for (Addr line : lines) {
+            auto it = ref.find(line);
+            ASSERT_EQ(locks.held(line), it != ref.end())
+                << "step " << step << " line " << line;
+            if (it != ref.end()) {
+                ASSERT_EQ(owner[line], it->second.first)
+                    << "step " << step << " line " << line;
+            }
+        }
+    }
+    // More than half the initial capacity held at once: the table grew.
+    EXPECT_GT(max_held, AddrSet::initialCapacity / 2);
 }
 
 TEST(Rng, DeterministicAndUniform)

@@ -5,20 +5,23 @@ Usage: tools/perf_smoke.py [--bin-dir build] [--out BENCH_perf.json]
                            [--quick]
 
 Runs the per-layer microbenchmarks (schedule/fire throughput old vs.
-new, coroutine spawn/resume, cache lookup and victim selection, mesh
-traversal, one simulated access) and one end-to-end profiled takosim
-run, then merges both into a single "takoperf-v1" JSON artifact. CI
-uploads the artifact per commit so events/sec has a trajectory; feed
-one or more of these files to tools/plot_results.py to render the
-trend.
+new, coroutine spawn/resume, cache lookup and victim selection, line
+lock acquire/release, backing-store reads, mesh traversal, one simulated
+access) and one end-to-end profiled takosim run, then merges both into
+a single "takoperf-v1" JSON artifact. CI uploads the artifact per
+commit so events/sec has a trajectory; feed one or more of these files
+to tools/plot_results.py to render the trend.
 
 Exit status is non-zero if either child fails or if the new event queue
 fails to beat the legacy baseline by at least MIN_SPEEDUP (the PR's
 regression gate).
 
 Perf numbers are only comparable between trusted artifacts: a Release
-build of a clean (committed) tree. Anything else — a Debug/RelWithDebInfo
-binary, a ``-dirty`` working tree — is refused by default; pass
+build of a clean (committed) tree, as takosim's own stamp reports it
+(``build_type`` and ``git_rev`` in its --stats-json; google-benchmark's
+``library_build_type`` describes the system libbenchmark, not this
+build). Anything else — a Debug/RelWithDebInfo binary, a ``-dirty``
+working tree — is refused by default; pass
 ``--allow-untrusted`` to emit the artifact anyway, loudly tagged with
 ``"untrusted": true`` and the reasons, with every perf gate skipped so
 meaningless numbers can neither pass nor fail a gate (and so
@@ -43,7 +46,9 @@ MIN_SHARD_SPEEDUP = 2.0
 # the ensemble gate.
 MIN_SINGLE_RUN_SPEEDUP = 1.8
 KERNEL_FILTER = ("BM_EventQueue|BM_Coroutine|BM_CacheLookup|"
-                 "BM_VictimSelection|BM_MeshTraverse|BM_SimulatedAccess")
+                 "BM_VictimSelection|BM_LineLockAcquireRelease|"
+                 "BM_BackingStoreRead64|BM_MeshTraverse|"
+                 "BM_SimulatedAccess")
 
 
 def trust_problems(build_type, git_rev):
@@ -107,6 +112,7 @@ def run_takosim(bin_dir, quick):
         "sim_events": doc.get("sim_events", 0.0),
         "events_per_sec": doc.get("events_per_sec", 0.0),
         "git_rev": doc.get("git_rev", "unknown"),
+        "build_type": doc.get("build_type", ""),
     }, prof
 
 
@@ -278,8 +284,7 @@ def main():
     context, benches = run_microbench(args.bin_dir, args.quick)
     takosim, prof_path = run_takosim(args.bin_dir, args.quick)
 
-    problems = trust_problems(context.get("library_build_type", ""),
-                              takosim["git_rev"])
+    problems = trust_problems(takosim["build_type"], takosim["git_rev"])
     if problems and not args.allow_untrusted:
         for p in problems:
             print(f"perf_smoke: REFUSED: {p}", file=sys.stderr)
@@ -306,7 +311,7 @@ def main():
             "cpu": context.get("host_name", ""),
             "num_cpus": context.get("num_cpus", 0),
             "mhz_per_cpu": context.get("mhz_per_cpu", 0),
-            "build_type": context.get("library_build_type", ""),
+            "build_type": takosim["build_type"],
         },
         "benchmarks": benches,
         "event_queue_speedup_vs_legacy": speedup,

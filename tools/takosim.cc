@@ -140,7 +140,7 @@ usage(int code)
         "                     with --profile/--folded/--trace-out/\n"
         "                     --mon-every/--mon-sample)\n"
         "  --list-workloads   print workloads and their variants\n"
-        "  --version          print the embedded git revision\n"
+        "  --version          print the embedded git revision and build type\n"
         "  --help             this text\n");
     std::exit(code);
 }
@@ -201,7 +201,7 @@ parse(int argc, char **argv)
         if (key == "--help" || key == "-h")
             usage(0);
         else if (key == "--version") {
-            std::printf("takosim %s\n", TAKO_GIT_REV);
+            std::printf("takosim %s %s\n", TAKO_GIT_REV, TAKO_BUILD_TYPE);
             std::exit(0);
         } else if (key == "--list-workloads")
             listWorkloads();
@@ -572,7 +572,7 @@ main(int argc, char **argv)
     }
     if (!o.statsJson.empty() && m.stats) {
         const std::vector<std::pair<std::string, std::string>> header{
-            {"git_rev", TAKO_GIT_REV}};
+            {"git_rev", TAKO_GIT_REV}, {"build_type", TAKO_BUILD_TYPE}};
         // Host throughput as first-class top-level fields so perf
         // tooling does not have to dig through the counters object.
         const std::vector<std::pair<std::string, double>> numericHeader{
