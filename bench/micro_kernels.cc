@@ -3,7 +3,8 @@
  * google-benchmark microbenchmarks for the simulator's own primitives:
  * event-queue throughput, coroutine context switches, tag-array lookups
  * and victim selection, line locks, functional-memory reads, NoC
- * traversal, Zipfian sampling, and a small end-to-end simulated access. These track the *simulator's* host-side
+ * traversal and walks, Zipfian sampling, and a small end-to-end
+ * simulated access. These track the *simulator's* host-side
  * performance (events/sec), which bounds how large the figure benches
  * can scale.
  */
@@ -19,6 +20,7 @@
 #include "mem/lock_table.hh"
 #include "noc/mesh.hh"
 #include "sim/arena.hh"
+#include "sim/domains.hh"
 #include "sim/event_queue.hh"
 #include "sim/random.hh"
 #include "sim/task.hh"
@@ -135,6 +137,29 @@ BM_EventQueueFarFuture(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(count));
 }
 BENCHMARK(BM_EventQueueFarFuture);
+
+void
+BM_EventQueueCrossStream(benchmark::State &state)
+{
+    // A 16-tile System's 17 key streams colliding at one tick in
+    // descending stream order, four rounds deep: after the first round
+    // every insert lands mid-lane, behind a higher stream's run.
+    constexpr std::uint32_t kStreams = 17;
+    StreamKeySource keys{kStreams};
+    EventQueue eq;
+    eq.setStreamKeys(keys);
+    std::uint64_t count = 0;
+    for (auto _ : state) {
+        for (int round = 0; round < 4; ++round) {
+            for (std::uint32_t s = kStreams; s-- > 0;)
+                eq.scheduleKeyed(eq.now() + 1, [&count]() { ++count; },
+                                 keys.next(s), s);
+        }
+        eq.run();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(count));
+}
+BENCHMARK(BM_EventQueueCrossStream);
 
 Task<>
 pingPong(EventQueue &eq, int rounds)
@@ -275,6 +300,7 @@ BENCHMARK(BM_BackingStoreRead64);
 void
 BM_MeshTraverse(benchmark::State &state)
 {
+    // Send-time booking only; runs walk the mesh (BM_MeshWalk).
     StatsRegistry stats;
     EnergyModel energy(stats);
     Mesh mesh(MeshParams{}, stats, energy);
@@ -288,6 +314,38 @@ BM_MeshTraverse(benchmark::State &state)
     }
 }
 BENCHMARK(BM_MeshTraverse);
+
+Task<>
+walkBatch(Mesh &mesh, Domains &dom, Rng &rng, int n)
+{
+    for (int i = 0; i < n; ++i) {
+        const int src = static_cast<int>(rng.below(16));
+        const int dst = static_cast<int>(rng.below(16));
+        co_await mesh.walk(dom, src, dst, 72);
+    }
+}
+
+void
+BM_MeshWalk(benchmark::State &state)
+{
+    // The path runs use: a coroutine awaiting Mesh::walk through a
+    // one-domain router, one event per X hop plus the delivery.
+    StatsRegistry stats;
+    EnergyModel energy(stats);
+    const MeshParams p;
+    Mesh mesh(p, stats, energy);
+    EventQueue eq;
+    Domains dom;
+    dom.init(ShardPlan::build(p.dimX, p.dimY, p.routerDelay, p.linkDelay, 1),
+             {&eq});
+    Rng rng(3);
+    for (auto _ : state) {
+        spawn(walkBatch(mesh, dom, rng, 1024));
+        eq.run();
+    }
+    state.SetItemsProcessed(state.iterations() * 1024);
+}
+BENCHMARK(BM_MeshWalk);
 
 void
 BM_ZipfianSample(benchmark::State &state)

@@ -145,13 +145,10 @@ MemorySystem::inflight() const
 // Main access path
 // ---------------------------------------------------------------------
 
-Task<>
+Mesh::Walk
 MemorySystem::hop(int src, int dst, unsigned bytes, LatBreakdown *bd)
 {
-    const Tick t0 = ctxNow(eq_);
-    co_await noc_.walk(dom_, src, dst, bytes);
-    if (bd)
-        bd->noc += ctxNow(eq_) - t0;
+    return noc_.walk(dom_, src, dst, bytes, bd ? &bd->noc : nullptr);
 }
 
 void

@@ -365,8 +365,8 @@ class MemorySystem
      * the destination tile's domain; everything after the co_await runs
      * there. Charges the walk to @p bd 's noc component when given.
      */
-    Task<> hop(int src, int dst, unsigned bytes,
-               LatBreakdown *bd = nullptr);
+    Mesh::Walk hop(int src, int dst, unsigned bytes,
+                   LatBreakdown *bd = nullptr);
 
     /**
      * Directory-inflicted visit to @p tile on behalf of bank @p bank:

@@ -43,6 +43,20 @@ Mesh::hops(int src, int dst) const
 }
 
 Tick
+Mesh::reserve(int tile, int dir, Tick head, unsigned flits)
+{
+    const std::size_t li = linkIndex(tile, dir);
+    Tick &free = linkFree_[li];
+    const Tick start = std::max(head, free);
+    free = start + flits;
+    if (!linkBusy_.empty()) {
+        linkBusy_[li] += flits;
+        ++linkMsgs_[li];
+    }
+    return start;
+}
+
+Tick
 Mesh::traverse(Tick now, int src, int dst, unsigned bytes)
 {
     ++*messages_;
@@ -75,15 +89,8 @@ Mesh::traverse(Tick now, int src, int dst, unsigned bytes)
             dir = (dy > y) ? South : North;
             ny += (dy > y) ? 1 : -1;
         }
-        const int tile = y * static_cast<int>(params_.dimX) + x;
-        const std::size_t li = linkIndex(tile, dir);
-        Tick &free = linkFree_[li];
-        const Tick start = std::max(head, free);
-        free = start + flits;
-        if (!linkBusy_.empty()) {
-            linkBusy_[li] += flits;
-            ++linkMsgs_[li];
-        }
+        const Tick start =
+            reserve(y * static_cast<int>(params_.dimX) + x, dir, head, flits);
         head = start + params_.routerDelay + params_.linkDelay;
         ++hop_count;
         x = nx;
@@ -97,75 +104,68 @@ Mesh::traverse(Tick now, int src, int dst, unsigned bytes)
     return head - now;
 }
 
-Task<>
-Mesh::walk(Domains &dom, int src, int dst, unsigned bytes)
+void
+Mesh::Walk::await_suspend(std::coroutine_handle<> caller)
 {
-    ++*messages_;
-    const unsigned flits =
-        std::max<unsigned>(1, static_cast<unsigned>(
-                                  divCeil(bytes, params_.flitBytes)));
+    caller_ = caller;
+    const MeshParams &p = mesh_.params_;
+    ++*mesh_.messages_;
+    flits_ = std::max<unsigned>(
+        1, static_cast<unsigned>(divCeil(bytes_, p.flitBytes)));
+    start_ = head_ = dom_.ctxNow(src_);
 
-    if (src == dst) {
-        ++*localMessages_;
-        co_await dom.hopTo(src, params_.routerDelay);
-        co_return;
+    if (src_ == dst_) {
+        ++*mesh_.localMessages_;
+        head_ += p.routerDelay;
+        dom_.postAbs(dst_, head_, [this]() { caller_.resume(); });
+        return;
     }
+    x_ = src_ % static_cast<int>(p.dimX);
+    y_ = src_ / static_cast<int>(p.dimX);
+    advance();
+}
 
-    int x = src % static_cast<int>(params_.dimX);
-    int y = src / static_cast<int>(params_.dimX);
-    const int dx = dst % static_cast<int>(params_.dimX);
-    const int dy = dst / static_cast<int>(params_.dimX);
-    unsigned hop_count = 0;
+void
+Mesh::Walk::advance()
+{
+    const MeshParams &p = mesh_.params_;
+    const int dimX = static_cast<int>(p.dimX);
+    const int dx = dst_ % dimX;
+    const int dy = dst_ / dimX;
 
     // X leg: every hop crosses a column, so each reservation happens in
     // an event at the link's source tile (its owning domain) at the head
     // flit's arrival tick, and the next arrival is routerDelay+linkDelay
     // (= one quantum) ahead — exactly the plan's lookahead floor.
-    while (x != dx) {
-        const int dir = (dx > x) ? East : West;
-        const int tile = y * static_cast<int>(params_.dimX) + x;
-        const std::size_t li = linkIndex(tile, dir);
-        Tick &free = linkFree_[li];
-        const Tick here = detail::execCtx.queue->now();
-        const Tick start = std::max(here, free);
-        free = start + flits;
-        if (!linkBusy_.empty()) {
-            linkBusy_[li] += flits;
-            ++linkMsgs_[li];
-        }
-        ++hop_count;
-        x += (dx > x) ? 1 : -1;
-        const int next = y * static_cast<int>(params_.dimX) + x;
-        co_await dom.hopToAbs(next,
-                              start + params_.routerDelay +
-                                  params_.linkDelay);
+    if (x_ != dx) {
+        const int dir = (dx > x_) ? East : West;
+        const Tick start =
+            mesh_.reserve(y_ * dimX + x_, dir, head_, flits_);
+        ++hops_;
+        x_ += (dx > x_) ? 1 : -1;
+        head_ = start + p.routerDelay + p.linkDelay;
+        dom_.postAbs(y_ * dimX + x_, head_, [this]() { advance(); });
+        return;
     }
 
     // Y leg: the whole column belongs to the current domain, so the
     // remaining links are reserved here and now, in one event, with the
     // same per-hop recurrence traverse() uses.
-    Tick head = detail::execCtx.queue->now();
-    while (y != dy) {
-        const int dir = (dy > y) ? South : North;
-        const int tile = y * static_cast<int>(params_.dimX) + x;
-        const std::size_t li = linkIndex(tile, dir);
-        Tick &free = linkFree_[li];
-        const Tick start = std::max(head, free);
-        free = start + flits;
-        if (!linkBusy_.empty()) {
-            linkBusy_[li] += flits;
-            ++linkMsgs_[li];
-        }
-        head = start + params_.routerDelay + params_.linkDelay;
-        ++hop_count;
-        y += (dy > y) ? 1 : -1;
+    while (y_ != dy) {
+        const int dir = (dy > y_) ? South : North;
+        const Tick start =
+            mesh_.reserve(y_ * dimX + x_, dir, head_, flits_);
+        head_ = start + p.routerDelay + p.linkDelay;
+        ++hops_;
+        y_ += (dy > y_) ? 1 : -1;
     }
     // Destination router plus tail-flit serialization.
-    head += params_.routerDelay + (flits - 1);
+    head_ += p.routerDelay + (flits_ - 1);
 
-    *flitHopsStat_ += static_cast<double>(std::uint64_t(flits) * hop_count);
-    energy_.nocFlitHops(std::uint64_t(flits) * hop_count);
-    co_await dom.hopToAbs(dst, head);
+    const std::uint64_t flitHops = std::uint64_t(flits_) * hops_;
+    *mesh_.flitHopsStat_ += static_cast<double>(flitHops);
+    mesh_.energy_.nocFlitHops(flitHops);
+    dom_.postAbs(dst_, head_, [this]() { caller_.resume(); });
 }
 
 void

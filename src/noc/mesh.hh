@@ -12,12 +12,12 @@
 #ifndef TAKO_NOC_MESH_HH
 #define TAKO_NOC_MESH_HH
 
+#include <coroutine>
 #include <cstdint>
 #include <vector>
 
 #include "energy/energy.hh"
 #include "sim/stats.hh"
-#include "sim/task.hh"
 #include "sim/types.hh"
 
 namespace tako
@@ -54,6 +54,8 @@ class Mesh
      */
     Tick traverse(Tick now, int src, int dst, unsigned bytes);
 
+    class Walk;
+
     /**
      * Domain-decomposed delivery: the message walks the XY path as a
      * chain of router-arrival events, reserving each directed link in
@@ -64,8 +66,14 @@ class Mesh
      * invariant) rather than at send time. The X leg hops column to
      * column (one event per router); the Y leg is one segment, since a
      * whole column shares a domain under the column-band plan.
+     *
+     * The returned awaiter is the walk's whole state. It lives in the
+     * awaiting coroutine's frame and each router-arrival event calls
+     * into it directly, so a message allocates no coroutine frame. On
+     * resumption it adds the walk's latency to @p charge, when given.
      */
-    Task<> walk(Domains &dom, int src, int dst, unsigned bytes);
+    Walk walk(Domains &dom, int src, int dst, unsigned bytes,
+              Tick *charge = nullptr);
 
     /** Total flit-hops so far (the noc.flitHops stat; after a run). */
     std::uint64_t
@@ -93,6 +101,13 @@ class Mesh
     void reset();
 
   private:
+    /**
+     * Book @p flits cycles on the link leaving @p tile in direction
+     * @p dir for a head flit there at @p head.
+     * @return the tick the head flit gets the link.
+     */
+    Tick reserve(int tile, int dir, Tick head, unsigned flits);
+
     /** Directed link index leaving @p tile in direction @p dir (0..3). */
     std::size_t
     linkIndex(int tile, int dir) const
@@ -109,6 +124,62 @@ class Mesh
     std::vector<std::uint64_t> linkBusy_; ///< empty unless profiling
     std::vector<std::uint64_t> linkMsgs_;
 };
+
+/**
+ * Awaiter for Mesh::walk(). Queued router-arrival events hold its
+ * address, so it can be neither copied nor moved: it must stay where
+ * the co_await materialized it until the awaiting coroutine resumes.
+ */
+class Mesh::Walk
+{
+  public:
+    Walk(Mesh &mesh, Domains &dom, int src, int dst, unsigned bytes,
+         Tick *charge)
+        : mesh_(mesh), dom_(dom), charge_(charge), src_(src), dst_(dst),
+          bytes_(bytes)
+    {
+    }
+
+    Walk(const Walk &) = delete;
+    Walk &operator=(const Walk &) = delete;
+
+    bool await_ready() const noexcept { return false; }
+
+    /** Takes the walk's first step in the awaiting event. */
+    void await_suspend(std::coroutine_handle<> caller);
+
+    void
+    await_resume() const noexcept
+    {
+        if (charge_)
+            *charge_ += head_ - start_;
+    }
+
+  private:
+    /** One router arrival at (x_, y_) at tick head_: an X hop, or the
+     *  whole Y leg and the delivery once the column is reached. */
+    void advance();
+
+    Mesh &mesh_;
+    Domains &dom_;
+    Tick *charge_;
+    std::coroutine_handle<> caller_;
+    Tick start_ = 0;
+    Tick head_ = 0; ///< head flit's arrival here; the tail's, once done
+    int src_;
+    int dst_;
+    unsigned bytes_;
+    unsigned flits_ = 0;
+    unsigned hops_ = 0;
+    int x_ = 0;
+    int y_ = 0;
+};
+
+inline Mesh::Walk
+Mesh::walk(Domains &dom, int src, int dst, unsigned bytes, Tick *charge)
+{
+    return Walk(*this, dom, src, dst, bytes, charge);
+}
 
 } // namespace tako
 

@@ -140,14 +140,24 @@ class Domains
                          std::forward<F>(fn));
     }
 
+    /**
+     * Simulated time at the current execution context; outside any
+     * event (pre-run setup, test code driving a coroutine's first step)
+     * the time of @p tile 's queue.
+     */
+    Tick
+    ctxNow(int tile) const
+    {
+        const EventQueue *cq = detail::execCtx.queue;
+        return cq ? cq->now() : queues_[domainOf(tile)]->now();
+    }
+
     /** postAbs at (current context time + @p delta). */
     template <typename F>
     void
     post(int dstTile, Tick delta, F &&fn)
     {
-        EventQueue *cq = detail::execCtx.queue;
-        const Tick now = cq ? cq->now() : queueOf(dstTile).now();
-        postAbs(dstTile, now + delta, std::forward<F>(fn));
+        postAbs(dstTile, ctxNow(dstTile) + delta, std::forward<F>(fn));
     }
 
     /**
@@ -182,9 +192,7 @@ class Domains
     auto
     hopTo(int dstTile, Tick delta)
     {
-        EventQueue *cq = detail::execCtx.queue;
-        const Tick now = cq ? cq->now() : queueOf(dstTile).now();
-        return hopToAbs(dstTile, now + delta);
+        return hopToAbs(dstTile, ctxNow(dstTile) + delta);
     }
 
   private:

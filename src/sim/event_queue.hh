@@ -14,8 +14,12 @@
  *
  *  - A wheel of kWheelSlots power-of-two buckets covers the near window
  *    [base_, base_ + kWheelSlots). An event at tick T lives in slot
- *    (T & kWheelMask), in one FIFO lane ordered by key. Schedule and
- *    pop are O(1) — no sift, no per-event allocation.
+ *    (T & kWheelMask), in one lane ordered by key. Keys sort by stream
+ *    first, so a lane is one run of events per present stream; it keeps
+ *    a bitmap of those streams and each run's last node, and an insert
+ *    links in after the last node of the highest present stream <= its
+ *    own. Schedule and pop are O(1) — no sift, no list walk, no
+ *    per-event allocation.
  *  - Events beyond the window go to a small overflow min-heap ordered by
  *    (tick, seq). Whenever base_ advances, every overflow event that now
  *    falls inside the window migrates into the wheel *before* any
@@ -24,13 +28,17 @@
  * Why that preserves the exact total order: (1) wheel events are always
  * < base_ + kWheelSlots and overflow events >= base_ + kWheelSlots, so
  * the global minimum is in the wheel whenever the wheel is non-empty;
- * (2) the heap pops in (tick, seq) order, so migration appends to each
+ * (2) the heap pops in (tick, seq) order, so migration reaches each
  * lane in seq order; (3) a callback scheduling directly into the
  * wheel at tick T can only run after every overflow event at T has
- * already migrated (eager migration), and wheelAppend places it by seq
- * among them — so lane FIFO order is seq order; (4) two different ticks
- * in the window cannot collide in a slot because the window spans
- * exactly one wheel period. See DESIGN.md "Simulation kernel internals".
+ * already migrated (eager migration); (4) so each stream's keys reach a
+ * lane in ascending order — a local schedule draws its key at insert,
+ * mail keeps send order, and migration keeps key order — which is what
+ * makes "after the last node of the highest present stream <= mine"
+ * the key-order position (a key below its own stream's last node
+ * panics); (5) two different ticks in the window cannot collide in a
+ * slot because the window spans exactly one wheel period. See
+ * DESIGN.md "Simulation kernel internals".
  */
 
 #ifndef TAKO_SIM_EVENT_QUEUE_HH
@@ -118,7 +126,10 @@ class StreamKeySource
 class EventQueue
 {
   public:
-    EventQueue() : streams_(&ownKeys_) {}
+    EventQueue()
+        : streams_(&ownKeys_), laneStreams_(1), lastOf_(kWheelSlots)
+    {
+    }
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
 
@@ -168,12 +179,27 @@ class EventQueue
         insert(n);
     }
 
+    /** Most streams a key table may have: one lane bitmap bit each. */
+    static constexpr std::size_t kMaxStreams = 64;
+
     /**
      * Install the key table shared by every domain of a decomposed model
      * in place of the queue's own one-stream table, so streams keep one
-     * sequence each wherever their events execute.
+     * sequence each wherever their events execute. Sizes the lanes'
+     * per-stream last-node table, so no event may be pending.
      */
-    void setStreamKeys(StreamKeySource &streams) { streams_ = &streams; }
+    void
+    setStreamKeys(StreamKeySource &streams)
+    {
+        panic_if(!empty(), "stream keys installed with %zu events pending",
+                 pending());
+        panic_if(streams.streams() > kMaxStreams,
+                 "%zu key streams exceed the event lanes' %zu",
+                 streams.streams(), kMaxStreams);
+        streams_ = &streams;
+        laneStreams_ = static_cast<std::uint32_t>(streams.streams());
+        lastOf_.assign(kWheelSlots * laneStreams_, nullptr);
+    }
 
     /** Shard-domain index published in ExecCtx while events run. */
     void setDomainIndex(std::uint32_t d) { domainIndex_ = d; }
@@ -331,11 +357,14 @@ class EventQueue
     static constexpr Tick kWheelMask = Tick{kWheelSlots - 1};
     static constexpr std::size_t kBitmapWords = kWheelSlots / 64;
 
-    /** One wheel slot: the events of one tick, FIFO in key order. */
+    /**
+     * One wheel slot: the events of one tick in key order, i.e. one run
+     * per present stream in stream order. Run ends live in lastOf_.
+     */
     struct Lane
     {
         EventNode *head = nullptr;
-        EventNode *tail = nullptr;
+        std::uint64_t streams = 0; ///< bit s: stream s has events here
     };
 
     /** Min-heap order for the overflow heap: full (tick, seq). */
@@ -375,27 +404,32 @@ class EventQueue
     {
         const std::size_t idx = static_cast<std::size_t>(n->when & kWheelMask);
         Lane &lane = wheel_[idx];
-        // A lane holds one tick, so FIFO position must equal key order.
-        // Keys (stream, seq) usually ascend — bursts come from one stream
-        // — so the tail compare stays the hot path and the walk only runs
-        // on genuine cross-stream collisions (a handful of nodes at most).
-        n->next = nullptr;
-        if (!lane.tail || lane.tail->seq <= n->seq) {
-            if (lane.tail)
-                lane.tail->next = n;
-            else
-                lane.head = n;
-            lane.tail = n;
-        } else if (n->seq < lane.head->seq) {
-            n->next = lane.head;
-            lane.head = n;
-        } else {
-            EventNode *prev = lane.head;
-            while (prev->next && prev->next->seq <= n->seq)
-                prev = prev->next;
+        const std::uint64_t s = n->seq >> StreamKeySource::kSeqBits;
+        panic_if(s >= laneStreams_, "event key %#llx from stream %llu of %u",
+                 (unsigned long long)n->seq, (unsigned long long)s,
+                 laneStreams_);
+        EventNode **last = &lastOf_[idx * laneStreams_];
+        // The greatest key <= n's ends the run of the highest present
+        // stream <= s: keys sort by stream first, and each stream's keys
+        // reach a lane in ascending order (see the file comment).
+        const std::uint64_t upTo =
+            lane.streams & (~std::uint64_t{0} >> (63 - s));
+        if (upTo) {
+            EventNode *prev = last[std::bit_width(upTo) - 1];
+            panic_if(n->seq < prev->seq,
+                     "event key %#llx reached tick %llu after its stream's "
+                     "key %#llx",
+                     (unsigned long long)n->seq,
+                     (unsigned long long)n->when,
+                     (unsigned long long)prev->seq);
             n->next = prev->next;
             prev->next = n;
+        } else {
+            n->next = lane.head;
+            lane.head = n;
         }
+        lane.streams |= std::uint64_t{1} << s;
+        last[s] = n;
         occupied_[idx >> 6] |= std::uint64_t{1} << (idx & 63);
         ++wheelCount_;
     }
@@ -465,8 +499,12 @@ class EventQueue
         panic_if(!n, "occupied wheel slot with an empty lane");
         lane.head = n->next;
         if (!lane.head) {
-            lane.tail = nullptr;
+            lane.streams = 0;
             occupied_[idx >> 6] &= ~(std::uint64_t{1} << (idx & 63));
+        } else if ((lane.head->seq ^ n->seq) >> StreamKeySource::kSeqBits) {
+            // n ended its stream's run.
+            lane.streams &= ~(std::uint64_t{1}
+                              << (n->seq >> StreamKeySource::kSeqBits));
         }
         --wheelCount_;
         return n;
@@ -498,7 +536,7 @@ class EventQueue
                 pool_.release(n);
                 n = next;
             }
-            lane.head = lane.tail = nullptr;
+            lane = Lane{};
         }
         occupied_.fill(0);
         wheelCount_ = 0;
@@ -525,6 +563,11 @@ class EventQueue
     StreamKeySource ownKeys_{1};
     /** Key table in use: ownKeys_ or the decomposed model's shared one. */
     StreamKeySource *streams_;
+    /** streams_'s width: lastOf_ holds laneStreams_ entries per lane. */
+    std::uint32_t laneStreams_;
+    /** Last node of each present stream's run, lane-major; an entry is
+     *  meaningful only while its bit is set in Lane::streams. */
+    std::vector<EventNode *> lastOf_;
     /** Shard domain this queue belongs to (ExecCtx, stats lanes). */
     std::uint32_t domainIndex_ = 0;
     /** Next tick the advance hook wants; kNoWatermark = hook off. */

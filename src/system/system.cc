@@ -31,6 +31,10 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
     fatal_if(config_.mesh.dimX * config_.mesh.dimY != config_.mem.tiles,
              "mesh %ux%u does not cover %u tiles", config_.mesh.dimX,
              config_.mesh.dimY, config_.mem.tiles);
+    // One key stream per tile plus the system's (Domains::streamOf).
+    fatal_if(config_.mem.tiles + 1 > EventQueue::kMaxStreams,
+             "%u tiles exceed the event queue's limit of %zu",
+             config_.mem.tiles, EventQueue::kMaxStreams - 1);
 
     // Stand up the shard-domain router before any component exists:
     // every run is decomposed over the plan's column partition (one

@@ -409,6 +409,18 @@ TEST(ShardedSystem, OneColumnMeshRunsMonolithic)
     EXPECT_EQ(sys.stats().get("shard.domains"), 1.0);
 }
 
+TEST(ShardedSystem, MoreTilesThanKeyStreamsIsFatal)
+{
+    // One key stream per tile plus the system's must fit the event
+    // lanes' 64-stream bitmap: 63 tiles build, 64 are refused.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    SystemConfig ok = SystemConfig::forCores(63);
+    EXPECT_EQ(System(ok).config().mem.tiles, 63u);
+    EXPECT_EXIT(System(SystemConfig::forCores(64)),
+                ::testing::ExitedWithCode(1),
+                "64 tiles exceed the event queue's limit of 63");
+}
+
 TEST(ShardedSystem, GuestsBootInAddThreadOrderAtTickZero)
 {
     // Boot posts draw system-stream keys, which order below every tile

@@ -10,8 +10,11 @@
 #include <array>
 #include <bit>
 #include <deque>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "mem/lock_table.hh"
@@ -121,6 +124,123 @@ TEST(EventQueue, MigrationPreservesFifoAtSameTick)
     });
     eq.run();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+}
+
+namespace
+{
+
+/**
+ * Random keyed traffic from a 16-tile System's 17 streams against a
+ * reference that keeps every pending (tick, key) sorted: each event
+ * must pop as the reference's minimum. Keys are drawn at insert, so
+ * each stream's keys reach a lane in ascending order, as in a run.
+ */
+struct KeyOrderModel
+{
+    static constexpr std::uint32_t kStreams = 17;
+
+    StreamKeySource keys{kStreams};
+    EventQueue eq;
+    Rng rng{20};
+    std::set<std::pair<Tick, std::uint64_t>> ref;
+    std::uint64_t fired = 0;
+    std::uint64_t misordered = 0;
+    std::uint64_t midLane = 0; ///< inserts between two same-tick events
+    std::uint64_t children = 0;
+
+    KeyOrderModel() { eq.setStreamKeys(keys); }
+
+    void
+    add(std::uint32_t stream, Tick when)
+    {
+        const std::uint64_t key = keys.next(stream);
+        const auto it = ref.emplace(when, key).first;
+        if (it != ref.begin() && std::prev(it)->first == when &&
+            std::next(it) != ref.end() && std::next(it)->first == when)
+            ++midLane;
+        eq.scheduleKeyed(
+            when, [this, when, key] { fire(when, key); }, key, stream);
+    }
+
+    /** Same-tick collisions in descending stream order, @p rounds deep:
+     *  after the first round every insert lands mid-lane. */
+    void
+    collide(Tick when, unsigned rounds)
+    {
+        for (unsigned r = 0; r < rounds; ++r)
+            for (std::uint32_t s = kStreams; s-- > 0;)
+                if (rng.below(4) != 0)
+                    add(s, when);
+    }
+
+    void
+    fire(Tick when, std::uint64_t key)
+    {
+        ++fired;
+        if (ref.empty() || *ref.begin() != std::make_pair(when, key))
+            ++misordered;
+        ref.erase({when, key});
+        // Callbacks reschedule from random streams: at this very tick
+        // (possibly below the running key), nearby, or past the wheel.
+        if (children >= 20000)
+            return;
+        for (std::uint64_t n = rng.below(3); n > 0; --n, ++children) {
+            const std::uint64_t pick = rng.below(8);
+            const Tick delta = pick < 3   ? 0
+                               : pick < 7 ? rng.below(40)
+                                          : 256 + rng.below(600);
+            add(static_cast<std::uint32_t>(rng.below(kStreams)),
+                eq.now() + delta);
+        }
+    }
+};
+
+} // namespace
+
+TEST(EventQueue, CrossStreamInsertsPopInTickKeyOrder)
+{
+    KeyOrderModel m;
+    std::size_t maxOverflow = 0;
+    for (int phase = 0; phase < 200; ++phase) {
+        const Tick now = m.eq.now();
+        m.collide(now + m.rng.below(300), 1 + m.rng.below(4));
+        m.collide(now + 256 + m.rng.below(2000), 2); // overflow heap
+        for (int i = 0; i < 8; ++i)
+            m.add(static_cast<std::uint32_t>(
+                      m.rng.below(KeyOrderModel::kStreams)),
+                  now + m.rng.below(64));
+        maxOverflow = std::max(maxOverflow, m.eq.overflowPending());
+        m.eq.runUntil(now + m.rng.below(500));
+        EventQueue::clearExecCtx();
+    }
+    m.eq.run();
+    EXPECT_EQ(m.misordered, 0u);
+    EXPECT_TRUE(m.ref.empty());
+    EXPECT_EQ(m.eq.pending(), 0u);
+    // The run must have exercised every path it claims to.
+    EXPECT_GT(m.fired, 25000u);
+    EXPECT_GT(m.midLane, 8000u);
+    EXPECT_GT(maxOverflow, 200u);
+}
+
+TEST(EventQueue, KeyBelowItsStreamsLastInLaneDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    StreamKeySource keys{17};
+    EventQueue eq;
+    eq.setStreamKeys(keys);
+    const std::uint64_t early = keys.next(3);
+    const std::uint64_t late = keys.next(3);
+    eq.scheduleKeyed(5, [] {}, late, 4);
+    eq.scheduleKeyed(5, [] {}, keys.next(2), 4); // other streams are fine
+    EXPECT_DEATH(eq.scheduleKeyed(5, [] {}, early, 4),
+                 "reached tick 5 after its stream's key");
+    // Out of order across ticks is not a lane violation.
+    eq.scheduleKeyed(6, [] {}, early, 4);
+    EXPECT_DEATH(eq.setStreamKeys(keys), "installed with 3 events pending");
+    eq.run();
+    StreamKeySource wide{EventQueue::kMaxStreams + 1};
+    EXPECT_DEATH(eq.setStreamKeys(wide), "65 key streams exceed");
 }
 
 TEST(EventQueue, PoolGrowsAndRecyclesNodes)
