@@ -136,7 +136,7 @@ unsigned
 MemorySystem::inflight() const
 {
     std::uint64_t n = 0;
-    for (const DomainCell &c : inflightLanes_)
+    for (const Padded<std::uint64_t> &c : inflightLanes_)
         n += c.value;
     return static_cast<unsigned>(n);
 }

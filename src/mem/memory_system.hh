@@ -524,14 +524,9 @@ class MemorySystem
      *  retirements serialize on one stream regardless of partition. */
     std::map<std::uint32_t, Outstanding> outstanding_;
 
-    struct alignas(64) DomainCell
-    {
-        std::uint64_t value = 0;
-    };
-
     /** In-flight transaction counts, one cell per domain: a transaction
      *  begins and ends at its requester tile, so the cells balance. */
-    std::vector<DomainCell> inflightLanes_;
+    std::vector<Padded<std::uint64_t>> inflightLanes_;
 
     /**
      * Per-domain phase replica: the phase label plus the lazily-resolved

@@ -23,14 +23,9 @@
  *     per series: u8 kind (SeriesKind), LEB128 nameLen, name bytes
  *     u32 crc32 of the dirBytes payload
  *
- *   Chunks until end of file:
- *     ChunkHeader (24 bytes)
- *       u32 magic          0x31484d54 ("TMH1")
- *       u32 samples        rows encoded in this chunk
- *       u32 payloadBytes   encoded payload size in bytes
- *       u32 crc32          IEEE CRC-32 of the payload bytes
- *       u64 firstIndex     file-wide row index of the chunk's first row
- *     payloadBytes of column-encoded rows
+ *   Chunks until end of file (the shared container's framing, chunk
+ *   magic 0x31484d54 "TMH1"; see sim/chunk_file.hh), each payload
+ *   holding column-encoded rows.
  *
  * Chunk payload: columns, not rows. The tick column comes first — one
  * LEB128 tick delta per row, with the delta context reset at the chunk
@@ -52,9 +47,9 @@
  * patched to the real count on close(); a writer that dies mid-stream
  * leaves the sentinel behind, which readers always reject — even when
  * no chunk was flushed, where a zero placeholder would be
- * indistinguishable from a legitimately empty closed file. Same
- * discipline as takotrace, whose helpers (LEB128, zigzag, CRC-32) this
- * format reuses from src/trace/format.hh.
+ * indistinguishable from a legitimately empty closed file. The
+ * container (sim/chunk_file.hh) enforces this for takotrace too, and
+ * also supplies the LEB128, zigzag and CRC-32 helpers.
  */
 
 #ifndef TAKO_MON_FORMAT_HH
@@ -65,18 +60,18 @@
 #include <cstdint>
 #include <string>
 
-#include "trace/format.hh"
+#include "sim/chunk_file.hh"
+#include "sim/types.hh"
 
 namespace tako::mon
 {
 
-// Reuse the takotrace codec primitives: one LEB128/zigzag/CRC
-// implementation serves both binary formats.
-using trace::crc32;
-using trace::getVarint;
-using trace::putVarint;
-using trace::zigzagDecode;
-using trace::zigzagEncode;
+// The codec primitives, shared with takotrace.
+using chunkfile::crc32;
+using chunkfile::getVarint;
+using chunkfile::putVarint;
+using chunkfile::zigzagDecode;
+using chunkfile::zigzagEncode;
 
 /** What a series samples from the registry. */
 enum class SeriesKind : std::uint8_t
@@ -105,11 +100,13 @@ constexpr std::array<char, 8> monMagic = {'t', 'a', 'k', 'o',
 constexpr std::uint32_t monVersion = 1;
 constexpr std::uint32_t monChunkMagic = 0x31484d54; // "TMH1"
 constexpr std::size_t monFileHeaderBytes = 40;
-constexpr std::size_t monChunkHeaderBytes = 24;
+constexpr std::size_t monChunkHeaderBytes = chunkfile::chunkHeaderBytes;
 
-/** sampleCount value written at open() and replaced on close(): an
- *  impossible count, so an unclosed file can never read as valid. */
-constexpr std::uint64_t monUnpatchedCount = ~std::uint64_t{0};
+/** The takomon instance of the chunked container: sampleCount at offset
+ *  32 holds the unpatched sentinel until the writer closes. */
+inline constexpr chunkfile::Format monFormat{
+    "takomon", monMagic, monVersion, 0, monFileHeaderBytes, 32, 0,
+    monChunkMagic, "sample"};
 
 /** Column encoding tags. */
 constexpr std::uint8_t colIntDeltas = 0;

@@ -1,51 +1,37 @@
 #include "mon/reader.hh"
 
+#include <algorithm>
 #include <cstring>
-
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 
 namespace tako::mon
 {
 
-namespace
-{
+using chunkfile::get32;
+using chunkfile::get64;
 
-std::uint32_t
-get32(const std::uint8_t *p)
+bool
+MonReader::stop()
 {
-    return static_cast<std::uint32_t>(p[0]) |
-           static_cast<std::uint32_t>(p[1]) << 8 |
-           static_cast<std::uint32_t>(p[2]) << 16 |
-           static_cast<std::uint32_t>(p[3]) << 24;
-}
-
-std::uint64_t
-get64(const std::uint8_t *p)
-{
-    return static_cast<std::uint64_t>(get32(p)) |
-           static_cast<std::uint64_t>(get32(p + 4)) << 32;
-}
-
-} // namespace
-
-MonReader::~MonReader()
-{
-    close();
+    // The mapping stays for error reporting.
+    ticks_.clear();
+    rows_.clear();
+    rowInChunk_ = 0;
+    chunkIdx_ = file_.chunks().size();
+    return false;
 }
 
 bool
 MonReader::fail(const std::string &msg)
 {
-    if (error_.empty())
-        error_ = "takomon read: " + msg;
-    // End iteration immediately; the mapping stays for error reporting.
-    ticks_.clear();
-    rows_.clear();
-    rowInChunk_ = 0;
-    chunkIdx_ = chunks_.size();
+    file_.fail(msg);
+    return stop();
+}
+
+bool
+MonReader::reject(const std::string &msg)
+{
+    file_.reject(msg);
+    close();
     return false;
 }
 
@@ -53,120 +39,42 @@ bool
 MonReader::open(const std::string &path)
 {
     close();
-    error_.clear();
+    if (!file_.open(path))
+        return false;
 
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return fail("cannot open '" + path + "'");
-    struct stat st;
-    if (::fstat(fd, &st) != 0 || st.st_size < 0) {
-        ::close(fd);
-        return fail("cannot stat '" + path + "'");
-    }
-    size_ = static_cast<std::size_t>(st.st_size);
-    if (size_ < monFileHeaderBytes) {
-        ::close(fd);
-        return fail("'" + path + "' is shorter than a file header");
-    }
-    void *map = ::mmap(nullptr, size_, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map != MAP_FAILED) {
-        data_ = static_cast<const std::uint8_t *>(map);
-        mapped_ = true;
-    } else {
-        // mmap can fail on exotic filesystems; fall back to a copy.
-        heap_.resize(size_);
-        std::size_t got = 0;
-        while (got < size_) {
-            const ssize_t n =
-                ::pread(fd, heap_.data() + got, size_ - got,
-                        static_cast<off_t>(got));
-            if (n <= 0)
-                break;
-            got += static_cast<std::size_t>(n);
-        }
-        if (got != size_) {
-            ::close(fd);
-            heap_.clear();
-            return fail("cannot read '" + path + "'");
-        }
-        data_ = heap_.data();
-        mapped_ = false;
-    }
-    ::close(fd);
-
-    // --- header ---------------------------------------------------------
-    if (std::memcmp(data_, monMagic.data(), monMagic.size()) != 0) {
-        const bool err =
-            fail("'" + path + "': bad magic (not a takomon file)");
-        close();
-        return err;
-    }
-    const std::uint32_t version = get32(data_ + 8);
-    if (version != monVersion) {
-        const bool err =
-            fail("'" + path + "': format version " +
-                 std::to_string(version) + " (this build reads v" +
-                 std::to_string(monVersion) + ")");
-        close();
-        return err;
-    }
-    const std::uint32_t flags = get32(data_ + 12);
-    if (flags != 0) {
-        const bool err = fail("'" + path + "': unknown flag bits 0x" +
-                              std::to_string(flags));
-        close();
-        return err;
-    }
-    interval_ = get64(data_ + 16);
-    if (interval_ == 0) {
-        const bool err = fail("'" + path + "': zero sample interval");
-        close();
-        return err;
-    }
-    const std::uint32_t seriesCount = get32(data_ + 24);
-    const std::uint32_t dirBytes = get32(data_ + 28);
-    sampleCount_ = get64(data_ + 32);
+    // --- header fields past the container's -----------------------------
+    const std::uint8_t *data = file_.data();
+    interval_ = get64(data + 16);
+    if (interval_ == 0)
+        return reject("zero sample interval");
+    const std::uint32_t seriesCount = get32(data + 24);
+    const std::uint32_t dirBytes = get32(data + 28);
 
     // --- series directory ----------------------------------------------
-    if (monFileHeaderBytes + dirBytes + 4 > size_) {
-        const bool err =
-            fail("'" + path + "': truncated in the series directory");
-        close();
-        return err;
-    }
-    const std::uint8_t *dir = data_ + monFileHeaderBytes;
+    if (monFileHeaderBytes + dirBytes + 4 > file_.size())
+        return reject("truncated in the series directory");
+    const std::uint8_t *dir = data + monFileHeaderBytes;
     const std::uint32_t dirCrc = get32(dir + dirBytes);
     const std::uint32_t gotCrc = crc32(dir, dirBytes);
-    if (gotCrc != dirCrc) {
-        const bool err = fail(
-            "'" + path + "': directory CRC mismatch (stored " +
-            std::to_string(dirCrc) + ", computed " +
-            std::to_string(gotCrc) + ")");
-        close();
-        return err;
-    }
+    if (gotCrc != dirCrc)
+        return reject("directory CRC mismatch (stored " +
+                      std::to_string(dirCrc) + ", computed " +
+                      std::to_string(gotCrc) + ")");
     const std::uint8_t *p = dir;
     const std::uint8_t *dirEnd = dir + dirBytes;
-    series_.reserve(seriesCount);
+    // An entry takes at least two bytes, so a corrupt count cannot size
+    // the reservation past the directory.
+    series_.reserve(std::min<std::size_t>(seriesCount, dirBytes / 2));
     for (std::uint32_t i = 0; i < seriesCount; ++i) {
-        if (p == dirEnd) {
-            const bool err =
-                fail("'" + path + "': directory ends at series " +
-                     std::to_string(i) + " of " +
-                     std::to_string(seriesCount));
-            close();
-            return err;
-        }
+        if (p == dirEnd)
+            return reject("directory ends at series " +
+                          std::to_string(i) + " of " +
+                          std::to_string(seriesCount));
         const std::uint8_t kind = *p++;
         std::uint64_t nameLen;
-        if (kind >= numSeriesKinds ||
-            !getVarint(p, dirEnd, nameLen) ||
-            nameLen > static_cast<std::uint64_t>(dirEnd - p)) {
-            const bool err = fail("'" + path + "': bad series entry " +
-                                  std::to_string(i));
-            close();
-            return err;
-        }
+        if (kind >= numSeriesKinds || !getVarint(p, dirEnd, nameLen) ||
+            nameLen > static_cast<std::uint64_t>(dirEnd - p))
+            return reject("bad series entry " + std::to_string(i));
         SeriesDesc d;
         d.kind = static_cast<SeriesKind>(kind);
         d.name.assign(reinterpret_cast<const char *>(p),
@@ -174,81 +82,14 @@ MonReader::open(const std::string &path)
         p += nameLen;
         series_.push_back(std::move(d));
     }
-    if (p != dirEnd) {
-        const bool err = fail(
-            "'" + path + "': " + std::to_string(dirEnd - p) +
-            " trailing directory bytes after the last series");
-        close();
-        return err;
-    }
+    if (p != dirEnd)
+        return reject(std::to_string(dirEnd - p) +
+                      " trailing directory bytes after the last series");
 
-    // --- chunk directory walk (headers only; CRCs checked lazily) -------
-    std::size_t off = monFileHeaderBytes + dirBytes + 4;
-    std::uint64_t samples = 0;
-    while (off != size_) {
-        if (off + monChunkHeaderBytes > size_) {
-            const bool err = fail(
-                "'" + path + "': truncated at chunk " +
-                std::to_string(chunks_.size()) +
-                " header (file ends early)");
-            close();
-            return err;
-        }
-        const std::uint8_t *h = data_ + off;
-        if (get32(h) != monChunkMagic) {
-            const bool err = fail("'" + path + "': chunk " +
-                                  std::to_string(chunks_.size()) +
-                                  ": bad magic");
-            close();
-            return err;
-        }
-        Chunk c;
-        c.samples = get32(h + 4);
-        c.payloadBytes = get32(h + 8);
-        c.crc = get32(h + 12);
-        const std::uint64_t firstIndex = get64(h + 16);
-        c.payloadOff = off + monChunkHeaderBytes;
-        if (c.samples == 0) {
-            const bool err = fail("'" + path + "': chunk " +
-                                  std::to_string(chunks_.size()) +
-                                  ": empty chunk");
-            close();
-            return err;
-        }
-        if (firstIndex != samples) {
-            const bool err = fail(
-                "'" + path + "': chunk " +
-                std::to_string(chunks_.size()) + ": firstIndex " +
-                std::to_string(firstIndex) + " != running count " +
-                std::to_string(samples));
-            close();
-            return err;
-        }
-        if (c.payloadOff + c.payloadBytes > size_) {
-            const bool err = fail(
-                "'" + path + "': truncated in chunk " +
-                std::to_string(chunks_.size()) +
-                " payload (file ends early)");
-            close();
-            return err;
-        }
-        samples += c.samples;
-        off = c.payloadOff + c.payloadBytes;
-        chunks_.push_back(c);
-    }
-    if (samples != sampleCount_) {
-        const bool err =
-            sampleCount_ == monUnpatchedCount
-                ? fail("'" + path + "': unpatched sample count " +
-                       "(unclosed writer?)")
-                : fail("'" + path + "': header says " +
-                       std::to_string(sampleCount_) +
-                       " samples, chunks hold " +
-                       std::to_string(samples));
+    if (!file_.walk(monFileHeaderBytes + dirBytes + 4)) {
         close();
-        return err;
+        return false;
     }
-
     rewind();
     return true;
 }
@@ -256,17 +97,9 @@ MonReader::open(const std::string &path)
 void
 MonReader::close()
 {
-    if (data_ && mapped_)
-        ::munmap(const_cast<std::uint8_t *>(data_), size_);
-    data_ = nullptr;
-    size_ = 0;
-    mapped_ = false;
-    heap_.clear();
-    heap_.shrink_to_fit();
+    file_.close();
     series_.clear();
-    chunks_.clear();
     interval_ = 0;
-    sampleCount_ = 0;
     samplesRead_ = 0;
     ticks_.clear();
     rows_.clear();
@@ -286,28 +119,26 @@ MonReader::rewind()
     entered_ = false;
     ticks_.clear();
     rows_.clear();
-    if (isOpen() && error_.empty() && !chunks_.empty())
+    if (isOpen() && error().empty() && !file_.chunks().empty())
         entered_ = enterChunk(0);
 }
 
 bool
 MonReader::enterChunk(std::size_t idx)
 {
-    Chunk &c = chunks_[idx];
-    if (!c.crcChecked) {
-        const std::uint32_t got =
-            crc32(data_ + c.payloadOff, c.payloadBytes);
-        if (got != c.crc)
-            return fail("chunk " + std::to_string(idx) +
-                        ": CRC mismatch (stored " +
-                        std::to_string(c.crc) + ", computed " +
-                        std::to_string(got) + ")");
-        c.crcChecked = true;
-    }
-
-    const std::uint8_t *p = data_ + c.payloadOff;
+    const std::uint8_t *p = file_.payload(idx);
+    if (!p)
+        return stop();
+    const chunkfile::Chunk &c = file_.chunks()[idx];
     const std::uint8_t *end = p + c.payloadBytes;
-    const std::uint32_t n = c.samples;
+    const std::uint32_t n = c.count;
+    // A row takes at least one byte in the tick column and in each
+    // value column: reject a count the payload cannot hold before it
+    // sizes the decode buffers.
+    if (std::uint64_t{n} * (series_.size() + 1) > c.payloadBytes)
+        return fail("chunk " + std::to_string(idx) + ": " +
+                    std::to_string(n) + " samples cannot fit in " +
+                    std::to_string(c.payloadBytes) + " payload bytes");
 
     // Tick column: delta context restarts at 0, first value absolute.
     // Ticks must keep increasing file-wide.
@@ -383,10 +214,10 @@ MonReader::enterChunk(std::size_t idx)
 bool
 MonReader::next(Tick &tick, std::vector<double> &values)
 {
-    if (!error_.empty())
+    if (!error().empty())
         return false;
     while (entered_ && rowInChunk_ >= ticks_.size()) {
-        if (chunkIdx_ + 1 >= chunks_.size())
+        if (chunkIdx_ + 1 >= file_.chunks().size())
             return false; // clean end of file
         if (!enterChunk(chunkIdx_ + 1))
             return false;

@@ -2,11 +2,12 @@
  * @file
  * mmap-backed takomon-v1 decoder.
  *
- * open() maps the file read-only, decodes the series directory, and
- * walks the chunk directory once, bounds-checking every header against
- * the file size and the header's sample count — a truncated or corrupt
- * file is rejected before a single row is decoded. Payload CRCs are
- * verified lazily, when iteration first enters each chunk.
+ * open() maps the file, decodes the series directory, and walks the
+ * chunk headers through the shared container (sim/chunk_file.hh),
+ * which checks every header against the file size and the header's
+ * sample count — a truncated or corrupt file is rejected before a
+ * single row is decoded. Payload CRCs are verified lazily, when
+ * iteration first enters each chunk.
  *
  * Iteration is strictly forward (`next()`), with `rewind()` to
  * restart; any structural violation mid-stream sets a sticky error and
@@ -21,6 +22,7 @@
 #include <vector>
 
 #include "mon/format.hh"
+#include "sim/chunk_file.hh"
 
 namespace tako::mon
 {
@@ -29,7 +31,6 @@ class MonReader
 {
   public:
     MonReader() = default;
-    ~MonReader();
 
     MonReader(const MonReader &) = delete;
     MonReader &operator=(const MonReader &) = delete;
@@ -54,38 +55,26 @@ class MonReader
     /** Restart iteration from the first row. Keeps the mapping. */
     void rewind();
 
-    bool isOpen() const { return data_ != nullptr; }
-    const std::string &error() const { return error_; }
+    bool isOpen() const { return file_.isOpen(); }
+    const std::string &error() const { return file_.error(); }
     Tick interval() const { return interval_; }
-    std::uint64_t sampleCount() const { return sampleCount_; }
+    std::uint64_t sampleCount() const { return file_.count(); }
     std::uint64_t samplesRead() const { return samplesRead_; }
-    std::uint64_t chunkCount() const { return chunks_.size(); }
+    std::uint64_t chunkCount() const { return file_.chunks().size(); }
     const std::vector<SeriesDesc> &series() const { return series_; }
 
   private:
-    struct Chunk
-    {
-        std::size_t payloadOff = 0;
-        std::uint32_t payloadBytes = 0;
-        std::uint32_t samples = 0;
-        std::uint32_t crc = 0;
-        bool crcChecked = false;
-    };
-
     /** Enter chunk @p idx: CRC-check (once) and decode its columns. */
     bool enterChunk(std::size_t idx);
     bool fail(const std::string &msg);
+    /** Fail open() with "'path': @p msg" and close. */
+    bool reject(const std::string &msg);
+    /** End iteration (after an error). Returns false. */
+    bool stop();
 
-    const std::uint8_t *data_ = nullptr;
-    std::size_t size_ = 0;
-    bool mapped_ = false;            ///< data_ is an mmap (vs. heap copy)
-    std::vector<std::uint8_t> heap_; ///< fallback when mmap fails
-
-    std::string error_;
+    chunkfile::Reader file_{monFormat};
     Tick interval_ = 0;
-    std::uint64_t sampleCount_ = 0;
     std::vector<SeriesDesc> series_;
-    std::vector<Chunk> chunks_;
 
     // Cursor: decoded columns of the current chunk, handed out row by
     // row. Column decode happens on chunk entry — rows then cost one

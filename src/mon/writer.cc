@@ -7,24 +7,11 @@
 namespace tako::mon
 {
 
+using chunkfile::put32;
+using chunkfile::put64;
+
 namespace
 {
-
-void
-put32(std::uint8_t *p, std::uint32_t v)
-{
-    p[0] = static_cast<std::uint8_t>(v);
-    p[1] = static_cast<std::uint8_t>(v >> 8);
-    p[2] = static_cast<std::uint8_t>(v >> 16);
-    p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void
-put64(std::uint8_t *p, std::uint64_t v)
-{
-    put32(p, static_cast<std::uint32_t>(v));
-    put32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
 
 /** True iff @p v is an exact integer representable as int64. */
 bool
@@ -50,87 +37,58 @@ seriesKindSuffix(SeriesKind kind)
     return "?";
 }
 
-MonWriter::~MonWriter()
-{
-    if (file_) {
-        // Abandoned without close(): leave the invalid placeholder
-        // header in place so readers reject the file.
-        std::fclose(file_);
-        file_ = nullptr;
-    }
-}
-
 bool
 MonWriter::open(const std::string &path, Tick interval,
                 std::vector<SeriesDesc> series, Options opt)
 {
-    if (file_) {
-        setError("open() on an already-open writer");
-        return false;
-    }
     if (interval == 0) {
-        setError("sampling interval must be nonzero");
+        file_.setError("sampling interval must be nonzero");
         return false;
     }
     if (opt.chunkSamples == 0)
         opt.chunkSamples = 1;
-    file_ = std::fopen(path.c_str(), "wb");
-    if (!file_) {
-        setError("cannot create '" + path + "'");
-        return false;
+
+    // Header (the container fills in magic, version, flags and the
+    // sampleCount sentinel), then the series directory and its CRC.
+    std::vector<std::uint8_t> head(monFileHeaderBytes);
+    for (const SeriesDesc &s : series) {
+        head.push_back(static_cast<std::uint8_t>(s.kind));
+        putVarint(head, s.name.size());
+        head.insert(head.end(), s.name.begin(), s.name.end());
     }
+    const std::size_t dirBytes = head.size() - monFileHeaderBytes;
+    put64(head.data() + 16, interval);
+    put32(head.data() + 24, static_cast<std::uint32_t>(series.size()));
+    put32(head.data() + 28, static_cast<std::uint32_t>(dirBytes));
+    std::uint8_t dirCrc[4];
+    put32(dirCrc, crc32(head.data() + monFileHeaderBytes, dirBytes));
+    head.insert(head.end(), dirCrc, dirCrc + sizeof(dirCrc));
+    if (!file_.open(path, std::move(head), 0))
+        return false;
+
     opt_ = opt;
-    error_.clear();
     seriesCount_ = series.size();
-    samples_ = chunkFirstIndex_ = 0;
+    samples_ = 0;
     lastTick_ = 0;
     anySample_ = false;
     ticks_.clear();
     rows_.clear();
-
-    std::vector<std::uint8_t> dir;
-    for (const SeriesDesc &s : series) {
-        dir.push_back(static_cast<std::uint8_t>(s.kind));
-        putVarint(dir, s.name.size());
-        dir.insert(dir.end(), s.name.begin(), s.name.end());
-    }
-
-    // Placeholder header: sampleCount carries the impossible sentinel
-    // until close() patches the real value in, so an abandoned file is
-    // rejected even when no chunk was ever flushed.
-    std::uint8_t hdr[monFileHeaderBytes] = {};
-    std::memcpy(hdr, monMagic.data(), monMagic.size());
-    put32(hdr + 8, monVersion);
-    put32(hdr + 12, 0); // flags
-    put64(hdr + 16, interval);
-    put32(hdr + 24, static_cast<std::uint32_t>(series.size()));
-    put32(hdr + 28, static_cast<std::uint32_t>(dir.size()));
-    put64(hdr + 32, monUnpatchedCount); // patched on close
-    std::uint8_t dirCrc[4];
-    put32(dirCrc, crc32(dir.data(), dir.size()));
-    if (std::fwrite(hdr, 1, sizeof(hdr), file_) != sizeof(hdr) ||
-        std::fwrite(dir.data(), 1, dir.size(), file_) != dir.size() ||
-        std::fwrite(dirCrc, 1, sizeof(dirCrc), file_) !=
-            sizeof(dirCrc)) {
-        setError("header write failed");
-        return false;
-    }
     return true;
 }
 
 void
 MonWriter::addSample(Tick tick, const std::vector<double> &values)
 {
-    if (!file_ || !error_.empty())
+    if (!file_.ok())
         return; // sticky error; close() reports it
     if (values.size() != seriesCount_) {
-        setError("row arity " + std::to_string(values.size()) +
-                 " != " + std::to_string(seriesCount_) + " series");
+        file_.setError("row arity " + std::to_string(values.size()) +
+                       " != " + std::to_string(seriesCount_) + " series");
         return;
     }
     if (anySample_ && tick <= lastTick_) {
-        setError("non-increasing tick at sample " +
-                 std::to_string(samples_));
+        file_.setError("non-increasing tick at sample " +
+                       std::to_string(samples_));
         return;
     }
     lastTick_ = tick;
@@ -195,19 +153,8 @@ MonWriter::flushChunk()
         }
     }
 
-    std::uint8_t hdr[monChunkHeaderBytes];
-    put32(hdr, monChunkMagic);
-    put32(hdr + 4, static_cast<std::uint32_t>(n));
-    put32(hdr + 8, static_cast<std::uint32_t>(payload.size()));
-    put32(hdr + 12, crc32(payload.data(), payload.size()));
-    put64(hdr + 16, chunkFirstIndex_);
-    if (std::fwrite(hdr, 1, sizeof(hdr), file_) != sizeof(hdr) ||
-        std::fwrite(payload.data(), 1, payload.size(), file_) !=
-            payload.size()) {
-        setError("chunk write failed");
+    if (!file_.writeChunk(static_cast<std::uint32_t>(n), payload))
         return;
-    }
-    chunkFirstIndex_ = samples_;
     ticks_.clear();
     rows_.clear();
 }
@@ -215,32 +162,8 @@ MonWriter::flushChunk()
 bool
 MonWriter::close()
 {
-    if (!file_) {
-        if (error_.empty())
-            setError("close() without open()");
-        return false;
-    }
     flushChunk();
-    if (error_.empty()) {
-        std::uint8_t count[8];
-        put64(count, samples_);
-        if (std::fseek(file_, 32, SEEK_SET) != 0 ||
-            std::fwrite(count, 1, sizeof(count), file_) !=
-                sizeof(count))
-            setError("header patch failed");
-    }
-    const bool flushOk = std::fclose(file_) == 0;
-    file_ = nullptr;
-    if (!flushOk && error_.empty())
-        setError("final flush failed");
-    return error_.empty();
-}
-
-void
-MonWriter::setError(const std::string &msg)
-{
-    if (error_.empty())
-        error_ = "takomon write: " + msg;
+    return file_.close();
 }
 
 } // namespace tako::mon

@@ -2,22 +2,22 @@
  * @file
  * Streaming takomon-v1 encoder.
  *
- * Rows (one sampled value per series, at one tick) are buffered and
- * column-encoded into fixed-capacity chunks with per-chunk CRCs. The
- * file header carries the total sample count and is patched on
- * close(), so a writer that dies mid-stream leaves a file whose header
- * says 0 samples — readers reject it instead of trusting a silent
- * prefix. Same write discipline as trace::TraceWriter.
+ * Rows (one sampled value per series, at one tick) are buffered,
+ * column-encoded into fixed-capacity chunks, and framed by the shared
+ * container (sim/chunk_file.hh). The file header carries the total
+ * sample count and is patched on close(), so a writer that dies
+ * mid-stream leaves the unpatched-count sentinel — readers reject it
+ * instead of trusting a silent prefix.
  */
 
 #ifndef TAKO_MON_WRITER_HH
 #define TAKO_MON_WRITER_HH
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "mon/format.hh"
+#include "sim/chunk_file.hh"
 
 namespace tako::mon
 {
@@ -32,7 +32,6 @@ class MonWriter
     };
 
     MonWriter() = default;
-    ~MonWriter();
 
     MonWriter(const MonWriter &) = delete;
     MonWriter &operator=(const MonWriter &) = delete;
@@ -63,21 +62,19 @@ class MonWriter
     /**
      * Flush the final chunk and patch the real sample count into the
      * header. Returns false if anything failed; the file is then
-     * invalid by construction (header still says 0 samples).
+     * invalid by construction (header still holds the sentinel).
      */
     bool close();
 
-    bool isOpen() const { return file_ != nullptr; }
+    bool isOpen() const { return file_.isOpen(); }
     std::uint64_t samplesWritten() const { return samples_; }
-    const std::string &error() const { return error_; }
+    const std::string &error() const { return file_.error(); }
 
   private:
     void flushChunk();
-    void setError(const std::string &msg);
 
-    std::FILE *file_ = nullptr;
+    chunkfile::Writer file_{monFormat};
     Options opt_;
-    std::string error_;
     std::size_t seriesCount_ = 0;
 
     /** Buffered rows of the open chunk (row-major; column-encoded at
@@ -85,8 +82,7 @@ class MonWriter
     std::vector<Tick> ticks_;
     std::vector<double> rows_;
 
-    std::uint64_t samples_ = 0;         ///< total appended
-    std::uint64_t chunkFirstIndex_ = 0; ///< first row of the open chunk
+    std::uint64_t samples_ = 0; ///< total appended
     Tick lastTick_ = 0;
     bool anySample_ = false;
 };

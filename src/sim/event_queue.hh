@@ -109,18 +109,13 @@ class StreamKeySource
         // 2^44 events per stream outlasts any realistic run; the pack
         // would need a widening long before the counter wraps.
         return (std::uint64_t{stream} << kSeqBits) |
-               cells_[stream].seq++;
+               cells_[stream].value++;
     }
 
     std::size_t streams() const { return cells_.size(); }
 
   private:
-    struct alignas(64) Cell
-    {
-        std::uint64_t seq = 0;
-    };
-
-    std::vector<Cell> cells_;
+    std::vector<Padded<std::uint64_t>> cells_;
 };
 
 class EventQueue

@@ -64,7 +64,7 @@ double
 ShardedExecutor::barrierWaitSeconds() const
 {
     double total = 0;
-    for (const PaddedSeconds &w : barrierWait_)
+    for (const Padded<double> &w : barrierWait_)
         total += w.value;
     return total;
 }

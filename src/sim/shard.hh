@@ -187,16 +187,6 @@ class ShardedExecutor
     double barrierWaitSeconds() const;
 
   private:
-    struct alignas(64) PaddedCounter
-    {
-        std::uint64_t value = 0;
-    };
-
-    struct alignas(64) PaddedSeconds
-    {
-        double value = 0;
-    };
-
     /** The next round, as the barrier's last arriver published it. */
     struct RoundState
     {
@@ -233,7 +223,7 @@ class ShardedExecutor
      */
     std::array<std::vector<std::vector<ShardEvent>>, 2> mail_;
     unsigned parity_ = 0;
-    std::vector<PaddedCounter> sendSeq_; ///< per-source send counters
+    std::vector<Padded<std::uint64_t>> sendSeq_; ///< per-source sends
 
     // Centralized sense-reversing spin barrier. Rounds are short (one
     // quantum is a handful of events per domain), so parking on a
@@ -254,7 +244,7 @@ class ShardedExecutor
     std::uint64_t soloRounds_ = 0;
 
     std::vector<DomainProfile> profiles_;    ///< one per domain
-    std::vector<PaddedSeconds> barrierWait_; ///< one per worker (host.*)
+    std::vector<Padded<double>> barrierWait_; ///< one per worker (host.*)
 };
 
 /**

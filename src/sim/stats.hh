@@ -61,7 +61,7 @@ class Counter
     operator+=(double v)
     {
         if (lanes_)
-            lanes_[ctxDomain()] += v;
+            lanes_[ctxDomain()].value += v;
         else
             value_ += v;
         return *this;
@@ -75,7 +75,7 @@ class Counter
     {
         double v = value_;
         for (unsigned i = 0; i < laneCount_; ++i)
-            v += lanes_[i];
+            v += lanes_[i].value;
         return v;
     }
 
@@ -86,19 +86,18 @@ class Counter
     {
         value_ = v;
         for (unsigned i = 0; i < laneCount_; ++i)
-            lanes_[i] = 0;
+            lanes_[i].value = 0;
     }
 
     void reset() { set(0); }
 
-    /** Allocate @p n per-domain lanes (idempotent). */
+    /** Allocate @p n zeroed per-domain lanes (idempotent). */
     void
     enableLanes(unsigned n)
     {
         if (lanes_)
             return;
-        lanes_ = std::make_unique<double[]>(n);
-        std::fill(lanes_.get(), lanes_.get() + n, 0.0);
+        lanes_ = std::make_unique<Padded<double>[]>(n);
         laneCount_ = n;
     }
 
@@ -112,7 +111,7 @@ class Counter
     laneValue(unsigned d) const
     {
         const double base = d == 0 ? value_ : 0.0;
-        return base + (lanes_ ? lanes_[d] : 0.0);
+        return base + (lanes_ ? lanes_[d].value : 0.0);
     }
 
     /** Fold lane partials into the plain value (post-run, single thread). */
@@ -122,12 +121,14 @@ class Counter
         if (!lanes_)
             return;
         value_ = value();
-        std::fill(lanes_.get(), lanes_.get() + laneCount_, 0.0);
+        for (unsigned i = 0; i < laneCount_; ++i)
+            lanes_[i].value = 0;
     }
 
   private:
     double value_ = 0;
-    std::unique_ptr<double[]> lanes_; ///< per-domain partials (optional)
+    /** Per-domain partials (optional), one cache line each. */
+    std::unique_ptr<Padded<double>[]> lanes_;
     unsigned laneCount_ = 0;
 };
 
@@ -149,7 +150,7 @@ class Histogram
           sum_(o.sum_), max_(o.max_)
     {
         for (unsigned i = 0; i < o.laneCount_; ++i) {
-            const Histogram &l = o.lanes_[i];
+            const Histogram &l = o.lanes_[i].value;
             for (std::size_t b = 0; b < buckets_.size(); ++b)
                 buckets_[b] += l.buckets_[b];
             count_ += l.count_;
@@ -181,7 +182,7 @@ class Histogram
     sample(std::uint64_t v)
     {
         if (lanes_) {
-            lanes_[ctxDomain()].sample(v);
+            lanes_[ctxDomain()].value.sample(v);
             return;
         }
         // Skip the integer division for sub-bucket-width values: latency
@@ -205,9 +206,9 @@ class Histogram
         if (lanes_)
             return;
         laneCount_ = n;
-        lanes_ = std::make_unique<Histogram[]>(n);
+        lanes_ = std::make_unique<Padded<Histogram>[]>(n);
         for (unsigned i = 0; i < n; ++i)
-            lanes_[i] = Histogram(numBuckets(), bucketWidth());
+            lanes_[i].value = Histogram(numBuckets(), bucketWidth());
     }
 
     /** Mid-run per-domain partials (each domain reads only its own).
@@ -216,20 +217,22 @@ class Histogram
     std::uint64_t
     laneCount(unsigned d) const
     {
-        return (d == 0 ? count_ : 0) + (lanes_ ? lanes_[d].count_ : 0);
+        return (d == 0 ? count_ : 0) +
+               (lanes_ ? lanes_[d].value.count_ : 0);
     }
 
     double
     laneSum(unsigned d) const
     {
-        return (d == 0 ? sum_ : 0.0) + (lanes_ ? lanes_[d].sum_ : 0.0);
+        return (d == 0 ? sum_ : 0.0) +
+               (lanes_ ? lanes_[d].value.sum_ : 0.0);
     }
 
     std::uint64_t
     laneMax(unsigned d) const
     {
         const std::uint64_t base = d == 0 ? max_ : 0;
-        return lanes_ ? std::max(base, lanes_[d].max_) : base;
+        return lanes_ ? std::max(base, lanes_[d].value.max_) : base;
     }
 
     /** Fold lane partials into the base fields (post-run, one thread). */
@@ -239,7 +242,7 @@ class Histogram
         if (!lanes_)
             return;
         for (unsigned i = 0; i < laneCount_; ++i) {
-            Histogram &l = lanes_[i];
+            Histogram &l = lanes_[i].value;
             for (std::size_t b = 0; b < buckets_.size(); ++b)
                 buckets_[b] += l.buckets_[b];
             count_ += l.count_;
@@ -268,7 +271,7 @@ class Histogram
         sum_ = 0;
         max_ = 0;
         for (unsigned i = 0; i < laneCount_; ++i)
-            lanes_[i].reset();
+            lanes_[i].value.reset();
     }
 
   private:
@@ -277,7 +280,8 @@ class Histogram
     std::uint64_t count_ = 0;
     double sum_ = 0;
     std::uint64_t max_ = 0;
-    std::unique_ptr<Histogram[]> lanes_; ///< per-domain partials
+    /** Per-domain partials, each starting on its own cache line. */
+    std::unique_ptr<Padded<Histogram>[]> lanes_;
     unsigned laneCount_ = 0;
 };
 

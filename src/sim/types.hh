@@ -75,6 +75,17 @@ isPow2(std::uint64_t v)
     return v != 0 && (v & (v - 1)) == 0;
 }
 
+/**
+ * A @p T alone on its cache line(s). Arrays of cells that different
+ * host threads write (per-domain stat lanes, per-worker counters) hold
+ * them in Padded so no two writers ever share a line.
+ */
+template <typename T>
+struct alignas(64) Padded
+{
+    T value{};
+};
+
 } // namespace tako
 
 #endif // TAKO_SIM_TYPES_HH

@@ -99,6 +99,44 @@ portedAccess(Engine &engine, int level, MemCmd cmd, Addr addr,
         *out = v;
 }
 
+/** The (address, write data) of one multi-op element: a load's
+ *  address, or a store's pair. */
+std::pair<Addr, std::uint64_t>
+addrData(Addr addr)
+{
+    return {addr, 0};
+}
+
+const std::pair<Addr, std::uint64_t> &
+addrData(const std::pair<Addr, std::uint64_t> &write)
+{
+    return write;
+}
+
+/**
+ * Overlap one ported access per element of @p ops under one Join, the
+ * engine's counterpart of Core::multiOp. A non-null @p out receives the
+ * loaded values in argument order.
+ */
+template <typename Op>
+Task<>
+portedMulti(Engine &engine, EventQueue &eq, int level, MemCmd cmd,
+            const std::vector<Op> &ops, std::vector<std::uint64_t> *out,
+            bool no_fetch = false, bool use_once = false)
+{
+    if (out)
+        out->assign(ops.size(), 0);
+    Join join(eq);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const auto [addr, wdata] = addrData(ops[i]);
+        join.add();
+        spawn(portedAccess(engine, level, cmd, addr, wdata,
+                           out ? &(*out)[i] : nullptr, no_fetch, use_once),
+              join.completion());
+    }
+    co_await join.wait();
+}
+
 } // namespace
 
 Task<std::uint64_t>
@@ -130,62 +168,32 @@ Task<>
 EngineCtx::loadMulti(const std::vector<Addr> &addrs,
                      std::vector<std::uint64_t> *out)
 {
-    if (out)
-        out->assign(addrs.size(), 0);
-    Join join(eq());
-    for (std::size_t i = 0; i < addrs.size(); ++i) {
-        join.add();
-        spawn(portedAccess(engine_, callbackLevelOf(binding_),
-                           MemCmd::Load, addrs[i], 0,
-                           out ? &(*out)[i] : nullptr),
-              join.completion());
-    }
-    co_await join.wait();
+    return portedMulti(engine_, eq(), callbackLevelOf(binding_),
+                       MemCmd::Load, addrs, out);
 }
 
 Task<>
 EngineCtx::streamLoadMulti(const std::vector<Addr> &addrs,
                            std::vector<std::uint64_t> *out)
 {
-    if (out)
-        out->assign(addrs.size(), 0);
-    Join join(eq());
-    for (std::size_t i = 0; i < addrs.size(); ++i) {
-        join.add();
-        spawn(portedAccess(engine_, callbackLevelOf(binding_),
-                           MemCmd::Load, addrs[i], 0,
-                           out ? &(*out)[i] : nullptr, false, true),
-              join.completion());
-    }
-    co_await join.wait();
+    return portedMulti(engine_, eq(), callbackLevelOf(binding_),
+                       MemCmd::Load, addrs, out, false, true);
 }
 
 Task<>
 EngineCtx::storeMulti(
     const std::vector<std::pair<Addr, std::uint64_t>> &writes)
 {
-    Join join(eq());
-    for (const auto &[addr, value] : writes) {
-        join.add();
-        spawn(portedAccess(engine_, callbackLevelOf(binding_),
-                           MemCmd::Store, addr, value, nullptr),
-              join.completion());
-    }
-    co_await join.wait();
+    return portedMulti(engine_, eq(), callbackLevelOf(binding_),
+                       MemCmd::Store, writes, nullptr);
 }
 
 Task<>
 EngineCtx::streamStoreMulti(
     const std::vector<std::pair<Addr, std::uint64_t>> &writes)
 {
-    Join join(eq());
-    for (const auto &[addr, value] : writes) {
-        join.add();
-        spawn(portedAccess(engine_, callbackLevelOf(binding_),
-                           MemCmd::Store, addr, value, nullptr, true),
-              join.completion());
-    }
-    co_await join.wait();
+    return portedMulti(engine_, eq(), callbackLevelOf(binding_),
+                       MemCmd::Store, writes, nullptr, true);
 }
 
 Task<>
@@ -327,44 +335,20 @@ Tick
 Engine::rtlbLookup(Addr line)
 {
     energy_.tlbAccess();
-    const std::uint64_t page = line / params_.pageBytes;
-    auto it = rtlb_.find(page);
-    if (it != rtlb_.end()) {
-        it->second = ++rtlbClock_;
+    if (rtlb_.touch(line / params_.pageBytes, params_.rtlbEntries)) {
         ++*rtlbHits_;
         return params_.tlbLat;
     }
     ++*rtlbMisses_;
-    if (rtlb_.size() >= params_.rtlbEntries) {
-        auto lru = std::min_element(
-            rtlb_.begin(), rtlb_.end(),
-            [](const auto &a, const auto &b) {
-                return a.second < b.second;
-            });
-        rtlb_.erase(lru);
-    }
-    rtlb_.emplace(page, ++rtlbClock_);
     return params_.rtlbMissLat;
 }
 
 Tick
 Engine::bitstreamLookup(const MorphBinding &binding)
 {
-    auto it = bitstreams_.find(binding.id);
-    if (it != bitstreams_.end()) {
-        it->second = ++bitstreamClock_;
+    if (bitstreams_.touch(binding.id, params_.bitstreamCacheEntries))
         return 0;
-    }
     ++*bitstreamLoads_;
-    if (bitstreams_.size() >= params_.bitstreamCacheEntries) {
-        auto lru = std::min_element(
-            bitstreams_.begin(), bitstreams_.end(),
-            [](const auto &a, const auto &b) {
-                return a.second < b.second;
-            });
-        bitstreams_.erase(lru);
-    }
-    bitstreams_.emplace(binding.id, ++bitstreamClock_);
     // One cycle per static instruction to stream the configuration in.
     return binding.morph ? binding.morph->traits().totalInstrs() : 0;
 }

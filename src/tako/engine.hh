@@ -23,6 +23,7 @@
 #ifndef TAKO_TAKO_ENGINE_HH
 #define TAKO_TAKO_ENGINE_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -194,6 +195,39 @@ class Engine
     void raiseInterrupt(int core, Addr line);
 
   private:
+    /**
+     * A map-plus-clock LRU set: key -> last use. Ordered (takolint D1):
+     * the victim scan iterates, and hash order would decide ties.
+     */
+    template <typename Key>
+    struct LruSet
+    {
+        std::map<Key, std::uint64_t> lastUse;
+        std::uint64_t clock = 0;
+
+        /** Touch @p key: true on a hit. On a miss, evict the least
+         *  recently used entry when @p capacity is reached, then insert
+         *  @p key. */
+        bool
+        touch(Key key, std::size_t capacity)
+        {
+            auto it = lastUse.find(key);
+            if (it != lastUse.end()) {
+                it->second = ++clock;
+                return true;
+            }
+            if (lastUse.size() >= capacity) {
+                lastUse.erase(std::min_element(
+                    lastUse.begin(), lastUse.end(),
+                    [](const auto &a, const auto &b) {
+                        return a.second < b.second;
+                    }));
+            }
+            lastUse.emplace(key, ++clock);
+            return false;
+        }
+    };
+
     struct Request
     {
         CallbackKind kind;
@@ -227,14 +261,8 @@ class Engine
     Semaphore memPortSem_;   ///< memory PEs
     LineLockTable addrOrder_; ///< per-address callback ordering
 
-    // rTLB: page -> lastUse (LRU). Ordered (takolint D1): the victim
-    // scan iterates, and hash order would decide lastUse ties.
-    std::map<std::uint64_t, std::uint64_t> rtlb_;
-    std::uint64_t rtlbClock_ = 0;
-
-    // Bitstream cache: morph id -> lastUse (LRU). Ordered, same as rtlb_.
-    std::map<std::uint32_t, std::uint64_t> bitstreams_;
-    std::uint64_t bitstreamClock_ = 0;
+    LruSet<std::uint64_t> rtlb_;      ///< rTLB: page -> last use
+    LruSet<std::uint32_t> bitstreams_; ///< bitstream cache: morph id
 
     Counter *cbMiss_;
     Counter *cbEviction_;

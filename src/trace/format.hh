@@ -11,17 +11,12 @@
  *     char[8] magic        "takotrc1"
  *     u32     version      1
  *     u32     flags        bit 0: records carry timestamps
- *     u64     recordCount  total records in the file
- *     u64     chunkCount   number of chunks that follow
+ *     u64     recordCount  total records; ~0 until the writer closes
+ *     u64     chunkCount   number of chunks; ~0 until the writer closes
  *
- *   chunkCount x Chunk:
- *     ChunkHeader (24 bytes)
- *       u32 magic          0x314b4843 ("CHK1")
- *       u32 records        records encoded in this chunk
- *       u32 payloadBytes   encoded payload size in bytes
- *       u32 crc32          IEEE CRC-32 of the payload bytes
- *       u64 firstIndex     file-wide index of the chunk's first record
- *     payloadBytes of delta + LEB128 encoded records
+ *   chunkCount x Chunk (the shared container's framing, chunk magic
+ *   0x314b4843 "CHK1"; see sim/chunk_file.hh), each payload holding
+ *   delta + LEB128 encoded records.
  *
  * Record encoding. The per-chunk context (previous address, size,
  * tenant, timestamp) resets at every chunk boundary so chunks decode
@@ -49,8 +44,8 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
+#include "sim/chunk_file.hh"
 #include "sim/types.hh"
 
 namespace tako::trace
@@ -89,7 +84,7 @@ constexpr std::uint32_t traceVersion = 1;
 constexpr std::uint32_t chunkMagic = 0x314b4843; // "CHK1"
 constexpr std::uint32_t flagTimestamps = 1u << 0;
 constexpr std::size_t fileHeaderBytes = 32;
-constexpr std::size_t chunkHeaderBytes = 24;
+constexpr std::size_t chunkHeaderBytes = chunkfile::chunkHeaderBytes;
 
 /** Record-head-byte layout. */
 constexpr std::uint8_t headOpMask = 0x07;
@@ -98,89 +93,21 @@ constexpr std::uint8_t headHasTenant = 1u << 4;
 constexpr std::uint8_t headHasTs = 1u << 5;
 constexpr std::uint8_t headReserved = 0xc0;
 
-// ---- LEB128 / zigzag ---------------------------------------------------
+// ---- container ---------------------------------------------------------
 
-inline void
-putVarint(std::vector<std::uint8_t> &out, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        out.push_back(static_cast<std::uint8_t>(v) | 0x80);
-        v >>= 7;
-    }
-    out.push_back(static_cast<std::uint8_t>(v));
-}
+/** The takotrace instance of the chunked container (sim/chunk_file.hh):
+ *  recordCount at offset 16 and chunkCount at 24 hold the unpatched
+ *  sentinel until the writer closes. */
+inline constexpr chunkfile::Format traceFormat{
+    "takotrace", traceMagic, traceVersion, flagTimestamps,
+    fileHeaderBytes, 16, 24, chunkMagic, "record"};
 
-/**
- * Decode one LEB128 value from [@p p, @p end). Advances @p p past the
- * value. Returns false (leaving @p out unspecified) on truncation or a
- * varint longer than 64 bits.
- */
-inline bool
-getVarint(const std::uint8_t *&p, const std::uint8_t *end,
-          std::uint64_t &out)
-{
-    std::uint64_t v = 0;
-    unsigned shift = 0;
-    while (p != end && shift < 64) {
-        const std::uint8_t byte = *p++;
-        v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
-        if (!(byte & 0x80)) {
-            out = v;
-            return true;
-        }
-        shift += 7;
-    }
-    return false;
-}
-
-constexpr std::uint64_t
-zigzagEncode(std::int64_t v)
-{
-    return (static_cast<std::uint64_t>(v) << 1) ^
-           static_cast<std::uint64_t>(v >> 63);
-}
-
-constexpr std::int64_t
-zigzagDecode(std::uint64_t v)
-{
-    return static_cast<std::int64_t>(v >> 1) ^
-           -static_cast<std::int64_t>(v & 1);
-}
-
-// ---- CRC-32 (IEEE 802.3, reflected, poly 0xEDB88320) -------------------
-//
-// Matches zlib/binascii.crc32 so tools/validate_takotrace.py can verify
-// chunks with the Python standard library.
-
-namespace detail
-{
-
-constexpr std::array<std::uint32_t, 256>
-makeCrcTable()
-{
-    std::array<std::uint32_t, 256> t{};
-    for (std::uint32_t i = 0; i < 256; ++i) {
-        std::uint32_t c = i;
-        for (int k = 0; k < 8; ++k)
-            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-        t[i] = c;
-    }
-    return t;
-}
-
-inline constexpr std::array<std::uint32_t, 256> crcTable = makeCrcTable();
-
-} // namespace detail
-
-inline std::uint32_t
-crc32(const std::uint8_t *data, std::size_t len,
-      std::uint32_t seed = 0)
-{
-    std::uint32_t c = seed ^ 0xffffffffu;
-    for (std::size_t i = 0; i < len; ++i)
-        c = detail::crcTable[(c ^ data[i]) & 0xff] ^ (c >> 8);
-    return c ^ 0xffffffffu;
-}
+// The codec primitives, shared with takomon.
+using chunkfile::crc32;
+using chunkfile::getVarint;
+using chunkfile::putVarint;
+using chunkfile::zigzagDecode;
+using chunkfile::zigzagEncode;
 
 /** Human-readable op name ("load", "store", ...). */
 const char *traceOpName(TraceOp op);

@@ -2,12 +2,12 @@
  * @file
  * mmap-backed takotrace-v1 decoder.
  *
- * open() maps the file read-only and walks the chunk directory once,
- * bounds-checking every header against the file size and the header's
- * record/chunk counts — a truncated or corrupt file is rejected before
- * a single record is decoded. Payload CRCs are verified lazily, when
- * iteration first enters each chunk, so opening a multi-gigabyte trace
- * stays O(chunks).
+ * open() maps the file and walks its chunk headers through the shared
+ * container (sim/chunk_file.hh), which checks every header against the
+ * file size and the header's record/chunk counts — a truncated or
+ * corrupt file is rejected before a single record is decoded. Payload
+ * CRCs are verified lazily, when iteration first enters each chunk, so
+ * opening a multi-gigabyte trace stays O(chunks).
  *
  * Iteration is strictly forward (`next()`), with `rewind()` to restart;
  * any structural violation mid-stream sets a sticky error and ends
@@ -19,8 +19,8 @@
 #define TAKO_TRACE_READER_HH
 
 #include <string>
-#include <vector>
 
+#include "sim/chunk_file.hh"
 #include "trace/format.hh"
 
 namespace tako::trace
@@ -30,7 +30,6 @@ class TraceReader
 {
   public:
     TraceReader() = default;
-    ~TraceReader();
 
     TraceReader(const TraceReader &) = delete;
     TraceReader &operator=(const TraceReader &) = delete;
@@ -53,36 +52,22 @@ class TraceReader
     /** Restart iteration from the first record. Keeps the mapping. */
     void rewind();
 
-    bool isOpen() const { return data_ != nullptr; }
-    const std::string &error() const { return error_; }
-    std::uint64_t recordCount() const { return recordCount_; }
+    bool isOpen() const { return file_.isOpen(); }
+    const std::string &error() const { return file_.error(); }
+    std::uint64_t recordCount() const { return file_.count(); }
     std::uint64_t recordsRead() const { return recordsRead_; }
     bool hasTimestamps() const { return timestamps_; }
-    std::uint64_t chunkCount() const { return chunks_.size(); }
+    std::uint64_t chunkCount() const { return file_.chunks().size(); }
 
   private:
-    struct Chunk
-    {
-        std::size_t payloadOff = 0; ///< byte offset of the payload
-        std::uint32_t payloadBytes = 0;
-        std::uint32_t records = 0;
-        std::uint32_t crc = 0;
-        bool crcChecked = false;
-    };
-
     /** Enter chunk @p idx: CRC-check (once) and reset decode state. */
     bool enterChunk(std::size_t idx);
     bool fail(const std::string &msg);
+    /** End iteration (after an error). Returns false. */
+    bool stop();
 
-    const std::uint8_t *data_ = nullptr;
-    std::size_t size_ = 0;
-    bool mapped_ = false;            ///< data_ is an mmap (vs. heap copy)
-    std::vector<std::uint8_t> heap_; ///< fallback when mmap fails
-
-    std::string error_;
-    std::uint64_t recordCount_ = 0;
+    chunkfile::Reader file_{traceFormat};
     bool timestamps_ = false;
-    std::vector<Chunk> chunks_;
 
     // Cursor.
     std::size_t chunkIdx_ = 0;       ///< current chunk

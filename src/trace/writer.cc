@@ -1,30 +1,7 @@
 #include "trace/writer.hh"
 
-#include <cstring>
-
 namespace tako::trace
 {
-
-namespace
-{
-
-void
-put32(std::uint8_t *p, std::uint32_t v)
-{
-    p[0] = static_cast<std::uint8_t>(v);
-    p[1] = static_cast<std::uint8_t>(v >> 8);
-    p[2] = static_cast<std::uint8_t>(v >> 16);
-    p[3] = static_cast<std::uint8_t>(v >> 24);
-}
-
-void
-put64(std::uint8_t *p, std::uint64_t v)
-{
-    put32(p, static_cast<std::uint32_t>(v));
-    put32(p + 4, static_cast<std::uint32_t>(v >> 32));
-}
-
-} // namespace
 
 const char *
 traceOpName(TraceOp op)
@@ -40,61 +17,33 @@ traceOpName(TraceOp op)
     return "?";
 }
 
-TraceWriter::~TraceWriter()
-{
-    if (file_) {
-        // Abandoned without close(): leave the invalid placeholder
-        // header in place so readers reject the file.
-        std::fclose(file_);
-        file_ = nullptr;
-    }
-}
-
 bool
 TraceWriter::open(const std::string &path, Options opt)
 {
-    if (file_) {
-        setError("open() on an already-open writer");
-        return false;
-    }
     if (opt.chunkRecords == 0)
         opt.chunkRecords = 1;
-    file_ = std::fopen(path.c_str(), "wb");
-    if (!file_) {
-        setError("cannot create '" + path + "'");
+    if (!file_.open(path, std::vector<std::uint8_t>(fileHeaderBytes),
+                    opt.timestamps ? flagTimestamps : 0))
         return false;
-    }
     opt_ = opt;
-    error_.clear();
-    records_ = chunks_ = chunkFirstIndex_ = 0;
+    records_ = 0;
     chunkRecords_ = 0;
     payload_.clear();
     prevAddr_ = 0;
     prevSize_ = 8;
     prevTenant_ = 0;
     prevTs_ = lastTs_ = 0;
-
-    // Placeholder header: counts are zero (invalid for a non-empty
-    // trace) until close() patches the real values in.
-    std::uint8_t hdr[fileHeaderBytes] = {};
-    std::memcpy(hdr, traceMagic.data(), traceMagic.size());
-    put32(hdr + 8, traceVersion);
-    put32(hdr + 12, opt_.timestamps ? flagTimestamps : 0);
-    if (std::fwrite(hdr, 1, sizeof(hdr), file_) != sizeof(hdr)) {
-        setError("header write failed");
-        return false;
-    }
     return true;
 }
 
 void
 TraceWriter::append(const TraceRecord &rec)
 {
-    if (!file_ || !error_.empty())
+    if (!file_.ok())
         return; // sticky error; close() reports it
     if (opt_.timestamps && rec.ts < lastTs_) {
-        setError("non-monotonic timestamp at record " +
-                 std::to_string(records_));
+        file_.setError("non-monotonic timestamp at record " +
+                       std::to_string(records_));
         return;
     }
 
@@ -131,22 +80,8 @@ TraceWriter::append(const TraceRecord &rec)
 void
 TraceWriter::flushChunk()
 {
-    if (chunkRecords_ == 0)
+    if (chunkRecords_ == 0 || !file_.writeChunk(chunkRecords_, payload_))
         return;
-    std::uint8_t hdr[chunkHeaderBytes];
-    put32(hdr, chunkMagic);
-    put32(hdr + 4, chunkRecords_);
-    put32(hdr + 8, static_cast<std::uint32_t>(payload_.size()));
-    put32(hdr + 12, crc32(payload_.data(), payload_.size()));
-    put64(hdr + 16, chunkFirstIndex_);
-    if (std::fwrite(hdr, 1, sizeof(hdr), file_) != sizeof(hdr) ||
-        std::fwrite(payload_.data(), 1, payload_.size(), file_) !=
-            payload_.size()) {
-        setError("chunk write failed");
-        return;
-    }
-    ++chunks_;
-    chunkFirstIndex_ = records_;
     chunkRecords_ = 0;
     payload_.clear();
     // Chunks decode independently: reset the delta context.
@@ -159,33 +94,8 @@ TraceWriter::flushChunk()
 bool
 TraceWriter::close()
 {
-    if (!file_) {
-        if (error_.empty())
-            setError("close() without open()");
-        return false;
-    }
     flushChunk();
-    if (error_.empty()) {
-        std::uint8_t counts[16];
-        put64(counts, records_);
-        put64(counts + 8, chunks_);
-        if (std::fseek(file_, 16, SEEK_SET) != 0 ||
-            std::fwrite(counts, 1, sizeof(counts), file_) !=
-                sizeof(counts))
-            setError("header patch failed");
-    }
-    const bool flushOk = std::fclose(file_) == 0;
-    file_ = nullptr;
-    if (!flushOk && error_.empty())
-        setError("final flush failed");
-    return error_.empty();
-}
-
-void
-TraceWriter::setError(const std::string &msg)
-{
-    if (error_.empty())
-        error_ = "takotrace write: " + msg;
+    return file_.close();
 }
 
 } // namespace tako::trace

@@ -3,19 +3,19 @@
  * Streaming takotrace-v1 encoder.
  *
  * Records are buffered, delta + LEB128 encoded into fixed-capacity
- * chunks, and written with per-chunk CRCs. The file header carries the
- * total record/chunk counts and is patched on close(), so a writer that
- * dies mid-stream leaves a file whose header says 0 records — readers
- * reject it instead of replaying a silent prefix.
+ * chunks, and framed by the shared container (sim/chunk_file.hh). The
+ * file header carries the total record/chunk counts and is patched on
+ * close(), so a writer that dies mid-stream leaves the unpatched-count
+ * sentinel — readers reject it instead of replaying a silent prefix.
  */
 
 #ifndef TAKO_TRACE_WRITER_HH
 #define TAKO_TRACE_WRITER_HH
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "sim/chunk_file.hh"
 #include "trace/format.hh"
 
 namespace tako::trace
@@ -34,7 +34,6 @@ class TraceWriter
     };
 
     TraceWriter() = default;
-    ~TraceWriter();
 
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
@@ -50,27 +49,23 @@ class TraceWriter
     /**
      * Flush the final chunk and patch the real record/chunk counts into
      * the header. Returns false if any append or flush failed; the file
-     * is then invalid by construction (header still says 0 records).
+     * is then invalid by construction (header still holds the sentinel).
      */
     bool close();
 
-    bool isOpen() const { return file_ != nullptr; }
+    bool isOpen() const { return file_.isOpen(); }
     std::uint64_t recordsWritten() const { return records_; }
-    const std::string &error() const { return error_; }
+    const std::string &error() const { return file_.error(); }
 
   private:
     void flushChunk();
-    void setError(const std::string &msg);
 
-    std::FILE *file_ = nullptr;
+    chunkfile::Writer file_{traceFormat};
     Options opt_;
-    std::string error_;
 
     std::vector<std::uint8_t> payload_;
     std::uint32_t chunkRecords_ = 0;    ///< records in the open chunk
     std::uint64_t records_ = 0;         ///< total appended
-    std::uint64_t chunks_ = 0;          ///< chunks flushed
-    std::uint64_t chunkFirstIndex_ = 0; ///< first record of open chunk
 
     // Delta context; reset at every chunk boundary.
     Addr prevAddr_ = 0;

@@ -232,6 +232,9 @@ TEST(MonCorruption, EveryClassFailsLoudly)
     mutate("zero interval",
            [](auto &b) { std::fill(b.begin() + 16, b.begin() + 24, 0); },
            "zero sample interval");
+    mutate("huge series count",
+           [](auto &b) { std::fill(b.begin() + 24, b.begin() + 28, 0xff); },
+           "directory ends at series 2 of 4294967295");
     mutate("directory truncated",
            [&](auto &b) { b.resize(monFileHeaderBytes + 2); },
            "truncated in the series directory");
@@ -271,8 +274,8 @@ TEST(MonCorruption, UnclosedWriterFileIsRejected)
             w.open(f.path(), 10, {{"c", SeriesKind::Counter}}));
         for (Tick t = 10; t <= 1000; t += 10)
             w.addSample(t, {static_cast<double>(t)});
-        // No close(): the destructor abandons the file, leaving the
-        // placeholder sampleCount = 0 in the header.
+        // No close(): the destructor abandons the file before its
+        // first chunk, leaving the ~0 sampleCount sentinel in place.
     }
     expectLoudFailure(f.path(), "(unclosed writer?)");
 }
@@ -343,6 +346,10 @@ TEST(MonCorruption, HandcraftedPayloadDefectsAreCaught)
     // Payload bytes left over after the last column.
     writeAll(f.path(), build({5, 3, colIntDeltas, 2, 4, 0, 0}, 2));
     expectLoudFailure(f.path(), "payload bytes left");
+
+    // A sample count (header and chunk alike) the payload cannot hold.
+    writeAll(f.path(), build({5, 3, colIntDeltas, 2, 4}, 0xffffffffu));
+    expectLoudFailure(f.path(), "samples cannot fit in 5 payload bytes");
 }
 
 // ---- TimeSeriesSink ----------------------------------------------------

@@ -3,6 +3,8 @@
  * takotrace tests: codec round-trips, loud failure on every corruption
  * class (truncation, bad magic, wrong version, CRC, reserved bits,
  * unclosed writer), text ingest, generators, and replay determinism.
+ * The container-level cases both formats share are in
+ * test_chunk_file.cc.
  *
  * Labeled `sanfast`: the reader mmaps files and decodes records straight
  * out of the mapping, so ASan/TSan coverage of the open/next/rewind/
@@ -237,12 +239,19 @@ class TraceCorruption : public ::testing::Test
         ASSERT_GT(bytes_.size(), fileHeaderBytes + chunkHeaderBytes);
     }
 
-    /** Expect open() (or, for lazy CRC checks, iteration) to fail with
-     *  @p needle somewhere in the error. */
+    /** Write bytes_ back and expect reading them to fail loudly. */
     void
     expectLoudFailure(const std::string &needle)
     {
         writeAll(file_->path(), bytes_);
+        expectFileRejected(needle);
+    }
+
+    /** Expect open() (or, for lazy CRC checks, iteration) of the file
+     *  to fail with @p needle somewhere in the error. */
+    void
+    expectFileRejected(const std::string &needle)
+    {
         TraceReader r;
         if (r.open(file_->path())) {
             TraceRecord rec;
@@ -297,13 +306,34 @@ TEST_F(TraceCorruption, PayloadBitFlipFailsCrc)
     expectLoudFailure("CRC mismatch");
 }
 
+/** Append @p n records to a writer on the fixture's file, then destroy
+ *  the writer without close(), as a crashed recorder would. */
+void
+abandonWriter(const std::string &path, std::size_t n)
+{
+    TraceWriter w;
+    TraceWriter::Options opt;
+    opt.timestamps = true;
+    opt.chunkRecords = 64;
+    ASSERT_TRUE(w.open(path, opt)) << w.error();
+    for (const TraceRecord &r : sampleRecords(n, true))
+        w.append(r);
+}
+
 TEST_F(TraceCorruption, UnclosedWriterRejected)
 {
-    // A writer that died before close() leaves the placeholder record
-    // count (0) in the header while chunk data sits on disk.
-    for (std::size_t i = 16; i < 24; ++i)
-        bytes_[i] = 0;
-    expectLoudFailure("unclosed writer");
+    // Chunks 0-2 reach the disk; the header keeps its count sentinels.
+    abandonWriter(file_->path(), 200);
+    expectFileRejected("(unclosed writer?)");
+}
+
+TEST_F(TraceCorruption, UnclosedWriterWithoutChunksRejected)
+{
+    // No chunk was flushed: the file is a bare header, which must not
+    // read back as a valid empty trace.
+    abandonWriter(file_->path(), 10);
+    ASSERT_EQ(readAll(file_->path()).size(), fileHeaderBytes);
+    expectFileRejected("(unclosed writer?)");
 }
 
 TEST_F(TraceCorruption, RecordCountMismatchRejected)

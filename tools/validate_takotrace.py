@@ -5,7 +5,8 @@ A second, stdlib-only implementation of the decoder (see DESIGN.md
 Sec. 4.9 and src/trace/format.hh) so CI catches format drift between
 the C++ codec and the documented spec. Checks, per file:
 
-  - file header: magic, version, known flag bits;
+  - file header: magic, version, known flag bits, and counts patched
+    by a closed writer (not the ~0 sentinel an abandoned one leaves);
   - chunk directory: magics, firstIndex continuity, exact coverage of
     the file (no trailing bytes), header record count == sum of chunks;
   - every chunk payload: CRC-32 (binascii.crc32 — same IEEE polynomial
@@ -34,6 +35,7 @@ HEAD_HAS_SIZE = 1 << 3
 HEAD_HAS_TENANT = 1 << 4
 HEAD_HAS_TS = 1 << 5
 HEAD_RESERVED = 0xC0
+UNPATCHED = (1 << 64) - 1  # count sentinel until the writer closes
 
 
 class TraceError(Exception):
@@ -117,6 +119,8 @@ def validate(path):
     if flags & ~FLAG_TIMESTAMPS:
         raise TraceError(f"unknown flag bits {flags:#x}")
     timestamps = bool(flags & FLAG_TIMESTAMPS)
+    if record_count == UNPATCHED:
+        raise TraceError("unpatched record count (unclosed writer?)")
 
     pos = FILE_HEADER.size
     total = 0
@@ -154,10 +158,8 @@ def validate(path):
         raise TraceError(
             f"{len(data) - pos} trailing bytes after the last chunk")
     if total != record_count:
-        hint = " (unclosed writer?)" if record_count == 0 else ""
         raise TraceError(
-            f"header says {record_count} records, chunks hold "
-            f"{total}{hint}")
+            f"header says {record_count} records, chunks hold {total}")
     return record_count, chunk_count, timestamps
 
 
