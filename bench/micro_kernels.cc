@@ -2,9 +2,9 @@
  * @file
  * google-benchmark microbenchmarks for the simulator's own primitives:
  * event-queue throughput, coroutine context switches, tag-array lookups
- * and victim selection, line locks, functional-memory reads, NoC
- * traversal and walks, Zipfian sampling, and a small end-to-end
- * simulated access. These track the *simulator's* host-side
+ * and victim selection, line locks, functional-memory reads and first
+ * touches, NoC traversal and walks, Zipfian sampling, and a small
+ * end-to-end simulated access. These track the *simulator's* host-side
  * performance (events/sec), which bounds how large the figure benches
  * can scale.
  */
@@ -12,6 +12,7 @@
 #include <benchmark/benchmark.h>
 
 #include <functional>
+#include <memory>
 #include <queue>
 #include <vector>
 
@@ -296,6 +297,27 @@ BM_BackingStoreRead64(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_BackingStoreRead64);
+
+void
+BM_BackingStoreFirstTouch(benchmark::State &state)
+{
+    // A fresh store written one word per page over a kv-replay-sized
+    // footprint (~13K pages): every write creates a line, and most a
+    // page's line table too.
+    constexpr std::uint64_t pages = 13 * 1024;
+    constexpr Addr base = 0x10000000;
+    for (auto _ : state) {
+        auto st = std::make_unique<BackingStore>();
+        for (std::uint64_t p = 0; p < pages; ++p)
+            st->write64(base + p * BackingStore::pageBytes +
+                            (p * 37 % 64) * lineBytes,
+                        p);
+        benchmark::DoNotOptimize(st.get());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * pages);
+}
+BENCHMARK(BM_BackingStoreFirstTouch);
 
 void
 BM_MeshTraverse(benchmark::State &state)

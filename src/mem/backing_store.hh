@@ -14,8 +14,9 @@
 
 #include <array>
 #include <atomic>
-#include <cstring>
+#include <memory>
 #include <mutex>
+#include <vector>
 
 #include "sim/logging.hh"
 #include "sim/types.hh"
@@ -47,7 +48,6 @@ class BackingStore
     static constexpr unsigned addrBits = 48;
 
     BackingStore() = default;
-    ~BackingStore();
 
     BackingStore(const BackingStore &) = delete;
     BackingStore &operator=(const BackingStore &) = delete;
@@ -56,24 +56,22 @@ class BackingStore
     std::uint64_t
     read64(Addr addr) const
     {
-        const Page *page = findPage(addr);
-        if (!page)
-            return 0;
-        return page->words[wordIndex(addr)];
+        const Line *line = findLine(addr);
+        return line ? line->words[wordIndex(addr)] : 0;
     }
 
     /** Write the aligned 64-bit word containing @p addr. */
     void
     write64(Addr addr, std::uint64_t value)
     {
-        getPage(addr).words[wordIndex(addr)] = value;
+        getLine(addr).words[wordIndex(addr)] = value;
     }
 
     /** Atomic read-modify-write add; returns the previous value. */
     std::uint64_t
     fetchAdd64(Addr addr, std::uint64_t delta)
     {
-        std::uint64_t &w = getPage(addr).words[wordIndex(addr)];
+        std::uint64_t &w = getLine(addr).words[wordIndex(addr)];
         const std::uint64_t old = w;
         w += delta;
         return old;
@@ -83,7 +81,7 @@ class BackingStore
     std::uint64_t
     swap64(Addr addr, std::uint64_t value)
     {
-        std::uint64_t &w = getPage(addr).words[wordIndex(addr)];
+        std::uint64_t &w = getLine(addr).words[wordIndex(addr)];
         const std::uint64_t old = w;
         w = value;
         return old;
@@ -93,14 +91,10 @@ class BackingStore
     LineData
     readLine(Addr addr) const
     {
-        panic_if(lineOffset(addr) != 0, "readLine: unaligned %#llx",
-                 (unsigned long long)addr);
+        checkAligned(addr, "readLine");
         LineData out;
-        const Page *page = findPage(addr);
-        if (page) {
-            std::memcpy(out.words.data(), &page->words[wordIndex(addr)],
-                        lineBytes);
-        }
+        if (const Line *line = findLine(addr))
+            out.words = line->words;
         return out;
     }
 
@@ -108,43 +102,60 @@ class BackingStore
     void
     writeLine(Addr addr, const LineData &data)
     {
-        panic_if(lineOffset(addr) != 0, "writeLine: unaligned %#llx",
-                 (unsigned long long)addr);
-        Page &page = getPage(addr);
-        std::memcpy(&page.words[wordIndex(addr)], data.words.data(),
-                    lineBytes);
+        checkAligned(addr, "writeLine");
+        getLine(addr).words = data.words;
     }
 
-    /** Zero a full line. */
+    /** Zero a full line; an absent line already reads zero and stays
+     *  absent. @p addr must be line-aligned. */
     void
     zeroLine(Addr addr)
     {
-        writeLine(addr, LineData{});
+        checkAligned(addr, "zeroLine");
+        if (Line *line = findLine(addr))
+            line->words = {};
     }
 
-    /** Number of allocated pages (for tests and footprint checks). */
+    /** Number of pages with at least one written line (for tests and
+     *  footprint checks). */
     std::size_t
     allocatedPages() const
     {
-        return pages_.load(std::memory_order_relaxed);
+        return pageCount_.load(std::memory_order_relaxed);
+    }
+
+    /** Number of written lines (for tests and footprint checks). */
+    std::size_t
+    allocatedLines() const
+    {
+        return lineCount_.load(std::memory_order_relaxed);
     }
 
   private:
-    struct Page
+    static constexpr std::size_t linesPerPage = pageBytes / lineBytes;
+
+    struct alignas(lineBytes) Line
     {
-        std::array<std::uint64_t, pageBytes / 8> words{};
+        std::array<std::uint64_t, wordsPerLine> words{};
+    };
+
+    /** A page's lines; a slot stays null until its line is written. */
+    struct LineTable
+    {
+        std::array<std::atomic<Line *>, linesPerPage> lines{};
     };
 
     /**
-     * An insert-only three-level radix table over the page number. Shard
-     * domains commit functional data from several threads, so:
-     *  - lookups are lock-free: three acquire loads, no write;
-     *  - nodes and pages are created zeroed under createMu_ and
-     *    published with a release store, so a reader that finds a
+     * An insert-only three-level radix table over the page number whose
+     * leaves point at line tables. Shard domains commit functional data
+     * from several threads, so:
+     *  - lookups are lock-free: four acquire loads, no write;
+     *  - nodes, line tables and lines are created zeroed under createMu_
+     *    and published with a release store, so a reader that finds a
      *    pointer also sees the zeroed contents behind it;
      *  - nothing is unlinked or freed before destruction, so a pointer
      *    once found never dangles.
-     * Word accesses through a found page need no lock either: coherence
+     * Word accesses through a found line need no lock either: coherence
      * serializes every same-line access (one M/E owner at a time), and
      * distinct words never alias.
      */
@@ -155,7 +166,7 @@ class BackingStore
 
     struct Leaf
     {
-        std::array<std::atomic<Page *>, fanout> pages{};
+        std::array<std::atomic<LineTable *>, fanout> tables{};
     };
 
     struct Mid
@@ -163,10 +174,46 @@ class BackingStore
         std::array<std::atomic<Leaf *>, fanout> leaves{};
     };
 
+    /**
+     * Zeroed objects handed out @p N to a slab (createMu_ only). Only
+     * the store's destructor frees them, so carving never frees.
+     */
+    template <typename T, std::size_t N>
+    class Slabs
+    {
+      public:
+        T *
+        carve()
+        {
+            if (used_ == N) {
+                slabs_.push_back(std::make_unique<T[]>(N));
+                used_ = 0;
+            }
+            return &slabs_.back()[used_++];
+        }
+
+      private:
+        std::vector<std::unique_ptr<T[]>> slabs_;
+        std::size_t used_ = N;
+    };
+
+    static void
+    checkAligned(Addr addr, const char *op)
+    {
+        panic_if(lineOffset(addr) != 0, "%s: unaligned %#llx", op,
+                 (unsigned long long)addr);
+    }
+
     static std::size_t
     wordIndex(Addr addr)
     {
-        return (addr % pageBytes) / 8;
+        return lineOffset(addr) / 8;
+    }
+
+    static std::size_t
+    lineIndex(Addr addr)
+    {
+        return (addr % pageBytes) / lineBytes;
     }
 
     /** Page number of @p addr; panics outside the table's span instead
@@ -187,8 +234,8 @@ class BackingStore
                (fanout - 1);
     }
 
-    Page *
-    findPage(Addr addr) const
+    Line *
+    findLine(Addr addr) const
     {
         const std::uint64_t pn = pageNumber(addr);
         const Mid *mid = root_[slot(pn, 2)].load(std::memory_order_acquire);
@@ -198,69 +245,62 @@ class BackingStore
             mid->leaves[slot(pn, 1)].load(std::memory_order_acquire);
         if (!leaf)
             return nullptr;
-        return leaf->pages[slot(pn, 0)].load(std::memory_order_acquire);
+        const LineTable *table =
+            leaf->tables[slot(pn, 0)].load(std::memory_order_acquire);
+        if (!table)
+            return nullptr;
+        return table->lines[lineIndex(addr)].load(std::memory_order_acquire);
     }
 
-    Page &
-    getPage(Addr addr)
+    Line &
+    getLine(Addr addr)
     {
-        if (Page *page = findPage(addr)) [[likely]]
-            return *page;
-        return createPage(pageNumber(addr));
+        if (Line *line = findLine(addr)) [[likely]]
+            return *line;
+        return createLine(addr);
     }
 
-    /** Find-or-create @p pn's page and the nodes above it. */
-    Page &
-    createPage(std::uint64_t pn)
+    /** Find-or-create @p addr 's line and everything above it, all
+     *  under one acquisition of createMu_. */
+    Line &
+    createLine(Addr addr)
     {
+        const std::uint64_t pn = pageNumber(addr);
         std::lock_guard<std::mutex> g(createMu_);
-        Mid *mid = publish(root_[slot(pn, 2)]);
-        Leaf *leaf = publish(mid->leaves[slot(pn, 1)]);
-        std::atomic<Page *> &cell = leaf->pages[slot(pn, 0)];
-        Page *page = cell.load(std::memory_order_relaxed);
-        if (!page) {
-            page = new Page();
-            cell.store(page, std::memory_order_release);
-            pages_.fetch_add(1, std::memory_order_relaxed);
-        }
-        return *page;
+        Mid *mid = publish(root_[slot(pn, 2)], mids_);
+        Leaf *leaf = publish(mid->leaves[slot(pn, 1)], leaves_);
+        LineTable *table =
+            publish(leaf->tables[slot(pn, 0)], tables_, &pageCount_);
+        return *publish(table->lines[lineIndex(addr)], lines_, &lineCount_);
     }
 
-    /** @p cell 's node, created and published if absent (createMu_). */
-    template <typename Node>
-    static Node *
-    publish(std::atomic<Node *> &cell)
+    /** @p cell 's object, carved from @p slabs and published if absent
+     *  (createMu_); @p count, if given, counts the creations. */
+    template <typename T, std::size_t N>
+    static T *
+    publish(std::atomic<T *> &cell, Slabs<T, N> &slabs,
+            std::atomic<std::size_t> *count = nullptr)
     {
-        Node *node = cell.load(std::memory_order_relaxed);
-        if (!node) {
-            node = new Node();
-            cell.store(node, std::memory_order_release);
+        T *obj = cell.load(std::memory_order_relaxed);
+        if (!obj) {
+            obj = slabs.carve();
+            cell.store(obj, std::memory_order_release);
+            if (count)
+                count->fetch_add(1, std::memory_order_relaxed);
         }
-        return node;
+        return obj;
     }
 
     std::array<std::atomic<Mid *>, fanout> root_{};
     std::mutex createMu_;
-    std::atomic<std::size_t> pages_{0};
+    // One radix node per slab; line tables and lines 64 KiB to a slab.
+    Slabs<Mid, 1> mids_;
+    Slabs<Leaf, 1> leaves_;
+    Slabs<LineTable, 128> tables_;
+    Slabs<Line, 1024> lines_;
+    std::atomic<std::size_t> pageCount_{0};
+    std::atomic<std::size_t> lineCount_{0};
 };
-
-inline BackingStore::~BackingStore()
-{
-    for (std::atomic<Mid *> &m : root_) {
-        Mid *mid = m.load(std::memory_order_relaxed);
-        if (!mid)
-            continue;
-        for (std::atomic<Leaf *> &l : mid->leaves) {
-            Leaf *leaf = l.load(std::memory_order_relaxed);
-            if (!leaf)
-                continue;
-            for (std::atomic<Page *> &p : leaf->pages)
-                delete p.load(std::memory_order_relaxed);
-            delete leaf;
-        }
-        delete mid;
-    }
-}
 
 } // namespace tako
 

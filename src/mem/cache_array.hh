@@ -61,13 +61,14 @@ struct CacheWay
     bool prefetched = false;
     Coh coh = Coh::I;
     std::uint8_t rrpv = 0;
+    /** L3-only directory state: the exclusive owner tile, or -1. */
+    std::int8_t owner = -1;
     std::uint64_t lastUse = 0;
+    /** L3-only directory state: one bit per tile holding a copy. A
+     *  System has at most 63 tiles. */
+    std::uint64_t sharers = 0;
     /** Morph id for flush walks; 0 if none. */
     std::uint32_t morphId = 0;
-
-    // L3-only directory state.
-    std::uint32_t sharers = 0;
-    std::int8_t owner = -1;
 
     void
     invalidate()
@@ -84,6 +85,8 @@ struct CacheWay
         owner = -1;
     }
 };
+// Tag arrays are a large share of a run's host memory; keep ways small.
+static_assert(sizeof(CacheWay) == 40);
 
 class CacheArray
 {

@@ -7,6 +7,18 @@
 namespace tako
 {
 
+namespace
+{
+
+/** @p tile 's bit in a directory sharer mask (tiles < 64). */
+constexpr std::uint64_t
+tileBit(unsigned tile)
+{
+    return std::uint64_t{1} << tile;
+}
+
+} // namespace
+
 MemorySystem::MemorySystem(const MemParams &params, Domains &dom,
                            EventQueue &eq, StatsRegistry &stats,
                            EnergyModel &energy, Mesh &noc, Recorder &rec)
@@ -498,15 +510,15 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
             // visit to the sharer's tile, executing the cache mutation
             // in the sharer's own domain; the directory waits here (with
             // the bank lock held) for every acknowledgment.
-            std::uint32_t others =
-                w3->sharers & ~(1u << static_cast<unsigned>(tile));
+            std::uint64_t others =
+                w3->sharers & ~tileBit(static_cast<unsigned>(tile));
             if (w3->owner >= 0 && w3->owner != tile)
-                others |= 1u << static_cast<unsigned>(w3->owner);
+                others |= tileBit(static_cast<unsigned>(w3->owner));
             if (others) {
                 Join join(eq_);
                 bool vdirty = false;
                 for (unsigned s = 0; s < params_.tiles; ++s) {
-                    if (!(others & (1u << s)))
+                    if (!(others & tileBit(s)))
                         continue;
                     ++*invalidations_;
                     join.add(1);
@@ -543,14 +555,14 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
     // the directory saying "tile has it" and the tile's L2 agreeing).
     Coh grant;
     if (want_m) {
-        w3->sharers = 1u << static_cast<unsigned>(tile);
+        w3->sharers = tileBit(static_cast<unsigned>(tile));
         w3->owner = static_cast<std::int8_t>(tile);
         grant = Coh::M;
     } else {
         const bool sole =
-            (w3->sharers & ~(1u << static_cast<unsigned>(tile))) == 0 &&
+            (w3->sharers & ~tileBit(static_cast<unsigned>(tile))) == 0 &&
             (w3->owner < 0 || w3->owner == tile);
-        w3->sharers |= 1u << static_cast<unsigned>(tile);
+        w3->sharers |= tileBit(static_cast<unsigned>(tile));
         w3->owner = sole ? static_cast<std::int8_t>(tile)
                          : static_cast<std::int8_t>(-1);
         grant = sole ? Coh::E : Coh::S;
@@ -720,7 +732,7 @@ MemorySystem::snapL3Way(CacheWay &w)
     ev.dirty = w.dirty;
     ev.copies = w.sharers;
     if (w.owner >= 0)
-        ev.copies |= 1u << static_cast<unsigned>(w.owner);
+        ev.copies |= tileBit(static_cast<unsigned>(w.owner));
     w.invalidate();
     return ev;
 }
@@ -749,7 +761,7 @@ MemorySystem::evictL3Core(int bank_tile, L3Evict ev)
         Join join(eq_);
         bool vdirty = false;
         for (unsigned s = 0; s < params_.tiles; ++s) {
-            if (!(ev.copies & (1u << s)))
+            if (!(ev.copies & tileBit(s)))
                 continue;
             join.add(1);
             spawn(coherenceVisit(bank_tile, static_cast<int>(s), line,
@@ -880,7 +892,7 @@ MemorySystem::updateDirectoryOnPrivateEvict(int tile, Addr line,
         CacheWay *w3 = b.l3.lookup(line);
         if (!w3)
             return;
-        w3->sharers &= ~(1u << static_cast<unsigned>(tile));
+        w3->sharers &= ~tileBit(static_cast<unsigned>(tile));
         if (w3->owner == tile)
             w3->owner = -1;
         if (dirty)

@@ -385,7 +385,7 @@ class MemorySystem
     {
         Addr line = 0;
         bool dirty = false;
-        std::uint32_t copies = 0; ///< sharers | owner bit
+        std::uint64_t copies = 0; ///< sharers | owner bit
     };
 
     /**

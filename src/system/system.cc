@@ -1,11 +1,33 @@
 #include "system/system.hh"
 
 #include <cmath>
+#include <cstdlib>
+#include <fstream>
+#include <string>
 
 #include "sim/tracesink.hh"
 
 namespace tako
 {
+
+namespace
+{
+
+/** This process's peak resident set so far (VmHWM in /proc/self/status)
+ *  in MB; 0 where that is unreadable. */
+double
+peakRssMb()
+{
+    std::ifstream status("/proc/self/status");
+    std::string line;
+    while (std::getline(status, line)) {
+        if (line.rfind("VmHWM:", 0) == 0)
+            return std::strtod(line.c_str() + 6, nullptr) / 1024.0;
+    }
+    return 0.0;
+}
+
+} // namespace
 
 SystemConfig
 SystemConfig::forCores(unsigned cores)
@@ -298,6 +320,11 @@ System::stampHostStats(
         .counter("host.events_per_sec", "events/s",
                  "kernel event throughput (sim_events / seconds)")
         .set(hostSeconds_ > 0 ? events / hostSeconds_ : 0.0);
+    stats_
+        .counter("host.peak_rss_mb", "MB",
+                 "this process's peak resident set so far (VmHWM; 0 "
+                 "where unreadable)")
+        .set(peakRssMb());
 }
 
 void

@@ -169,7 +169,8 @@ class System
      *  at @p end, the run's globally-last tick. */
     void finalizeProfiler(Tick end);
 
-    /** Set the host.* wall-clock/throughput gauges after a run. */
+    /** Set the host.* wall-clock, throughput and memory gauges after a
+     *  run. */
     void stampHostStats(std::chrono::steady_clock::time_point host_start);
 
     /**

@@ -39,6 +39,17 @@ struct ReplayStats
     Counter *atomics;
 };
 
+/** The part of a decoded record that replay reads: 16 B, half a
+ *  TraceRecord, whose tenant only picks the core and whose ts no
+ *  replay uses. */
+struct ReplayRecord
+{
+    Addr addr = 0;
+    std::uint32_t size = 8;
+    TraceOp op = TraceOp::Load;
+};
+static_assert(sizeof(ReplayRecord) == 16);
+
 bool
 isRead(TraceOp op)
 {
@@ -57,7 +68,7 @@ isAtomic(TraceOp op)
  * a record's footprint costs what it would cost a core to walk it.
  */
 void
-expandRecord(const TraceRecord &rec, std::vector<Addr> &out)
+expandRecord(const ReplayRecord &rec, std::vector<Addr> &out)
 {
     out.clear();
     out.push_back(rec.addr & ~static_cast<Addr>(7));
@@ -110,14 +121,14 @@ issueBatch(Guest &g, TraceOp op, const std::vector<Addr> &addrs)
 
 /** One core's share of the trace, replayed in trace order. */
 Task<>
-replayCore(Guest &g, const std::vector<TraceRecord> &recs,
+replayCore(Guest &g, const std::vector<ReplayRecord> &recs,
            const TraceReplayConfig &cfg, ReplayStats &stats)
 {
     std::vector<Addr> batch;
     std::vector<Addr> expanded;
     TraceOp curOp = TraceOp::Load;
     std::uint64_t pendingInstrs = 0;
-    for (const TraceRecord &rec : recs) {
+    for (const ReplayRecord &rec : recs) {
         ++*stats.records;
         expandRecord(rec, expanded);
         for (Addr a : expanded) {
@@ -177,7 +188,7 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
         return res;
     }
     const unsigned cores = sys_cfg.mem.tiles;
-    std::vector<std::vector<TraceRecord>> perCore(cores);
+    std::vector<std::vector<ReplayRecord>> perCore(cores);
     std::set<std::uint32_t> tenants;
     TraceRecord rec;
     // Addresses at or above MorphRegistry::phantomBase (2^46) belong to
@@ -187,9 +198,9 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
     // and line offsets, and locality within any region, are preserved.
     constexpr Addr realMask = MorphRegistry::phantomBase - 1;
     while (reader.next(rec)) {
-        rec.addr &= realMask;
         tenants.insert(rec.tenant);
-        perCore[rec.tenant % cores].push_back(rec);
+        perCore[rec.tenant % cores].push_back(
+            {rec.addr & realMask, rec.size, rec.op});
         ++res.records;
     }
     if (!reader.error().empty()) {
@@ -244,7 +255,7 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
     for (unsigned c = 0; c < cores; ++c) {
         if (perCore[c].empty())
             continue;
-        const std::vector<TraceRecord> *recs = &perCore[c];
+        const std::vector<ReplayRecord> *recs = &perCore[c];
         sys.addThread(static_cast<int>(c),
                       [recs, &cfg, &stats](Guest &g) -> Task<> {
                           co_await replayCore(g, *recs, cfg, stats);

@@ -261,6 +261,99 @@ TEST(BackingStore, ConcurrentFirstTouchKeepsEveryPageAndWord)
     }
 }
 
+TEST(BackingStore, OneWordPerPageAllocatesOneLinePerPage)
+{
+    // A sparse trace writes a word here and there: each costs one line,
+    // not a page.
+    constexpr unsigned pages = 300;
+    auto wordAddr = [](unsigned p) {
+        return Addr(p) * 7 * BackingStore::pageBytes + (p % 64) * lineBytes;
+    };
+    BackingStore st;
+    for (unsigned p = 0; p < pages; ++p)
+        st.write64(wordAddr(p), p + 1);
+    EXPECT_EQ(st.allocatedPages(), pages);
+    EXPECT_EQ(st.allocatedLines(), pages);
+    for (unsigned p = 0; p < pages; ++p)
+        ASSERT_EQ(st.read64(wordAddr(p)), p + 1u);
+    // Another word of an existing line costs nothing more.
+    st.write64(8, 9);
+    EXPECT_EQ(st.allocatedLines(), pages);
+}
+
+TEST(BackingStore, AbsentLinesReadZeroAndAllocateNothing)
+{
+    BackingStore st;
+    st.write64(0x10008, 5); // the page exists; its other lines do not
+    LineData ones;
+    ones.words.fill(~std::uint64_t{0});
+    st.writeLine(0x20000, ones);
+    ASSERT_EQ(st.allocatedLines(), 2u);
+
+    for (const Addr line : {Addr(0x10040), Addr(0x10fc0), Addr(0x30000),
+                            Addr(1) << 46}) {
+        EXPECT_EQ(st.read64(line + 16), 0u);
+        EXPECT_EQ(st.readLine(line), LineData{});
+        st.zeroLine(line);
+    }
+    EXPECT_EQ(st.allocatedPages(), 2u);
+    EXPECT_EQ(st.allocatedLines(), 2u);
+
+    // Zeroing a present line clears it and leaves it allocated.
+    st.zeroLine(0x20000);
+    EXPECT_EQ(st.readLine(0x20000), LineData{});
+    st.zeroLine(0x10000);
+    EXPECT_EQ(st.read64(0x10008), 0u);
+    EXPECT_EQ(st.allocatedLines(), 2u);
+}
+
+TEST(BackingStore, ConcurrentFirstTouchCreatesEachLineOnce)
+{
+    // Four threads first-touch the same lines at once, each writing its
+    // own words of every line: each line must be created once and no
+    // write lost. Lines span several radix nodes, several lines of one
+    // page, and the phantom half of the address space. Fresh stores,
+    // several rounds, so the threads race on many first touches.
+    constexpr unsigned threads = 4;
+    constexpr unsigned lines = 96;
+    constexpr unsigned rounds = 20;
+    auto lineAddr = [](unsigned l) {
+        return Addr(l / 4) * 40961 * BackingStore::pageBytes +
+               (l % 4) * 3 * lineBytes +
+               ((l / 4) % 3 == 0 ? Addr(1) << 46 : 0);
+    };
+    auto value = [](unsigned l, unsigned w) {
+        return (std::uint64_t(l) << 32) | (w + 1);
+    };
+
+    for (unsigned round = 0; round < rounds; ++round) {
+        BackingStore st;
+        std::atomic<unsigned> ready{0};
+        std::vector<std::thread> workers;
+        for (unsigned t = 0; t < threads; ++t) {
+            workers.emplace_back([&, t] {
+                ready.fetch_add(1);
+                while (ready.load() < threads) {
+                }
+                for (unsigned l = 0; l < lines; ++l) {
+                    for (unsigned w = t; w < wordsPerLine; w += threads)
+                        st.write64(lineAddr(l) + w * 8, value(l, w));
+                }
+            });
+        }
+        for (std::thread &w : workers)
+            w.join();
+
+        ASSERT_EQ(st.allocatedLines(), lines) << "round " << round;
+        ASSERT_EQ(st.allocatedPages(), lines / 4) << "round " << round;
+        for (unsigned l = 0; l < lines; ++l) {
+            for (unsigned w = 0; w < wordsPerLine; ++w)
+                ASSERT_EQ(st.read64(lineAddr(l) + w * 8), value(l, w))
+                    << "round " << round << " line " << l << " word " << w;
+        }
+    }
+}
+
 TEST(BackingStore, AddressOutsidePageTableDies)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";

@@ -730,6 +730,12 @@ TEST(TakosimCli, StampsBuildType)
     ASSERT_TRUE(err.empty()) << err;
     EXPECT_EQ(doc["build_type"].asString(), TAKO_EXPECTED_BUILD_TYPE);
     EXPECT_EQ(doc["git_rev"].asString(), rev);
+
+    // The run also stamps its own peak RSS: a spawning harness's rusage
+    // would fold in the harness's memory.
+    const Json &counters = doc["counters"];
+    ASSERT_TRUE(counters.contains("host.peak_rss_mb"));
+    EXPECT_GT(counters["host.peak_rss_mb"]["value"].asNumber(), 0.0);
 }
 
 } // namespace

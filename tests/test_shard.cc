@@ -421,6 +421,35 @@ TEST(ShardedSystem, MoreTilesThanKeyStreamsIsFatal)
                 "64 tiles exceed the event queue's limit of 63");
 }
 
+TEST(ShardedSystem, DirectoryTracksSharersAboveTile31)
+{
+    // Sharer masks hold one bit per tile, up to the 63-tile limit: a
+    // store by tile 1 must invalidate tile 33's shared copy, not mistake
+    // it for a bit of its own.
+    SystemConfig cfg = SystemConfig::forCores(36);
+    System sys(cfg);
+    const Addr x = 0x40000;
+    Tick loaded = 0, started = 0;
+    sys.addThread(33, [&](Guest &g) -> Task<> {
+        co_await g.load(x);
+        loaded = g.now();
+    });
+    sys.addThread(1, [&](Guest &g) -> Task<> {
+        co_await g.exec(20000);
+        started = g.now();
+        co_await g.load(x);
+        co_await g.store(x, 7);
+    });
+    sys.run();
+    ASSERT_GT(loaded, 0u);
+    ASSERT_LT(loaded, started);
+    EXPECT_FALSE(sys.mem().cachedInL2(33, x));
+    EXPECT_EQ(sys.mem().l2State(1, x), Coh::M);
+    EXPECT_EQ(sys.stats().get("coherence.invalidations"), 1.0);
+    EXPECT_EQ(sys.mem().realStore().read64(x), 7u);
+    sys.mem().checkInvariants();
+}
+
 TEST(ShardedSystem, GuestsBootInAddThreadOrderAtTickZero)
 {
     // Boot posts draw system-stream keys, which order below every tile

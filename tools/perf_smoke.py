@@ -47,7 +47,8 @@ MIN_SHARD_SPEEDUP = 2.0
 MIN_SINGLE_RUN_SPEEDUP = 1.8
 KERNEL_FILTER = ("BM_EventQueue|BM_Coroutine|BM_CacheLookup|"
                  "BM_VictimSelection|BM_LineLockAcquireRelease|"
-                 "BM_BackingStoreRead64|BM_MeshTraverse|BM_MeshWalk|"
+                 "BM_BackingStoreRead64|BM_BackingStoreFirstTouch|"
+                 "BM_MeshTraverse|BM_MeshWalk|"
                  "BM_SimulatedAccess")
 
 
