@@ -280,7 +280,9 @@ BENCHMARK(BM_LineLockAcquireRelease);
 void
 BM_BackingStoreRead64(benchmark::State &state)
 {
-    // Random word reads over a kv-replay-sized footprint (~17K pages).
+    // Random word reads of written lines over a kv-replay-sized
+    // footprint (~17K pages, one written line each): the present-line
+    // path that PHI and the demand path take.
     constexpr std::uint64_t pages = 17 * 1024;
     constexpr Addr base = 0x10000000;
     BackingStore st;
@@ -289,8 +291,8 @@ BM_BackingStoreRead64(benchmark::State &state)
     Rng rng(5);
     std::uint64_t sum = 0;
     for (auto _ : state) {
-        const Addr a =
-            base + rng.below(pages * BackingStore::pageBytes / 8) * 8;
+        const Addr a = base + rng.below(pages) * BackingStore::pageBytes +
+                       rng.below(wordsPerLine) * 8;
         sum += st.read64(a);
         benchmark::DoNotOptimize(sum);
     }

@@ -4,7 +4,8 @@ namespace tako
 {
 
 // ---------------------------------------------------------------------
-// Guest (thin forwarding layer)
+// Guest (thin forwarding layer: a call that only forwards returns the
+// Core's or the registry's Task, so it costs no frame of its own)
 // ---------------------------------------------------------------------
 
 int
@@ -40,13 +41,13 @@ Guest::rng()
 Task<>
 Guest::exec(std::uint64_t instrs)
 {
-    co_await core_.exec(instrs);
+    return core_.exec(instrs);
 }
 
 Task<std::uint64_t>
 Guest::load(Addr addr)
 {
-    co_return co_await core_.memOp(MemCmd::Load, addr, 0);
+    return core_.memOp(MemCmd::Load, addr, 0);
 }
 
 Task<>
@@ -58,28 +59,27 @@ Guest::store(Addr addr, std::uint64_t value)
 Task<std::uint64_t>
 Guest::atomicAdd(Addr addr, std::uint64_t delta)
 {
-    co_return co_await core_.memOp(MemCmd::AtomicAdd, addr, delta);
+    return core_.memOp(MemCmd::AtomicAdd, addr, delta);
 }
 
 Task<std::uint64_t>
 Guest::atomicSwap(Addr addr, std::uint64_t value)
 {
-    co_return co_await core_.memOp(MemCmd::AtomicSwap, addr, value);
+    return core_.memOp(MemCmd::AtomicSwap, addr, value);
 }
 
 Task<>
 Guest::loadMulti(const std::vector<Addr> &addrs,
                  std::vector<std::uint64_t> *out)
 {
-    co_await core_.multiOp(MemCmd::Load, addrs, nullptr, out);
+    return core_.multiOp(MemCmd::Load, addrs, nullptr, out);
 }
 
 Task<>
 Guest::streamLoadMulti(const std::vector<Addr> &addrs,
                        std::vector<std::uint64_t> *out)
 {
-    co_await core_.multiOp(MemCmd::Load, addrs, nullptr, out, false,
-                           true);
+    return core_.multiOp(MemCmd::Load, addrs, nullptr, out, false, true);
 }
 
 namespace
@@ -140,46 +140,46 @@ Guest::atomicSwapMulti(const std::vector<Addr> &addrs,
 Task<>
 Guest::rmoAdd(Addr addr, std::uint64_t delta)
 {
-    co_await core_.rmoAdd(addr, delta);
+    return core_.rmoAdd(addr, delta);
 }
 
 Task<>
 Guest::rmoDrain()
 {
-    co_await core_.rmoDrain();
+    return core_.rmoDrain();
 }
 
 Task<>
 Guest::mispredict()
 {
-    co_await core_.mispredict();
+    return core_.mispredict();
 }
 
 Task<const MorphBinding *>
 Guest::registerPhantom(Morph &morph, MorphLevel level, std::uint64_t size)
 {
-    co_return co_await core_.registry().registerPhantom(morph, level, size,
-                                                        core_.id());
+    return core_.registry().registerPhantom(morph, level, size,
+                                            core_.id());
 }
 
 Task<const MorphBinding *>
 Guest::registerReal(Morph &morph, MorphLevel level, Addr base,
                     std::uint64_t size)
 {
-    co_return co_await core_.registry().registerReal(morph, level, base,
-                                                     size, core_.id());
+    return core_.registry().registerReal(morph, level, base, size,
+                                         core_.id());
 }
 
 Task<>
 Guest::flushData(const MorphBinding *binding)
 {
-    co_await core_.registry().flushData(binding);
+    return core_.registry().flushData(binding);
 }
 
 Task<>
 Guest::unregister(const MorphBinding *binding)
 {
-    co_await core_.registry().unregister(binding);
+    return core_.registry().unregister(binding);
 }
 
 std::uint64_t
@@ -257,14 +257,13 @@ Core::exec(std::uint64_t instrs)
         co_await Delay{eq_, cycles};
 }
 
-Task<std::uint64_t>
-Core::memOp(MemCmd cmd, Addr addr, std::uint64_t wdata, bool no_fetch,
-            bool use_once)
+AccessReq
+Core::beginMemOp(MemCmd cmd, Addr addr, std::uint64_t wdata, bool no_fetch,
+                 bool use_once)
 {
     instrs_ += 1;
     myInstrs_ += 1;
     energy_.coreInstrs(1);
-    const Tick start = ctxNow(eq_);
     AccessReq req;
     req.cmd = cmd;
     req.addr = addr;
@@ -272,24 +271,43 @@ Core::memOp(MemCmd cmd, Addr addr, std::uint64_t wdata, bool no_fetch,
     req.tile = id_;
     req.noFetch = no_fetch;
     req.useOnce = use_once;
-    const std::uint64_t v = co_await mem_.access(req);
+    return req;
+}
+
+void
+Core::endMemOp(MemCmd cmd, Tick start)
+{
     if (cmd == MemCmd::Load)
         loadLatency_.sample(ctxNow(eq_) - start);
+}
+
+Task<std::uint64_t>
+Core::memOp(MemCmd cmd, Addr addr, std::uint64_t wdata, bool no_fetch,
+            bool use_once)
+{
+    const AccessReq req = beginMemOp(cmd, addr, wdata, no_fetch, use_once);
+    const Tick start = ctxNow(eq_);
+    const std::uint64_t v = co_await mem_.access(req);
+    endMemOp(cmd, start);
     co_return v;
 }
 
 namespace
 {
 
-/** One overlapped load/store slot: bounded by the MLP window. */
+/** One overlapped load/store slot: bounded by the MLP window. Awaits
+ *  the access itself rather than a memOp frame. */
 Task<>
 windowedOp(Core &core, Semaphore &window, MemCmd cmd, Addr addr,
            std::uint64_t wdata, std::uint64_t *out, bool no_fetch,
            bool use_once)
 {
     co_await window.acquire();
-    const std::uint64_t v = co_await core.memOp(cmd, addr, wdata,
-                                                no_fetch, use_once);
+    const AccessReq req =
+        core.beginMemOp(cmd, addr, wdata, no_fetch, use_once);
+    const Tick start = ctxNow(core.eq());
+    const std::uint64_t v = co_await core.mem().access(req);
+    core.endMemOp(cmd, start);
     window.release();
     if (out)
         *out = v;
@@ -317,14 +335,6 @@ Core::multiOp(MemCmd cmd, const std::vector<Addr> &addrs,
 }
 
 Task<>
-Core::rmoIssue(Addr addr, std::uint64_t delta)
-{
-    co_await mem_.remoteAtomicAdd(id_, addr, delta);
-    storeBuffer_.release();
-    rmoOutstanding_.done();
-}
-
-Task<>
 Core::rmoAdd(Addr addr, std::uint64_t delta)
 {
     instrs_ += 1;
@@ -334,7 +344,10 @@ Core::rmoAdd(Addr addr, std::uint64_t delta)
     // entry is claimed (relaxed ordering).
     co_await storeBuffer_.acquire();
     rmoOutstanding_.add();
-    spawn(rmoIssue(addr, delta));
+    spawn(mem_.remoteAtomicAdd(id_, addr, delta), [this]() {
+        storeBuffer_.release();
+        rmoOutstanding_.done();
+    });
     // One-cycle issue slot.
     co_await Delay{eq_, 1};
 }

@@ -172,6 +172,14 @@ class Core
     Task<std::uint64_t> memOp(MemCmd cmd, Addr addr, std::uint64_t wdata,
                               bool no_fetch = false,
                               bool use_once = false);
+
+    /** memOp's accounting before the access (instruction, energy);
+     *  returns the request to issue. */
+    AccessReq beginMemOp(MemCmd cmd, Addr addr, std::uint64_t wdata,
+                         bool no_fetch, bool use_once);
+    /** memOp's accounting after an access issued at @p start. */
+    void endMemOp(MemCmd cmd, Tick start);
+
     Task<> multiOp(MemCmd cmd, const std::vector<Addr> &addrs,
                    const std::vector<std::uint64_t> *wdata,
                    std::vector<std::uint64_t> *out, bool no_fetch = false,
@@ -189,8 +197,6 @@ class Core
     std::uint64_t interruptsSeen() const { return interruptsSeen_; }
 
   private:
-    Task<> rmoIssue(Addr addr, std::uint64_t delta);
-
     int id_;
     CoreParams params_;
     MemorySystem &mem_;

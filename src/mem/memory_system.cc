@@ -238,16 +238,16 @@ MemorySystem::access(AccessReq req)
     else
         energy_.l1Access();
 
-    auto l1_hit_ok = [&]() -> bool {
+    // The L1 way that can serve the access, or null: absent, or held
+    // without the write permission a store or atomic needs.
+    auto l1_hit = [&]() -> CacheWay * {
         CacheWay *w1 = l1.lookup(line);
-        if (!w1)
-            return false;
-        if (!need_m)
-            return true;
+        if (!w1 || !need_m)
+            return w1;
         CacheWay *w2 = t.l2.lookup(line);
         panic_if(!w2, "L1 line %#llx missing from L2 (inclusion)",
                  (unsigned long long)line);
-        return w2->coh == Coh::E || w2->coh == Coh::M;
+        return w2->coh == Coh::E || w2->coh == Coh::M ? w1 : nullptr;
     };
 
     // Record the demand L1 lookup once, at first probe, on tag presence
@@ -258,9 +258,9 @@ MemorySystem::access(AccessReq req)
                      l1.lookup(line) != nullptr,
                      req.fromEngine ? Record::kEngine : std::uint8_t{0});
 
-    if (!req.prefetch && l1_hit_ok()) {
+    if (CacheWay *w1 = req.prefetch ? nullptr : l1_hit()) {
         ++*l1Hits_;
-        l1.touch(*l1.lookup(line), engine_repl);
+        l1.touch(*w1, engine_repl);
         const std::uint64_t v = doFunctional(req);
         // Hit-path breakdowns are fully determined, so build them on the
         // spot only when someone is looking: keeping a LatBreakdown local
@@ -282,9 +282,9 @@ MemorySystem::access(AccessReq req)
     co_await t.tileLocks.acquire(line);
     const Tick tile_lock_wait = ctxNow(eq_) - t0;
 
-    if (!req.prefetch && l1_hit_ok()) {
+    if (CacheWay *w1 = req.prefetch ? nullptr : l1_hit()) {
         // A merged request filled the line while we waited.
-        l1.touch(*l1.lookup(line), engine_repl);
+        l1.touch(*w1, engine_repl);
         t.tileLocks.release(line);
         const std::uint64_t v = doFunctional(req);
         if (observing()) {
@@ -351,8 +351,11 @@ MemorySystem::access(AccessReq req)
         if (!w2 && mb && mb->level == MorphLevel::Private && mb->phantom) {
             // Private phantom miss: allocate at L2, zero the line, and
             // let onMiss generate the data (Table 1 semantics).
-            co_await insertL2(req.tile, line, Coh::M, mb, engine_repl,
-                              req.useOnce, &bd);
+            while (!insertL2(req.tile, line, Coh::M, mb, engine_repl,
+                             req.useOnce)) {
+                co_await Delay{eq_, 4};
+                bd.lockWait += 4;
+            }
             phantomStore_.zeroLine(line);
             if (mb->hasMiss && sink_) {
                 Completion<bool> done(eq_);
@@ -469,7 +472,10 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
         recordLookup(RecordKind::L3Lookup, bank, b.l3, line, w3 != nullptr);
     if (!w3) {
         ++*l3Misses_;
-        w3 = co_await allocL3Way(bank, line, mb, engine, &bd);
+        while (!(w3 = allocL3Way(bank, line, mb, engine))) {
+            co_await Delay{eq_, 4};
+            bd.lockWait += 4;
+        }
         if (use_once)
             b.l3.demote(*w3);
 
@@ -580,7 +586,10 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
         if (use_once)
             t.l2.demote(*w2);
     } else {
-        co_await insertL2(tile, line, grant, mb, engine, use_once, &bd);
+        while (!insertL2(tile, line, grant, mb, engine, use_once)) {
+            co_await Delay{eq_, 4};
+            bd.lockWait += 4;
+        }
     }
 
     // Unlock message back to the bank's domain (one quantum, like any
@@ -652,38 +661,30 @@ MemorySystem::writebackToL3Task(int tile, Addr line)
 // Fills and evictions
 // ---------------------------------------------------------------------
 
-Task<CacheWay *>
+CacheWay *
 MemorySystem::insertL2(int tile, Addr line, Coh state,
                        const MorphBinding *mb, bool engine_fill,
-                       bool use_once, LatBreakdown *bd)
+                       bool use_once)
 {
     TileState &t = *tiles_[tile];
     const bool morph_here = mb && mb->level == MorphLevel::Private;
     // Prefer victims that are not locked and not cached in an L1 above
     // (inclusive hierarchies avoid back-invalidating hot upper-level
     // lines); relax the L1-presence constraint if nothing qualifies.
-    // When every way is held by an in-flight transaction, wait for one
-    // to drain (hardware would stall the fill in an MSHR).
-    CacheWay *victim = nullptr;
-    for (;;) {
-        victim =
-            t.l2.findVictim(line, mb != nullptr, [&](const CacheWay &w) {
-                return !t.tileLocks.held(w.lineAddr) &&
-                       !t.l1.lookup(w.lineAddr) &&
-                       !t.engL1.lookup(w.lineAddr);
-            });
-        if (!victim) {
-            victim = t.l2.findVictim(
-                line, mb != nullptr, [&](const CacheWay &w) {
-                    return !t.tileLocks.held(w.lineAddr);
-                });
-        }
-        if (victim)
-            break;
-        co_await Delay{eq_, 4};
-        if (bd)
-            bd->lockWait += 4;
+    CacheWay *victim =
+        t.l2.findVictim(line, mb != nullptr, [&](const CacheWay &w) {
+            return !t.tileLocks.held(w.lineAddr) &&
+                   !t.l1.lookup(w.lineAddr) &&
+                   !t.engL1.lookup(w.lineAddr);
+        });
+    if (!victim) {
+        victim = t.l2.findVictim(line, mb != nullptr,
+                                 [&](const CacheWay &w) {
+                                     return !t.tileLocks.held(w.lineAddr);
+                                 });
     }
+    if (!victim)
+        return nullptr;
     if (victim->valid)
         evictL2Way(tile, *victim);
     t.l2.fill(*victim, line, morph_here, morph_here ? mb->id : 0,
@@ -691,36 +692,30 @@ MemorySystem::insertL2(int tile, Addr line, Coh state,
     if (use_once)
         t.l2.demote(*victim);
     victim->coh = state;
-    co_return victim;
+    return victim;
 }
 
-Task<CacheWay *>
+CacheWay *
 MemorySystem::allocL3Way(int bank_tile, Addr line, const MorphBinding *mb,
-                         bool engine_fill, LatBreakdown *bd)
+                         bool engine_fill)
 {
     TileState &b = *tiles_[bank_tile];
-    CacheWay *victim = nullptr;
-    for (;;) {
-        victim = b.l3.findVictim(
-            line, mb != nullptr, [&](const CacheWay &w) {
-                return !b.bankLocks.held(w.lineAddr);
-            });
-        if (victim)
-            break;
-        co_await Delay{eq_, 4};
-        if (bd)
-            bd->lockWait += 4;
-    }
+    CacheWay *victim =
+        b.l3.findVictim(line, mb != nullptr, [&](const CacheWay &w) {
+            return !b.bankLocks.held(w.lineAddr);
+        });
+    if (!victim)
+        return nullptr;
     if (victim->valid) {
         // The victim's slow eviction tail (back-invalidation visits,
         // callbacks, writeback) detaches so this fill can proceed; the
-        // detached task holds the victim line's bank lock from this very
+        // detached task takes the victim line's bank lock in this very
         // event, so a refetch of the victim cannot start — let alone
         // observe a stale phantom line — before the eviction retires.
-        spawn(evictL3Detached(bank_tile, snapL3Way(*victim)));
+        spawn(evictL3Core(bank_tile, snapL3Way(*victim), true));
     }
     b.l3.fill(*victim, line, mb != nullptr, mb ? mb->id : 0, engine_fill);
-    co_return victim;
+    return victim;
 }
 
 MemorySystem::L3Evict
@@ -738,22 +733,15 @@ MemorySystem::snapL3Way(CacheWay &w)
 }
 
 Task<>
-MemorySystem::evictL3Detached(int bank_tile, L3Evict ev)
-{
-    TileState &b = *tiles_[bank_tile];
-    // Synchronous by construction: the victim scan only picks unlocked
-    // lines, so this acquire cannot suspend, and the lock is in place
-    // before any other event can run.
-    co_await b.bankLocks.acquire(ev.line);
-    co_await evictL3Core(bank_tile, ev);
-    b.bankLocks.release(ev.line);
-}
-
-Task<>
-MemorySystem::evictL3Core(int bank_tile, L3Evict ev)
+MemorySystem::evictL3Core(int bank_tile, L3Evict ev, bool take_lock)
 {
     const Addr line = ev.line;
     bool dirty = ev.dirty;
+    // Synchronous by construction: the victim scan only picks unlocked
+    // lines, so this acquire cannot suspend, and the lock is in place
+    // before any other event can run.
+    if (take_lock)
+        co_await tiles_[bank_tile]->bankLocks.acquire(line);
 
     // Inclusive L3: back-invalidate every private copy, each in its
     // owner's domain, and wait for the acknowledgments.
@@ -799,6 +787,8 @@ MemorySystem::evictL3Core(int bank_tile, L3Evict ev)
     } else {
         phantomStore_.zeroLine(line);
     }
+    if (take_lock)
+        tiles_[bank_tile]->bankLocks.release(line);
 }
 
 void
@@ -1009,7 +999,8 @@ MemorySystem::remoteAtomicAdd(int tile, Addr addr, std::uint64_t delta)
         recordLookup(RecordKind::L3Lookup, bank, b.l3, line, w3 != nullptr);
     if (!w3) {
         ++*l3Misses_;
-        w3 = co_await allocL3Way(bank, line, mb, false);
+        while (!(w3 = allocL3Way(bank, line, mb, false)))
+            co_await Delay{eq_, 4};
         if (mb->phantom) {
             // Phantom miss makes no request down the hierarchy: onMiss
             // initializes the line (e.g., PHI's identity element).

@@ -237,6 +237,10 @@ class MemorySystem
     /** Sanity checks on tag/directory state (tests). */
     void checkInvariants() const;
 
+    /** Line-lock tables, so tests can hold lines and stall fills. */
+    LineLockTable &tileLocks(int tile) { return tiles_[tile]->tileLocks; }
+    LineLockTable &bankLocks(int bank) { return tiles_[bank]->bankLocks; }
+
     /** Tag-state introspection for tests. */
     bool cachedInL2(int tile, Addr addr) const;
     bool cachedInL3(Addr addr) const;
@@ -392,16 +396,13 @@ class MemorySystem
      * The slow tail of an L3 eviction: back-invalidation visits, data
      * capture (after the visits, so a remote M owner can no longer
      * write), morph callbacks, writeback/zero. Runs at the bank with the
-     * victim line's bank lock held by the caller — any refetch of the
-     * line blocks until this completes, which is what keeps phantom
-     * zeroing ahead of the next fill.
+     * victim line's bank lock held — by the caller (flushes), or, with
+     * @p take_lock on the detached capacity path, by this task from its
+     * first step to its last — so any refetch of the line blocks until
+     * this completes, which is what keeps phantom zeroing ahead of the
+     * next fill.
      */
-    Task<> evictL3Core(int bank_tile, L3Evict ev);
-
-    /** Detached wrapper for the capacity-eviction path: takes the
-     *  victim's bank lock (synchronously — the victim scan only picks
-     *  unlocked lines) and releases it when the core task finishes. */
-    Task<> evictL3Detached(int bank_tile, L3Evict ev);
+    Task<> evictL3Core(int bank_tile, L3Evict ev, bool take_lock = false);
 
     /**
      * Ensure @p line is present in tile @p tile's L2 with at least
@@ -429,18 +430,20 @@ class MemorySystem
     void updateDirectoryOnPrivateEvict(int tile, Addr line, bool dirty);
 
     /**
-     * Insert into L2, evicting as needed. Retries (with backoff) when
-     * every way of the set is held by an in-flight transaction.
+     * Insert into L2, evicting as needed. Returns null when every way
+     * of the set is held by an in-flight transaction; the caller then
+     * waits 4 cycles for one to drain and retries, charging the wait to
+     * its breakdown's lockWait (hardware would stall the fill in an
+     * MSHR).
      */
-    Task<CacheWay *> insertL2(int tile, Addr line, Coh state,
-                              const MorphBinding *mb, bool engine_fill,
-                              bool use_once = false,
-                              LatBreakdown *bd = nullptr);
+    CacheWay *insertL2(int tile, Addr line, Coh state,
+                       const MorphBinding *mb, bool engine_fill,
+                       bool use_once);
 
-    /** Allocate an L3 way for @p line (same retry discipline). */
-    Task<CacheWay *> allocL3Way(int bank_tile, Addr line,
-                                const MorphBinding *mb, bool engine_fill,
-                                LatBreakdown *bd = nullptr);
+    /** Allocate an L3 way for @p line, detaching the victim's eviction;
+     *  null when every way is held (same retry discipline). */
+    CacheWay *allocL3Way(int bank_tile, Addr line, const MorphBinding *mb,
+                         bool engine_fill);
 
     /** Insert into an L1, evicting as needed. */
     void insertL1(int tile, bool engine, Addr line, bool cold = false);

@@ -120,8 +120,11 @@ Mesh::Walk::await_suspend(std::coroutine_handle<> caller)
         dom_.postAbs(dst_, head_, [this]() { caller_.resume(); });
         return;
     }
-    x_ = src_ % static_cast<int>(p.dimX);
-    y_ = src_ / static_cast<int>(p.dimX);
+    const int dimX = static_cast<int>(p.dimX);
+    x_ = src_ % dimX;
+    y_ = src_ / dimX;
+    dx_ = dst_ % dimX;
+    dy_ = dst_ / dimX;
     advance();
 }
 
@@ -130,19 +133,17 @@ Mesh::Walk::advance()
 {
     const MeshParams &p = mesh_.params_;
     const int dimX = static_cast<int>(p.dimX);
-    const int dx = dst_ % dimX;
-    const int dy = dst_ / dimX;
 
     // X leg: every hop crosses a column, so each reservation happens in
     // an event at the link's source tile (its owning domain) at the head
     // flit's arrival tick, and the next arrival is routerDelay+linkDelay
     // (= one quantum) ahead — exactly the plan's lookahead floor.
-    if (x_ != dx) {
-        const int dir = (dx > x_) ? East : West;
+    if (x_ != dx_) {
+        const int dir = (dx_ > x_) ? East : West;
         const Tick start =
             mesh_.reserve(y_ * dimX + x_, dir, head_, flits_);
         ++hops_;
-        x_ += (dx > x_) ? 1 : -1;
+        x_ += (dx_ > x_) ? 1 : -1;
         head_ = start + p.routerDelay + p.linkDelay;
         dom_.postAbs(y_ * dimX + x_, head_, [this]() { advance(); });
         return;
@@ -151,13 +152,13 @@ Mesh::Walk::advance()
     // Y leg: the whole column belongs to the current domain, so the
     // remaining links are reserved here and now, in one event, with the
     // same per-hop recurrence traverse() uses.
-    while (y_ != dy) {
-        const int dir = (dy > y_) ? South : North;
+    while (y_ != dy_) {
+        const int dir = (dy_ > y_) ? South : North;
         const Tick start =
             mesh_.reserve(y_ * dimX + x_, dir, head_, flits_);
         head_ = start + p.routerDelay + p.linkDelay;
         ++hops_;
-        y_ += (dy > y_) ? 1 : -1;
+        y_ += (dy_ > y_) ? 1 : -1;
     }
     // Destination router plus tail-flit serialization.
     head_ += p.routerDelay + (flits_ - 1);

@@ -171,8 +171,10 @@ class Mesh::Walk
     unsigned bytes_;
     unsigned flits_ = 0;
     unsigned hops_ = 0;
-    int x_ = 0;
+    int x_ = 0; ///< current router's column and row
     int y_ = 0;
+    int dx_ = 0; ///< destination column and row
+    int dy_ = 0;
 };
 
 inline Mesh::Walk

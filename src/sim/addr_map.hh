@@ -48,6 +48,9 @@ class AddrMap
 
     bool contains(Addr key) const { return find(key) != nullptr; }
 
+    /** Number of keys present. */
+    std::size_t size() const { return size_; }
+
     /** The value stored for @p key, or nullptr. Valid until the next
      *  insert or erase. */
     V *

@@ -66,6 +66,9 @@ class Domains
             queues_[d]->setStreamKeys(*streams_);
             queues_[d]->setDomainIndex(d);
         }
+        tileQueues_.resize(tiles);
+        for (std::size_t t = 0; t < tiles; ++t)
+            tileQueues_[t] = queues_[domainOf(static_cast<int>(t))];
     }
 
     bool active() const { return !queues_.empty(); }
@@ -91,7 +94,7 @@ class Domains
     }
 
     EventQueue &queueOfDomain(unsigned d) { return *queues_[d]; }
-    EventQueue &queueOf(int tile) { return *queues_[domainOf(tile)]; }
+    EventQueue &queueOf(int tile) { return *tileQueues_[tile]; }
     const std::vector<EventQueue *> &queues() const { return queues_; }
 
     /** Tile the current event executes at (@p fallback when the context
@@ -120,14 +123,13 @@ class Domains
     void
     postAbs(int dstTile, Tick when, F &&fn)
     {
-        const unsigned dstDom = domainOf(dstTile);
+        EventQueue *dq = tileQueues_[dstTile];
         const std::uint64_t key = streams_->next(detail::execCtx.stream);
         const std::uint32_t es = streamOf(dstTile);
         EventQueue *cq = detail::execCtx.queue;
-        if (!exec_ || !cq || cq == queues_[dstDom]) {
-            // takolint: ok(X2, the router itself: same-domain or pre-run posts land directly, guarded by the cq == queues_[dstDom] test above)
-            queues_[dstDom]->scheduleKeyed(when, std::forward<F>(fn), key,
-                                           es);
+        if (!exec_ || !cq || cq == dq) {
+            // takolint: ok(X2, the router itself: same-domain or pre-run posts land directly, guarded by the cq == dq test above)
+            dq->scheduleKeyed(when, std::forward<F>(fn), key, es);
             return;
         }
         panic_if(when < cq->now() + plan_.quantum,
@@ -136,8 +138,8 @@ class Domains
                  dstTile, (unsigned long long)when,
                  (unsigned long long)cq->now(),
                  (unsigned long long)plan_.quantum);
-        exec_->sendKeyed(cq->domainIndex(), dstDom, when, key, es,
-                         std::forward<F>(fn));
+        exec_->sendKeyed(cq->domainIndex(), dq->domainIndex(), when, key,
+                         es, std::forward<F>(fn));
     }
 
     /**
@@ -149,7 +151,7 @@ class Domains
     ctxNow(int tile) const
     {
         const EventQueue *cq = detail::execCtx.queue;
-        return cq ? cq->now() : queues_[domainOf(tile)]->now();
+        return cq ? cq->now() : tileQueues_[tile]->now();
     }
 
     /** postAbs at (current context time + @p delta). */
@@ -198,6 +200,8 @@ class Domains
   private:
     ShardPlan plan_;
     std::vector<EventQueue *> queues_;
+    /** Queue of each tile's domain (queues_[domainOf(tile)]). */
+    std::vector<EventQueue *> tileQueues_;
     std::unique_ptr<StreamKeySource> streams_;
     ShardedExecutor *exec_ = nullptr;
 };

@@ -205,13 +205,18 @@ class EventQueue
 
     bool empty() const { return wheelCount_ == 0 && overflow_.empty(); }
 
+    /** No time limit: step() runs whatever event is next. */
+    static constexpr Tick kNoLimit = ~Tick{0};
+
     /**
-     * Pop and run the next event. Returns false if the queue was empty.
+     * Pop and run the next event if it is due at or before @p limit.
+     * Returns false, running nothing, if the queue is empty or its next
+     * event is later than @p limit.
      */
     bool
-    step()
+    step(Tick limit = kNoLimit)
     {
-        EventNode *e = popNext();
+        EventNode *e = popNext(limit);
         if (!e)
             return false;
         if (e->when >= hookWatermark_) [[unlikely]]
@@ -252,9 +257,7 @@ class EventQueue
     void
     runUntil(Tick limit)
     {
-        Tick next;
-        while (peekWhen(next) && next <= limit)
-            step();
+        while (step(limit)) {}
         if (now_ < limit) {
             if (limit >= hookWatermark_) [[unlikely]]
                 fireAdvanceHook(limit);
@@ -274,9 +277,7 @@ class EventQueue
     void
     runThrough(Tick limit)
     {
-        Tick next;
-        while (peekWhen(next) && next <= limit)
-            step();
+        while (step(limit)) {}
     }
 
     /** Earliest pending event time, if any (sharded-run scheduling). */
@@ -478,17 +479,21 @@ class EventQueue
         return (sw << 6) + std::countr_zero(word);
     }
 
+    /** Unlink the minimum pending event if it is due at or before
+     *  @p limit; the window never moves past @p limit. */
     EventNode *
-    popNext()
+    popNext(Tick limit)
     {
         if (wheelCount_ == 0) {
-            if (overflow_.empty())
+            if (overflow_.empty() || overflow_.top()->when > limit)
                 return nullptr;
             // Wheel drained: rebase straight to the heap minimum. This
             // migrates at least the top, in total order.
             advanceBase(overflow_.top()->when);
         }
         const std::size_t idx = firstOccupied();
+        if (slotTick(idx) > limit)
+            return nullptr;
         Lane &lane = wheel_[idx];
         EventNode *n = lane.head;
         panic_if(!n, "occupied wheel slot with an empty lane");

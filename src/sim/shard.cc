@@ -132,10 +132,7 @@ ShardedExecutor::runSolo(unsigned shard)
     // domain's current position.
     const std::uint64_t sentBefore = sendSeq_[shard].value;
     const std::uint64_t firedBefore = q.eventsFired();
-    Tick next = 0;
-    while (sendSeq_[shard].value == sentBefore &&
-           q.nextEventTime(next) && next <= limit_) {
-        q.step();
+    while (sendSeq_[shard].value == sentBefore && q.step(limit_)) {
         // Every other domain is idle, so nothing can still be emitted
         // below this domain's clock: keep its buffer bounded.
         if (recorder_ && recorder_->buffered(shard) >= Recorder::kSoloCap)

@@ -113,7 +113,7 @@ class ShardedExecutor
                     unsigned threads = 0, Recorder *recorder = nullptr);
 
     /** run() without a tick limit. */
-    static constexpr Tick kNoLimit = ~Tick{0};
+    static constexpr Tick kNoLimit = EventQueue::kNoLimit;
 
     /**
      * Post @p fn to shard @p dst at absolute tick @p when, with the

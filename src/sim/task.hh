@@ -8,6 +8,10 @@
  * spawned. Awaitables suspend the coroutine and arrange for an EventQueue
  * event to resume it at the right simulated time.
  *
+ * Every frame is an arena allocation, so a function that only forwards
+ * to another Task returns that Task rather than awaiting it, and spawn()
+ * detaches a task without a wrapper frame.
+ *
  * Rule: completion callbacks must be invoked from the event queue, never
  * synchronously from within the issuing call. Every hardware component in
  * tako-sim has nonzero (or explicitly zero-delta scheduled) latency, so
@@ -32,6 +36,8 @@ namespace tako
 
 template <typename T>
 class Task;
+
+inline void spawn(Task<void> task, std::function<void()> on_done = {});
 
 namespace detail
 {
@@ -66,9 +72,19 @@ struct PromiseBase
         std::coroutine_handle<>
         await_suspend(std::coroutine_handle<Promise> h) noexcept
         {
+            Promise &p = h.promise();
             // Symmetric transfer to whoever awaited us.
-            if (h.promise().continuation)
-                return h.promise().continuation;
+            if (p.continuation)
+                return p.continuation;
+            // Only spawn() starts a task with no awaiter: the task is
+            // detached, so it reports completion and frees itself.
+            panic_if(static_cast<bool>(p.exception),
+                     "unhandled exception escaped a detached task");
+            if constexpr (requires { p.onDone; }) {
+                if (p.onDone)
+                    p.onDone();
+            }
+            h.destroy();
             return std::noop_coroutine();
         }
 
@@ -92,6 +108,9 @@ struct Promise : PromiseBase
 template <>
 struct Promise<void> : PromiseBase
 {
+    /** Set by spawn(); runs at final suspend, before the frame is freed. */
+    std::function<void()> onDone;
+
     Task<void> get_return_object();
     void return_void() {}
 };
@@ -161,6 +180,8 @@ class [[nodiscard]] Task
     }
 
   private:
+    friend void spawn(Task<void> task, std::function<void()> on_done);
+
     void
     destroy()
     {
@@ -193,50 +214,22 @@ Promise<void>::get_return_object()
 } // namespace detail
 
 /**
- * Fire-and-forget top-level coroutine; self-destroying. Used only by
- * spawn() below.
- */
-struct DetachedTask
-{
-    struct promise_type
-    {
-        static void *
-        operator new(std::size_t bytes)
-        {
-            return FrameArena::allocate(bytes);
-        }
-
-        static void
-        operator delete(void *p, std::size_t bytes) noexcept
-        {
-            FrameArena::deallocate(p, bytes);
-        }
-
-        DetachedTask get_return_object() { return {}; }
-        std::suspend_never initial_suspend() noexcept { return {}; }
-        std::suspend_never final_suspend() noexcept { return {}; }
-        void return_void() {}
-
-        void
-        unhandled_exception()
-        {
-            panic("unhandled exception escaped a detached task");
-        }
-    };
-};
-
-/**
  * Start @p task detached; call @p on_done (if set) when it completes.
- * The task runs its first step immediately.
+ * The task runs its first step immediately. It owns its frame from then
+ * on: at final suspend it runs @p on_done and frees itself. An empty
+ * Task completes at once.
  */
 inline void
-spawn(Task<> task, std::function<void()> on_done = {})
+spawn(Task<> task, std::function<void()> on_done)
 {
-    [](Task<> t, std::function<void()> done) -> DetachedTask {
-        co_await std::move(t);
-        if (done)
-            done();
-    }(std::move(task), std::move(on_done));
+    const Task<>::Handle h = std::exchange(task.handle_, {});
+    if (!h) {
+        if (on_done)
+            on_done();
+        return;
+    }
+    h.promise().onDone = std::move(on_done);
+    h.resume();
 }
 
 /**

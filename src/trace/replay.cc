@@ -1,9 +1,9 @@
 #include "trace/replay.hh"
 
-#include <set>
 #include <utility>
 #include <vector>
 
+#include "sim/addr_map.hh"
 #include "tako/registry.hh"
 #include "trace/reader.hh"
 #include "trace/writer.hh"
@@ -189,7 +189,7 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
     }
     const unsigned cores = sys_cfg.mem.tiles;
     std::vector<std::vector<ReplayRecord>> perCore(cores);
-    std::set<std::uint32_t> tenants;
+    AddrSet tenants;
     TraceRecord rec;
     // Addresses at or above MorphRegistry::phantomBase (2^46) belong to
     // the täkō phantom space and require a morph registration; real
@@ -198,7 +198,7 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
     // and line offsets, and locality within any region, are preserved.
     constexpr Addr realMask = MorphRegistry::phantomBase - 1;
     while (reader.next(rec)) {
-        tenants.insert(rec.tenant);
+        tenants.tryEmplace(rec.tenant);
         perCore[rec.tenant % cores].push_back(
             {rec.addr & realMask, rec.size, rec.op});
         ++res.records;

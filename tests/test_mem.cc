@@ -7,6 +7,9 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "sim/arena.hh"
 #include "system/system.hh"
 
 using namespace tako;
@@ -333,4 +336,145 @@ TEST(MemorySystem, EnergyAccumulates)
     EXPECT_GT(sys.totalEnergy(), 0.0);
     EXPECT_GT(sys.stats().get("energy.dram"), 0.0);
     EXPECT_GT(sys.stats().get("energy.core"), 0.0);
+}
+
+TEST(MemorySystem, FramesPerOperation)
+{
+    // Coroutine frames (FrameArena allocations) one guest operation
+    // costs on a --shards=1 System. Forwarding Guest calls return the
+    // Core's Task, spawn() adds no wrapper, and fills allocate ways
+    // without a frame. Counts before -> now:
+    //   load missing L1, L2 and L3:
+    //     Guest::load, memOp, access, fetchIntoL2, allocL3Way,
+    //     dramFetch, insertL2: 7 -> 4
+    //   L1-hit load: Guest::load, memOp, access: 3 -> 2
+    //   RMO to a shared phantom line (L3 miss) plus its drain:
+    //     Guest::rmoAdd, Core::rmoAdd, spawn wrapper, rmoIssue,
+    //     remoteAtomicAdd, allocL3Way, Guest::rmoDrain, Core::rmoDrain:
+    //     8 -> 3
+    System sys(smallConfig());
+    TestMorph morph(/*miss=*/false, /*evict=*/false, /*wb=*/false);
+    std::uint64_t missFrames = 0, hitFrames = 0, rmoFrames = 0;
+    sys.addThread(0, [&](Guest &g) -> Task<> {
+        const MorphBinding *b = co_await g.registerPhantom(
+            morph, MorphLevel::Shared, 1 << 20);
+        const FrameArena::Stats &arena = FrameArena::stats();
+        auto frames = [&arena]() { return arena.allocs + arena.oversize; };
+        std::uint64_t f0 = frames();
+        co_await g.load(0x10000);
+        missFrames = frames() - f0;
+        f0 = frames();
+        co_await g.load(0x10000);
+        hitFrames = frames() - f0;
+        f0 = frames();
+        co_await g.rmoAdd(b->base, 1);
+        co_await g.rmoDrain();
+        rmoFrames = frames() - f0;
+    });
+    sys.run();
+    EXPECT_EQ(missFrames, 4u);
+    EXPECT_EQ(hitFrames, 2u);
+    EXPECT_EQ(rmoFrames, 3u);
+    EXPECT_EQ(sys.stats().get("l3.misses"), 2);
+}
+
+namespace
+{
+
+/** Take @p lines ' locks in @p locks now, hold them @p hold cycles. */
+Task<>
+holdLines(EventQueue &eq, LineLockTable &locks, std::vector<Addr> lines,
+          Tick hold)
+{
+    for (Addr a : lines)
+        co_await locks.acquire(a);
+    co_await Delay{eq, hold};
+    for (Addr a : lines)
+        locks.release(a);
+}
+
+struct StalledLoad
+{
+    Tick latency = 0;
+    double lockWait = 0; ///< mem.breakdown.lock_wait summed over the run
+};
+
+/**
+ * On tile 0, load every line of @p set, then load @p target, which maps
+ * to the same L2 set (@p l3 false) or L3 set (@p l3 true). With
+ * @p hold > 0, the set's lines' tile locks (bank locks at @p target 's
+ * bank) are held from the target load's issue for @p hold cycles.
+ */
+StalledLoad
+loadPastHeldSet(const std::vector<Addr> &set, Addr target, bool l3,
+                Tick hold)
+{
+    SystemConfig cfg = smallConfig();
+    cfg.mem.latBreakdown = true;
+    System sys(cfg);
+    StalledLoad r;
+    const int bank = static_cast<int>(lineNumber(target) % cfg.mem.tiles);
+    sys.addThread(0, [&](Guest &g) -> Task<> {
+        for (Addr a : set)
+            co_await g.load(a);
+        if (hold > 0) {
+            LineLockTable &locks = l3 ? sys.mem().bankLocks(bank)
+                                      : sys.mem().tileLocks(0);
+            spawn(holdLines(g.eq(), locks, set, hold));
+        }
+        const Tick t0 = g.now();
+        co_await g.load(target);
+        r.latency = g.now() - t0;
+    });
+    sys.run();
+    r.lockWait = sys.stats().histogram("mem.breakdown.lock_wait").sum();
+    return r;
+}
+
+/**
+ * A fill whose set is entirely held retries every 4 cycles and charges
+ * each retry's 4 cycles to lockWait: the stall adds exactly as much
+ * latency as lockWait, in steps of 4, one step per 4 cycles of hold.
+ */
+void
+expectFourCycleRetries(const std::vector<Addr> &set, Addr target, bool l3)
+{
+    const StalledLoad free = loadPastHeldSet(set, target, l3, 0);
+    const Tick hold0 = free.latency + 10;
+    std::vector<Tick> stall;
+    for (Tick extra = 0; extra < 8; ++extra) {
+        const StalledLoad held =
+            loadPastHeldSet(set, target, l3, hold0 + extra);
+        stall.push_back(held.latency - free.latency);
+        EXPECT_GT(stall.back(), 0u) << "hold " << hold0 + extra;
+        EXPECT_EQ(stall.back() % 4, 0u) << "hold " << hold0 + extra;
+        EXPECT_EQ(held.lockWait - free.lockWait,
+                  static_cast<double>(stall.back()))
+            << "hold " << hold0 + extra;
+    }
+    // Four more cycles of hold cost exactly one more retry.
+    for (std::size_t e = 0; e < 4; ++e)
+        EXPECT_EQ(stall[e + 4], stall[e] + 4) << "hold " << hold0 + e;
+}
+
+} // namespace
+
+TEST(MemorySystem, FullyHeldL2SetRetriesFillEveryFourCycles)
+{
+    // smallConfig's L2: 8 sets x 8 ways, so lines 512 B apart share a
+    // set; eight of them fill it.
+    std::vector<Addr> set;
+    for (Addr i = 0; i < 8; ++i)
+        set.push_back(0x100000 + i * 512);
+    expectFourCycleRetries(set, 0x100000 + 8 * 512, /*l3=*/false);
+}
+
+TEST(MemorySystem, FullyHeldL3SetRetriesFillEveryFourCycles)
+{
+    // smallConfig's L3 banks: 16 sets x 16 ways over 4 banks, so lines
+    // 1 KiB apart share a bank and a set; sixteen of them fill it.
+    std::vector<Addr> set;
+    for (Addr i = 0; i < 16; ++i)
+        set.push_back(0x200000 + i * 1024);
+    expectFourCycleRetries(set, 0x200000 + 16 * 1024, /*l3=*/true);
 }

@@ -361,6 +361,38 @@ TEST(Task, SpawnOnDoneFires)
     EXPECT_EQ(count, 2);
 }
 
+TEST(Task, SpawnedTaskIsItsOwnOnlyFrame)
+{
+    // spawn() detaches the task itself: no wrapper frame. on_done runs
+    // once, from the task's final suspend — after the body, while the
+    // frame is still live — and then the frame frees itself.
+    EventQueue eq;
+    const FrameArena::Stats &arena = FrameArena::stats();
+    const std::uint64_t allocs0 = arena.allocs + arena.oversize;
+    const std::uint64_t live0 = arena.live;
+    int count = 0, calls = 0, countAtDone = -1;
+    std::uint64_t liveAtDone = 0;
+    spawn(delayTwice(eq, 1, count), [&]() {
+        ++calls;
+        countAtDone = count;
+        liveAtDone = arena.live;
+    });
+    EXPECT_EQ(arena.allocs + arena.oversize - allocs0, 1u);
+    EXPECT_EQ(calls, 0);
+    eq.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(countAtDone, 2);
+    EXPECT_EQ(liveAtDone, live0 + 1);
+    EXPECT_EQ(arena.live, live0);
+
+    // An empty Task has nothing to run: on_done fires at once, and no
+    // frame is allocated.
+    spawn(Task<>{}, [&]() { ++calls; });
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(arena.allocs + arena.oversize - allocs0, 1u);
+    EXPECT_EQ(arena.live, live0);
+}
+
 TEST(Task, FramesComeFromArenaAndAreReused)
 {
     // Coroutine frames allocate through FrameArena (task.hh promise

@@ -150,6 +150,24 @@ TEST(TraceFormat, ZigzagRoundTripsSignedDeltas)
         EXPECT_EQ(zigzagDecode(zigzagEncode(v)), v);
 }
 
+namespace
+{
+
+/** Bit-at-a-time IEEE CRC-32, the definition the fast one must match. */
+std::uint32_t
+crc32Bitwise(const std::uint8_t *data, std::size_t len)
+{
+    std::uint32_t c = 0xffffffffu;
+    for (std::size_t i = 0; i < len; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+} // namespace
+
 TEST(TraceFormat, Crc32MatchesIeeeReferenceVector)
 {
     // The classic check value; also what Python's binascii.crc32
@@ -158,6 +176,22 @@ TEST(TraceFormat, Crc32MatchesIeeeReferenceVector)
     EXPECT_EQ(crc32(reinterpret_cast<const std::uint8_t *>(s), 9),
               0xcbf43926u);
     EXPECT_EQ(crc32(nullptr, 0), 0u);
+
+    // Every length across the 8-byte blocks and the byte tail, at every
+    // alignment of the start.
+    std::vector<std::uint8_t> buf(257 + 8);
+    std::uint32_t x = 0x12345678u;
+    for (std::uint8_t &b : buf) {
+        x = x * 1664525u + 1013904223u;
+        b = static_cast<std::uint8_t>(x >> 24);
+    }
+    for (std::size_t off = 0; off < 8; ++off) {
+        for (std::size_t len = 0; len <= 257; ++len) {
+            ASSERT_EQ(crc32(buf.data() + off, len),
+                      crc32Bitwise(buf.data() + off, len))
+                << "offset " << off << ", length " << len;
+        }
+    }
 }
 
 // ---- writer/reader round-trips -----------------------------------------

@@ -16,6 +16,12 @@ Exit status is non-zero if either child fails or if the new event queue
 fails to beat the legacy baseline by at least MIN_SPEEDUP (the PR's
 regression gate).
 
+Host timings on a shared machine drift over minutes, so the two shard
+gates never trust one sample: each runs PAIRS interleaved pairs of
+--shards=1 and --shards=4 runs, alternating which side goes first,
+and gates on the median per-pair speedup. The artifact records each
+side's median and quartiles and the ratios' quartiles.
+
 Perf numbers are only comparable between trusted artifacts: a Release
 build of a clean (committed) tree, as takosim's own stamp reports it
 (``build_type`` and ``git_rev`` in its --stats-json; google-benchmark's
@@ -30,6 +36,7 @@ plot_results.py / future regression tooling can exclude them).
 import argparse
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -45,6 +52,8 @@ MIN_SHARD_SPEEDUP = 2.0
 # four shard-domain workers (not an ensemble). Same host-CPU guard as
 # the ensemble gate.
 MIN_SINGLE_RUN_SPEEDUP = 1.8
+# Interleaved (--shards=1, --shards=4) pairs behind each shard gate.
+PAIRS = 10
 KERNEL_FILTER = ("BM_EventQueue|BM_Coroutine|BM_CacheLookup|"
                  "BM_VictimSelection|BM_LineLockAcquireRelease|"
                  "BM_BackingStoreRead64|BM_BackingStoreFirstTouch|"
@@ -117,6 +126,42 @@ def run_takosim(bin_dir, quick):
     }, prof
 
 
+def quartiles(xs):
+    """(first quartile, median, third quartile) of @p xs."""
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, med, q3
+
+
+def paired_shard_speedup(base, env):
+    """Wall-time ``base`` at --shards=1 and --shards=4 over PAIRS
+    interleaved pairs, alternating which side runs first so drift and
+    warm-up fall on both sides alike. The speedup is the median of the
+    per-pair ratios (shards1 / shards4).
+    """
+    walls = {1: [], 4: []}
+    ratios = []
+    for i in range(PAIRS):
+        pair = {}
+        for shards in ((1, 4) if i % 2 == 0 else (4, 1)):
+            start = time.monotonic()
+            subprocess.run(base + [f"--shards={shards}"], check=True,
+                           stdout=subprocess.DEVNULL, env=env)
+            pair[shards] = time.monotonic() - start
+        walls[1].append(pair[1])
+        walls[4].append(pair[4])
+        ratios.append(pair[1] / pair[4] if pair[4] > 0 else 0.0)
+    result = {"pairs": PAIRS}
+    for shards in (1, 4):
+        q1, med, q3 = quartiles(walls[shards])
+        result[f"wall_sec_shards{shards}"] = med
+        result[f"wall_sec_shards{shards}_q1"] = q1
+        result[f"wall_sec_shards{shards}_q3"] = q3
+    q1, med, q3 = quartiles(ratios)
+    result.update(speedup=med, speedup_q1=q1, speedup_q3=q3,
+                  speedups=ratios)
+    return result
+
+
 def run_shard_ensemble(bin_dir, quick):
     """Wall-time a 16-tile nightly-sized ensemble at 1 vs. 4 lanes.
 
@@ -140,21 +185,13 @@ def run_shard_ensemble(bin_dir, quick):
     env = dict(os.environ)
     if quick:
         env["TAKO_QUICK"] = "1"
-    walls = {}
-    for shards in (1, 4):
-        start = time.monotonic()
-        subprocess.run(base + [f"--shards={shards}"], check=True,
-                       stdout=subprocess.DEVNULL, env=env)
-        walls[shards] = time.monotonic() - start
     return {
         "workload": "phi",
         "variant": "tako",
         "cores": 16,
         "vertices": 16384,
         "replicas": 4,
-        "wall_sec_shards1": walls[1],
-        "wall_sec_shards4": walls[4],
-        "speedup": walls[1] / walls[4] if walls[4] > 0 else 0.0,
+        **paired_shard_speedup(base, env),
         "host_cpus": os.cpu_count() or 1,
     }
 
@@ -181,20 +218,12 @@ def run_shard_single(bin_dir, quick):
     env = dict(os.environ)
     if quick:
         env["TAKO_QUICK"] = "1"
-    walls = {}
-    for shards in (1, 4):
-        start = time.monotonic()
-        subprocess.run(base + [f"--shards={shards}"], check=True,
-                       stdout=subprocess.DEVNULL, env=env)
-        walls[shards] = time.monotonic() - start
     return {
         "workload": "phi",
         "variant": "tako",
         "cores": 16,
         "vertices": 16384,
-        "wall_sec_shards1": walls[1],
-        "wall_sec_shards4": walls[4],
-        "speedup": walls[1] / walls[4] if walls[4] > 0 else 0.0,
+        **paired_shard_speedup(base, env),
         "host_cpus": os.cpu_count() or 1,
     }
 
@@ -336,14 +365,18 @@ def main():
           f"-> {args.out}")
     if os.path.exists(prof_path):
         print(f"perf_smoke: profiled run wrote {prof_path}")
-    print(f"perf_smoke: shard ensemble 4x16-tile replicas "
+    print(f"perf_smoke: shard ensemble 4x16-tile replicas, median of "
+          f"{shard['pairs']} pairs: "
           f"{shard['wall_sec_shards1']:.2f}s at 1 lane, "
           f"{shard['wall_sec_shards4']:.2f}s at 4 lanes "
-          f"({shard['speedup']:.2f}x, {shard['host_cpus']} host CPUs)")
-    print(f"perf_smoke: single 16-tile run "
+          f"({shard['speedup']:.2f}x, IQR {shard['speedup_q1']:.2f}-"
+          f"{shard['speedup_q3']:.2f}x, {shard['host_cpus']} host CPUs)")
+    print(f"perf_smoke: single 16-tile run, median of "
+          f"{single['pairs']} pairs: "
           f"{single['wall_sec_shards1']:.2f}s at --shards=1, "
           f"{single['wall_sec_shards4']:.2f}s at --shards=4 "
-          f"({single['speedup']:.2f}x, {single['host_cpus']} host CPUs)")
+          f"({single['speedup']:.2f}x, IQR {single['speedup_q1']:.2f}-"
+          f"{single['speedup_q3']:.2f}x, {single['host_cpus']} host CPUs)")
     print(f"perf_smoke: trace codec ({trace['records']} kv records) "
           f"encode {trace['encode_records_per_sec'] / 1e6:.1f} M/s, "
           f"decode {trace['decode_records_per_sec'] / 1e6:.1f} M/s, "
@@ -363,13 +396,13 @@ def main():
               f"< required {MIN_SPEEDUP}x", file=sys.stderr)
         return 1
     if shard["host_cpus"] >= 4 and shard["speedup"] < MIN_SHARD_SPEEDUP:
-        print(f"perf_smoke: FAIL: shard-ensemble speedup "
+        print(f"perf_smoke: FAIL: shard-ensemble median speedup "
               f"{shard['speedup']:.2f}x < required {MIN_SHARD_SPEEDUP}x "
               f"on a {shard['host_cpus']}-CPU host", file=sys.stderr)
         return 1
     if (single["host_cpus"] >= 4
             and single["speedup"] < MIN_SINGLE_RUN_SPEEDUP):
-        print(f"perf_smoke: FAIL: single-run shard speedup "
+        print(f"perf_smoke: FAIL: single-run shard median speedup "
               f"{single['speedup']:.2f}x < required "
               f"{MIN_SINGLE_RUN_SPEEDUP}x "
               f"on a {single['host_cpus']}-CPU host", file=sys.stderr)

@@ -36,7 +36,7 @@ namespace
 
 /** Foreign-queue sources (X2): grabbing another domain's queue. */
 const std::set<std::string> kForeignQueueSources = {
-    "queueOf", "queueOfDomain", "queues", "queues_",
+    "queueOf", "queueOfDomain", "queues", "queues_", "tileQueues_",
 };
 
 /** EventQueue entry points that enqueue work (X2 receivers). */
