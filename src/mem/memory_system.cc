@@ -358,11 +358,10 @@ MemorySystem::access(AccessReq req)
             }
             phantomStore_.zeroLine(line);
             if (mb->hasMiss && sink_) {
-                Completion<bool> done(eq_);
-                sink_->triggerMiss(req.tile, line, *mb,
-                                   [&done]() { done.complete(true); });
+                Join join(eq_);
+                spawnMissCallback(join, req.tile, line, *mb);
                 t0 = ctxNow(eq_);
-                co_await done;
+                co_await join.wait();
                 bd.callbackWait += ctxNow(eq_) - t0;
             }
         } else {
@@ -482,11 +481,10 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
         if (shared_morph && mb->phantom) {
             phantomStore_.zeroLine(line);
             if (mb->hasMiss && sink_) {
-                Completion<bool> done(eq_);
-                sink_->triggerMiss(bank, line, *mb,
-                                   [&done]() { done.complete(true); });
+                Join join(eq_);
+                spawnMissCallback(join, bank, line, *mb);
                 t0 = ctxNow(eq_);
-                co_await done;
+                co_await join.wait();
                 bd.callbackWait += ctxNow(eq_) - t0;
             }
         } else if (shared_morph && mb->hasMiss && sink_) {
@@ -495,10 +493,9 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
             // reading addr"); the overlapped wait is attributed to
             // the callback component.
             Join join(eq_);
-            join.add(2);
+            join.add();
             spawn(dramFetch(bank, line), join.completion());
-            sink_->triggerMiss(bank, line, *mb,
-                               join.completion());
+            spawnMissCallback(join, bank, line, *mb);
             t0 = ctxNow(eq_);
             co_await join.wait();
             bd.callbackWait += ctxNow(eq_) - t0;
@@ -623,7 +620,7 @@ MemorySystem::dramFetch(int bank_tile, Addr line, LatBreakdown *bd)
 }
 
 Task<>
-MemorySystem::dramWritebackTask(int bank_tile, Addr line)
+MemorySystem::dramWriteback(int bank_tile, Addr line)
 {
     const unsigned c = ctrlOf(line);
     co_await hop(bank_tile, ctrlTile(c), 72);
@@ -640,12 +637,6 @@ MemorySystem::dramWritebackTask(int bank_tile, Addr line)
     ++*pl.writes;
     energy_.dramAccess();
     co_await Delay{eq_, lat};
-}
-
-void
-MemorySystem::dramWriteback(int bank_tile, Addr line)
-{
-    spawn(dramWritebackTask(bank_tile, line));
 }
 
 Task<>
@@ -775,7 +766,7 @@ MemorySystem::evictL3Core(int bank_tile, L3Evict ev, bool take_lock)
             std::function<void()> after;
             if (dirty) {
                 after = [this, bank_tile, line]() {
-                    dramWriteback(bank_tile, line);
+                    spawn(dramWriteback(bank_tile, line));
                 };
             }
             launchEvictionCallback(bank_tile, line, *mb, dirty, data,
@@ -783,7 +774,7 @@ MemorySystem::evictL3Core(int bank_tile, L3Evict ev, bool take_lock)
         }
     } else if (!isPhantom(line)) {
         if (dirty)
-            dramWriteback(bank_tile, line);
+            spawn(dramWriteback(bank_tile, line));
     } else {
         phantomStore_.zeroLine(line);
     }
@@ -919,6 +910,15 @@ MemorySystem::invalidateTileCopies(int tile, Addr line,
 }
 
 void
+MemorySystem::spawnMissCallback(Join &join, int tile, Addr line,
+                                const MorphBinding &mb)
+{
+    join.add();
+    spawn(sink_->callback(CallbackKind::Miss, tile, line, mb, LineData{}),
+          join.completion());
+}
+
+void
 MemorySystem::launchEvictionCallback(int engine_tile, Addr line,
                                      const MorphBinding &mb, bool dirty,
                                      LineData data,
@@ -937,8 +937,10 @@ MemorySystem::launchEvictionCallback(int engine_tile, Addr line,
         evictionCallbackRetired(id);
     };
     if (has && sink_) {
-        sink_->triggerEviction(engine_tile, line, mb, dirty,
-                               std::move(data), std::move(retire));
+        spawn(sink_->callback(dirty ? CallbackKind::Writeback
+                                    : CallbackKind::Eviction,
+                              engine_tile, line, mb, data),
+              std::move(retire));
     } else {
         dom_.post(engine_tile, 0, std::move(retire));
     }
@@ -1006,10 +1008,9 @@ MemorySystem::remoteAtomicAdd(int tile, Addr addr, std::uint64_t delta)
             // initializes the line (e.g., PHI's identity element).
             phantomStore_.zeroLine(line);
             if (mb->hasMiss && sink_) {
-                Completion<bool> done(eq_);
-                sink_->triggerMiss(bank, line, *mb,
-                                   [&done]() { done.complete(true); });
-                co_await done;
+                Join join(eq_);
+                spawnMissCallback(join, bank, line, *mb);
+                co_await join.wait();
             }
         } else {
             co_await dramFetch(bank, line);
@@ -1273,20 +1274,13 @@ MemorySystem::maybePrefetch(int tile, Addr miss_line)
         t.inflightPrefetch.tryEmplace(cand);
         ++*prefetchesIssued_;
         ++t.pfIssuedWindow;
-        spawn(prefetchLine(tile, cand));
+        // Two words: std::function keeps the capture inline.
+        spawn(access({.cmd = MemCmd::Load, .addr = cand, .tile = tile,
+                      .prefetch = true}),
+              [ts = tiles_[tile].get(), cand]() {
+                  ts->inflightPrefetch.erase(cand);
+              });
     }
-}
-
-Task<>
-MemorySystem::prefetchLine(int tile, Addr line)
-{
-    AccessReq r;
-    r.cmd = MemCmd::Load;
-    r.addr = line;
-    r.tile = tile;
-    r.prefetch = true;
-    co_await access(r);
-    tiles_[tile]->inflightPrefetch.erase(line);
 }
 
 void

@@ -228,12 +228,6 @@ class MemorySystem
      *  Sums per-domain cells; call only while no domain is executing. */
     unsigned inflight() const;
 
-    /**
-     * Notify that an eviction callback for @p morph_id retired
-     * (invoked by the engine layer via the `done` continuation).
-     */
-    void evictionCallbackRetired(std::uint32_t morph_id);
-
     /** Sanity checks on tag/directory state (tests). */
     void checkInvariants() const;
 
@@ -417,9 +411,8 @@ class MemorySystem
     Task<> dramFetch(int bank_tile, Addr line,
                      LatBreakdown *bd = nullptr);
 
-    /** Detached DRAM write (writebacks). */
-    void dramWriteback(int bank_tile, Addr line);
-    Task<> dramWritebackTask(int bank_tile, Addr line);
+    /** DRAM write of an evicted dirty line; callers spawn it. */
+    Task<> dramWriteback(int bank_tile, Addr line);
 
     /** Detached L2->L3 writeback traffic (timing/energy only). */
     Task<> writebackToL3Task(int tile, Addr line);
@@ -465,11 +458,22 @@ class MemorySystem
      */
     bool invalidateTileCopies(int tile, Addr line, bool trigger_callbacks);
 
-    /** Launch the eviction/writeback callback for a captured line. */
+    /**
+     * Spawn the onMiss callback for @p line on tile @p tile 's engine,
+     * added to @p join: the miss waits for it with join.wait().
+     */
+    void spawnMissCallback(Join &join, int tile, Addr line,
+                           const MorphBinding &mb);
+
+    /** Spawn the eviction/writeback callback for a captured line; its
+     *  retirement runs @p after, then the flushData accounting. */
     void launchEvictionCallback(int engine_tile, Addr line,
                                 const MorphBinding &mb, bool dirty,
                                 LineData data,
                                 std::function<void()> after = {});
+
+    /** An eviction callback of @p morph_id retired (flushData's count). */
+    void evictionCallbackRetired(std::uint32_t morph_id);
 
     /** Push a lookup record for @p line in @p arr; callers gate on
      *  rec_.on(@p kind). @p flags adds Record::kEngine / kPrefetch to
@@ -501,8 +505,6 @@ class MemorySystem
 
     /** Stream-prefetcher bookkeeping; spawns prefetch transactions. */
     void maybePrefetch(int tile, Addr miss_line);
-
-    Task<> prefetchLine(int tile, Addr line);
 
     MemParams params_;
     Domains &dom_;

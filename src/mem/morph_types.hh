@@ -14,9 +14,9 @@
 #define TAKO_MEM_MORPH_TYPES_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "mem/backing_store.hh"
+#include "sim/task.hh"
 #include "sim/types.hh"
 
 namespace tako
@@ -56,9 +56,9 @@ struct MorphBinding
 };
 
 /**
- * Interface to the engine layer. The memory hierarchy enqueues callback
- * requests here. `done` must be invoked through the event queue once the
- * callback retires.
+ * Interface to the engine layer: the memory hierarchy asks it for the
+ * callback to run and spawns it, with the work that waits for the
+ * callback to retire as the spawn's on_done.
  */
 class CallbackSink
 {
@@ -66,24 +66,17 @@ class CallbackSink
     virtual ~CallbackSink() = default;
 
     /**
-     * onMiss for @p line_addr on tile @p tile's engine. The cache
-     * controller has already allocated and zeroed the line; the miss
-     * response is deferred until @p done runs.
+     * The unstarted @p kind callback for @p line_addr on tile @p tile 's
+     * engine; the Task completes when the callback retires. For a Miss
+     * the cache controller has already allocated and zeroed the line and
+     * defers the miss response until then. For an Eviction (clean) or a
+     * Writeback (dirty), @p data is the line's contents captured at
+     * eviction time; the line itself has already left the cache and
+     * occupies a writeback-buffer entry until the callback retires
+     * (Sec. 5.2).
      */
-    virtual void triggerMiss(int tile, Addr line_addr,
-                             const MorphBinding &binding,
-                             std::function<void()> done) = 0;
-
-    /**
-     * onEviction (clean) or onWriteback (dirty) for @p line_addr. @p data
-     * is the line's contents captured at eviction time; the line itself
-     * has already left the cache (it occupies a writeback-buffer entry
-     * until the callback retires, per Sec. 5.2).
-     */
-    virtual void triggerEviction(int tile, Addr line_addr,
-                                 const MorphBinding &binding, bool dirty,
-                                 LineData data,
-                                 std::function<void()> done) = 0;
+    virtual Task<> callback(CallbackKind kind, int tile, Addr line_addr,
+                            const MorphBinding &binding, LineData data) = 0;
 };
 
 /** Interface to the morph registry (implemented in src/tako). */

@@ -10,6 +10,7 @@
 #ifndef TAKO_MORPHS_EVICTION_GUARD_MORPH_HH
 #define TAKO_MORPHS_EVICTION_GUARD_MORPH_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "tako/engine.hh"
@@ -27,7 +28,9 @@ class EvictionGuardMorph : public Morph
         Addr line;
     };
 
-    explicit EvictionGuardMorph(int victim_core)
+    /** @p tiles sizes the per-tile traces: the guard is registered
+     *  SHARED, so every bank's engine records its own evictions. */
+    EvictionGuardMorph(int victim_core, unsigned tiles)
         : Morph(MorphTraits{
               .name = "evictionGuard",
               .hasMiss = false,
@@ -36,14 +39,16 @@ class EvictionGuardMorph : public Morph
               .evictionKernel = {4, 2},
               .writebackKernel = {4, 2},
           }),
-          victimCore_(victim_core)
+          victimCore_(victim_core),
+          traces_(tiles)
     {
     }
 
     Task<>
     onEviction(EngineCtx &ctx) override
     {
-        trace_.push_back(Event{ctx.eq().now(), ctx.addr()});
+        traces_[static_cast<std::size_t>(ctx.tile())].push_back(
+            Event{ctx.now(), ctx.addr()});
         co_await ctx.compute(4, 2);
         ctx.interrupt(victimCore_);
     }
@@ -54,11 +59,25 @@ class EvictionGuardMorph : public Morph
         co_await onEviction(ctx);
     }
 
-    const std::vector<Event> &trace() const { return trace_; }
+    /** Every tile's evictions, merged in (tick, line) order. */
+    std::vector<Event>
+    trace() const
+    {
+        std::vector<Event> all;
+        for (const std::vector<Event> &t : traces_)
+            all.insert(all.end(), t.begin(), t.end());
+        std::sort(all.begin(), all.end(),
+                  [](const Event &a, const Event &b) {
+                      return a.when != b.when ? a.when < b.when
+                                              : a.line < b.line;
+                  });
+        return all;
+    }
 
   private:
     int victimCore_;
-    std::vector<Event> trace_;
+    /** One trace per bank engine, touched only by that tile's domain. */
+    std::vector<std::vector<Event>> traces_;
 };
 
 } // namespace tako

@@ -184,20 +184,24 @@ HatsMorph::onMiss(EngineCtx &ctx)
         co_return;
     }
 
-    // Sequentialize fills in stream order (see file comment).
+    // Sequentialize fills in stream order (see file comment): a line
+    // that arrives early waits on its own Join until its predecessor's
+    // fill retires.
     while (line_idx != nextFillLine_) {
         auto &slot = waiting_[line_idx];
-        if (!slot)
-            slot = std::make_unique<Completion<bool>>(ctx.eq());
-        co_await *slot;
+        if (!slot) {
+            slot = std::make_unique<Join>(ctx.eq());
+            slot->add();
+        }
+        co_await slot->wait();
         waiting_.erase(line_idx);
     }
 
     co_await fillLine(ctx);
     ++nextFillLine_;
     auto it = waiting_.find(nextFillLine_);
-    if (it != waiting_.end() && it->second && !it->second->completed())
-        it->second->complete(true);
+    if (it != waiting_.end() && it->second->outstanding() > 0)
+        it->second->done();
 }
 
 Task<>

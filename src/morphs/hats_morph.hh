@@ -100,7 +100,7 @@ class HatsMorph : public Morph
 
     // Stream-order sequencing of onMiss.
     std::uint64_t nextFillLine_ = 0;
-    std::map<std::uint64_t, std::unique_ptr<Completion<bool>>> waiting_;
+    std::map<std::uint64_t, std::unique_ptr<Join>> waiting_;
 
     std::uint64_t edgesEmitted_ = 0;
     std::uint64_t edgesLogged_ = 0;

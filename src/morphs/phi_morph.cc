@@ -78,9 +78,14 @@ PhiMorph::onWriteback(EngineCtx &ctx)
 
     const unsigned bank = static_cast<unsigned>(ctx.tile());
     BankCounts &counts = bankCounts_[bank];
-    if (updates >= threshold_) {
-        // Dense: apply in-place. All eight words share one real line, so
-        // this costs one line of memory traffic.
+    const unsigned region = static_cast<unsigned>(vbase / regionVertices_);
+    const std::size_t slot = bank * numRegions_ + region;
+    std::uint64_t &cursor = binCursor_[slot];
+    // Dense: apply in place. All eight words share one real line, so
+    // this costs one line of memory traffic. A full bin falls back to
+    // the same (PHI's policy degrades gracefully instead of losing
+    // updates).
+    if (updates >= threshold_ || (cursor + 8) * 16 > binCapacityBytes_) {
         ++counts.inPlaceLines;
         Join join(ctx.eq());
         for (unsigned i = 0; i < wordsPerLine; ++i) {
@@ -88,11 +93,8 @@ PhiMorph::onWriteback(EngineCtx &ctx)
             if (delta == 0 || vbase + i >= numVertices_)
                 continue;
             join.add();
-            spawn(
-                [](EngineCtx *c, Addr a, std::uint64_t d) -> Task<> {
-                    co_await c->atomicAdd(a, d);
-                }(&ctx, realNext_ + (vbase + i) * 8, delta),
-                join.completion());
+            spawn(ctx.atomicAdd(realNext_ + (vbase + i) * 8, delta),
+                  join.completion());
         }
         co_await ctx.compute(13, 4);
         co_await join.wait();
@@ -100,30 +102,6 @@ PhiMorph::onWriteback(EngineCtx &ctx)
         // Sparse: stage (vertex, delta) pairs in this bank's view-local
         // buffer for the destination region; completed 64B lines go to
         // the bin with one full-line streaming store.
-        const unsigned region =
-            static_cast<unsigned>(vbase / regionVertices_);
-        const std::size_t slot = bank * numRegions_ + region;
-        std::uint64_t &cursor = binCursor_[slot];
-        if ((cursor + 8) * 16 > binCapacityBytes_) {
-            // Bin full: fall back to applying in place (PHI's policy
-            // degrades gracefully instead of losing updates).
-            ++counts.inPlaceLines;
-            Join join(ctx.eq());
-            for (unsigned i = 0; i < wordsPerLine; ++i) {
-                const std::uint64_t delta = ctx.capturedLine()[i];
-                if (delta == 0 || vbase + i >= numVertices_)
-                    continue;
-                join.add();
-                spawn(
-                    [](EngineCtx *c, Addr a, std::uint64_t d) -> Task<> {
-                        co_await c->atomicAdd(a, d);
-                    }(&ctx, realNext_ + (vbase + i) * 8, delta),
-                    join.completion());
-            }
-            co_await ctx.compute(13, 4);
-            co_await join.wait();
-            co_return;
-        }
         Staged &st = staging_[slot];
         std::vector<std::pair<Addr, std::uint64_t>> writes;
         for (unsigned i = 0; i < wordsPerLine; ++i) {

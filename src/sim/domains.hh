@@ -72,7 +72,6 @@ class Domains
     }
 
     bool active() const { return !queues_.empty(); }
-    const ShardPlan &plan() const { return plan_; }
     unsigned domainCount() const
     {
         return static_cast<unsigned>(queues_.size());

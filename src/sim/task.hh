@@ -10,7 +10,13 @@
  *
  * Every frame is an arena allocation, so a function that only forwards
  * to another Task returns that Task rather than awaiting it, and spawn()
- * detaches a task without a wrapper frame.
+ * detaches a task of any result type without a wrapper frame.
+ *
+ * A coroutine waits on work it spawned (a täkō callback, an overlapped
+ * fetch, a coherence visit) through a Join: each spawn passes
+ * join.completion() as its on_done, and the waiter resumes in the
+ * delta-0 event that the last done() schedules, never by symmetric
+ * transfer from the spawned task's final suspend.
  *
  * Rule: completion callbacks must be invoked from the event queue, never
  * synchronously from within the issuing call. Every hardware component in
@@ -37,7 +43,8 @@ namespace tako
 template <typename T>
 class Task;
 
-inline void spawn(Task<void> task, std::function<void()> on_done = {});
+template <typename T>
+void spawn(Task<T> task, std::function<void()> on_done = {});
 
 namespace detail
 {
@@ -46,6 +53,8 @@ struct PromiseBase
 {
     std::coroutine_handle<> continuation;
     std::exception_ptr exception;
+    /** Set by spawn(); runs at final suspend, before the frame is freed. */
+    std::function<void()> onDone;
 
     // Coroutine frames come from the size-class arena: the compiler
     // routes frame allocation through the promise's operator new with
@@ -80,10 +89,8 @@ struct PromiseBase
             // detached, so it reports completion and frees itself.
             panic_if(static_cast<bool>(p.exception),
                      "unhandled exception escaped a detached task");
-            if constexpr (requires { p.onDone; }) {
-                if (p.onDone)
-                    p.onDone();
-            }
+            if (p.onDone)
+                p.onDone();
             h.destroy();
             return std::noop_coroutine();
         }
@@ -108,9 +115,6 @@ struct Promise : PromiseBase
 template <>
 struct Promise<void> : PromiseBase
 {
-    /** Set by spawn(); runs at final suspend, before the frame is freed. */
-    std::function<void()> onDone;
-
     Task<void> get_return_object();
     void return_void() {}
 };
@@ -180,7 +184,8 @@ class [[nodiscard]] Task
     }
 
   private:
-    friend void spawn(Task<void> task, std::function<void()> on_done);
+    template <typename U>
+    friend void spawn(Task<U> task, std::function<void()> on_done);
 
     void
     destroy()
@@ -216,13 +221,14 @@ Promise<void>::get_return_object()
 /**
  * Start @p task detached; call @p on_done (if set) when it completes.
  * The task runs its first step immediately. It owns its frame from then
- * on: at final suspend it runs @p on_done and frees itself. An empty
- * Task completes at once.
+ * on: at final suspend it runs @p on_done and frees itself, dropping
+ * its result. An empty Task completes at once.
  */
-inline void
-spawn(Task<> task, std::function<void()> on_done)
+template <typename T>
+void
+spawn(Task<T> task, std::function<void()> on_done)
 {
-    const Task<>::Handle h = std::exchange(task.handle_, {});
+    const typename Task<T>::Handle h = std::exchange(task.handle_, {});
     if (!h) {
         if (on_done)
             on_done();
@@ -256,70 +262,6 @@ struct Delay
 };
 
 /**
- * One-shot event a coroutine can await; some component later calls
- * complete(value), which schedules the resumption via the event queue
- * (zero-delta by default). Single waiter.
- */
-template <typename T>
-class Completion
-{
-  public:
-    explicit Completion(EventQueue &eq) : eq_(eq) {}
-
-    Completion(const Completion &) = delete;
-    Completion &operator=(const Completion &) = delete;
-
-    bool completed() const { return completed_; }
-
-    void
-    complete(T value, Tick delta = 0)
-    {
-        panic_if(completed_, "Completion completed twice");
-        completed_ = true;
-        value_ = std::move(value);
-        if (waiter_) {
-            auto w = waiter_;
-            homeQueue(eq_).schedule(delta, [w]() { w.resume(); });
-        } else {
-            completionDelta_ = delta;
-        }
-    }
-
-    auto
-    operator co_await() noexcept
-    {
-        struct Awaiter
-        {
-            Completion &c;
-
-            bool await_ready() const noexcept { return false; }
-
-            void
-            await_suspend(std::coroutine_handle<> h)
-            {
-                panic_if(static_cast<bool>(c.waiter_),
-                         "Completion awaited twice");
-                c.waiter_ = h;
-                if (c.completed_) {
-                    homeQueue(c.eq_).schedule(c.completionDelta_,
-                                              [h]() { h.resume(); });
-                }
-            }
-
-            T await_resume() { return std::move(c.value_); }
-        };
-        return Awaiter{*this};
-    }
-
-  private:
-    EventQueue &eq_;
-    std::coroutine_handle<> waiter_;
-    bool completed_ = false;
-    Tick completionDelta_ = 0;
-    T value_{};
-};
-
-/**
  * Join counter: a coroutine awaits wait() until all added work items have
  * called done(). Work is added with add() before the await. Like
  * Semaphore below, the counter mutates on whichever queue calls done(),
@@ -350,11 +292,12 @@ class Join
     unsigned outstanding() const { return outstanding_; }
 
     /**
-     * Completion callable for spawn()/triggerMiss-style APIs. Captures
-     * `this` by value, which is safe by construction: the coroutine that
-     * owns the Join suspends on wait() and cannot destroy it until every
-     * outstanding completion has run (takolint L1-clean, unlike an
-     * ad-hoc `[&join]` capture).
+     * The on_done for spawn(): one done(). Captures `this` by value,
+     * which is safe by construction: the coroutine that owns the Join
+     * suspends on wait() and cannot destroy it until every outstanding
+     * completion has run (takolint L1-clean, unlike an ad-hoc `[&join]`
+     * capture). The waiter resumes in the delta-0 event the last done()
+     * schedules, never inside the finishing task's final suspend.
      */
     auto completion()
     {

@@ -80,7 +80,7 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
     noc_ = std::make_unique<Mesh>(config_.mesh, stats_, *energy_);
     mem_ = std::make_unique<MemorySystem>(config_.mem, dom_, eq_, stats_,
                                           *energy_, *noc_, recorder_);
-    registry_ = std::make_unique<MorphRegistry>(*mem_, dom_, eq_);
+    registry_ = std::make_unique<MorphRegistry>(*mem_, dom_);
     engines_ = std::make_unique<EngineCluster>(config_.mem.tiles,
                                                config_.engine, *mem_, dom_,
                                                eq_, stats_, *energy_);

@@ -34,14 +34,12 @@ Morph::onWriteback(EngineCtx &)
 // ---------------------------------------------------------------------
 
 EngineCtx::EngineCtx(Engine &engine, const MorphBinding &binding,
-                     CallbackKind kind, Addr line, LineData captured,
-                     bool dirty)
+                     CallbackKind kind, Addr line, LineData captured)
     : engine_(engine),
       binding_(binding),
       kind_(kind),
       line_(line),
-      captured_(captured),
-      dirty_(dirty)
+      captured_(captured)
 {
 }
 
@@ -55,6 +53,12 @@ EventQueue &
 EngineCtx::eq() const
 {
     return engine_.eq();
+}
+
+Tick
+EngineCtx::now() const
+{
+    return ctxNow(engine_.eq());
 }
 
 std::uint64_t
@@ -84,19 +88,21 @@ callbackLevelOf(const MorphBinding &b)
     return b.level == MorphLevel::Private ? 0 : 1;
 }
 
-/** One ported engine memory op: bounded by the engine's memory PEs. */
-Task<>
-portedAccess(Engine &engine, int level, MemCmd cmd, Addr addr,
-             std::uint64_t wdata, std::uint64_t *out,
-             bool no_fetch = false, bool use_once = false)
+/**
+ * One ported engine memory op: holds one of the engine's memory PEs
+ * around the access. Resolves to the loaded value (the old value for
+ * atomics), also written to @p out when non-null.
+ */
+Task<std::uint64_t>
+portedAccess(Engine &engine, AccessReq req, std::uint64_t *out = nullptr)
 {
     Semaphore &sem = engine.memPortSem();
     co_await sem.acquire();
-    const std::uint64_t v = co_await engine.memAccess(
-        cmd, addr, wdata, level, no_fetch, use_once);
+    const std::uint64_t v = co_await engine.mem().access(req);
     sem.release();
     if (out)
         *out = v;
+    co_return v;
 }
 
 /** The (address, write data) of one multi-op element: a load's
@@ -130,8 +136,10 @@ portedMulti(Engine &engine, EventQueue &eq, int level, MemCmd cmd,
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const auto [addr, wdata] = addrData(ops[i]);
         join.add();
-        spawn(portedAccess(engine, level, cmd, addr, wdata,
-                           out ? &(*out)[i] : nullptr, no_fetch, use_once),
+        spawn(portedAccess(engine,
+                           engine.request(cmd, addr, wdata, level,
+                                          no_fetch, use_once),
+                           out ? &(*out)[i] : nullptr),
               join.completion());
     }
     co_await join.wait();
@@ -142,26 +150,25 @@ portedMulti(Engine &engine, EventQueue &eq, int level, MemCmd cmd,
 Task<std::uint64_t>
 EngineCtx::load(Addr addr)
 {
-    std::uint64_t v = 0;
-    co_await portedAccess(engine_, callbackLevelOf(binding_), MemCmd::Load,
-                          addr, 0, &v);
-    co_return v;
+    return portedAccess(engine_,
+                        engine_.request(MemCmd::Load, addr, 0,
+                                        callbackLevelOf(binding_)));
 }
 
 Task<>
 EngineCtx::store(Addr addr, std::uint64_t value)
 {
-    co_await portedAccess(engine_, callbackLevelOf(binding_),
-                          MemCmd::Store, addr, value, nullptr);
+    co_await portedAccess(engine_,
+                          engine_.request(MemCmd::Store, addr, value,
+                                          callbackLevelOf(binding_)));
 }
 
 Task<std::uint64_t>
 EngineCtx::atomicAdd(Addr addr, std::uint64_t delta)
 {
-    std::uint64_t v = 0;
-    co_await portedAccess(engine_, callbackLevelOf(binding_),
-                          MemCmd::AtomicAdd, addr, delta, &v);
-    co_return v;
+    return portedAccess(engine_,
+                        engine_.request(MemCmd::AtomicAdd, addr, delta,
+                                        callbackLevelOf(binding_)));
 }
 
 Task<>
@@ -304,9 +311,9 @@ Engine::chargeCompute(unsigned instrs)
     energy_.engineInstrs(instrs, inorder());
 }
 
-Task<std::uint64_t>
-Engine::memAccess(MemCmd cmd, Addr addr, std::uint64_t wdata,
-                  int callback_level, bool no_fetch, bool use_once)
+AccessReq
+Engine::request(MemCmd cmd, Addr addr, std::uint64_t wdata,
+                int callback_level, bool no_fetch, bool use_once) const
 {
     AccessReq req;
     req.cmd = cmd;
@@ -317,12 +324,18 @@ Engine::memAccess(MemCmd cmd, Addr addr, std::uint64_t wdata,
     req.callbackLevel = callback_level;
     req.noFetch = no_fetch;
     req.useOnce = use_once;
-    co_return co_await mem_.access(req);
+    return req;
 }
 
 void
 Engine::raiseInterrupt(int core, Addr line)
 {
+    // The core id comes from Morph code; the router indexes its tile
+    // table with it unchecked.
+    panic_if(core < 0 || core >= static_cast<int>(dom_.tiles()),
+             "interrupt to core %d outside [0, %u): the system has %u "
+             "tiles",
+             core, dom_.tiles(), dom_.tiles());
     // Delivery mutates the target core's pending-interrupt state, so the
     // event must execute in the core's domain. interruptLat covers the
     // cross-domain lookahead (checked at cluster construction).
@@ -353,22 +366,9 @@ Engine::bitstreamLookup(const MorphBinding &binding)
     return binding.morph ? binding.morph->traits().totalInstrs() : 0;
 }
 
-void
-Engine::trigger(CallbackKind kind, Addr line, const MorphBinding &binding,
-                bool dirty, LineData data, std::function<void()> done)
-{
-    Request req;
-    req.kind = kind;
-    req.line = line;
-    req.binding = &binding;
-    req.dirty = dirty;
-    req.data = data;
-    req.done = std::move(done);
-    spawn(runCallback(std::move(req)));
-}
-
 Task<>
-Engine::runCallback(Request req)
+Engine::runCallback(CallbackKind kind, Addr line,
+                    const MorphBinding *binding, LineData data)
 {
     const Tick enqueued = ctxNow(eq_);
     Recorder &rec = mem_.recorder();
@@ -381,8 +381,7 @@ Engine::runCallback(Request req)
     // eviction work; evictions take a callback-buffer entry (waiting in
     // the cache's writeback buffer while full) and a fabric slot. The
     // in-order engine serializes everything — one thread context.
-    const bool priority_miss =
-        req.kind == CallbackKind::Miss && !inorder();
+    const bool priority_miss = kind == CallbackKind::Miss && !inorder();
     Tick admission_wait = 0;
     if (!priority_miss) {
         co_await bufferSlots_.acquire();
@@ -392,13 +391,13 @@ Engine::runCallback(Request req)
 
     // Callbacks on the same address execute in arrival order.
     Tick t0 = ctxNow(eq_);
-    co_await addrOrder_.acquire(req.line);
+    co_await addrOrder_.acquire(line);
     const Tick addr_wait = ctxNow(eq_) - t0;
 
     co_await Delay{eq_, params_.schedulerLat};
     Tick dispatch = params_.schedulerLat;
 
-    const Tick xlate = rtlbLookup(req.line) + bitstreamLookup(*req.binding);
+    const Tick xlate = rtlbLookup(line) + bitstreamLookup(*binding);
     if (xlate > 0)
         co_await Delay{eq_, xlate};
 
@@ -408,11 +407,10 @@ Engine::runCallback(Request req)
         dispatch += ctxNow(eq_) - t0;
     }
 
-    EngineCtx ctx(*this, *req.binding, req.kind, req.line, req.data,
-                  req.dirty);
-    Morph &morph = *req.binding->morph;
+    EngineCtx ctx(*this, *binding, kind, line, data);
+    Morph &morph = *binding->morph;
     const Tick body_start = ctxNow(eq_);
-    switch (req.kind) {
+    switch (kind) {
       case CallbackKind::Miss:
         ++*cbMiss_;
         co_await morph.onMiss(ctx);
@@ -433,7 +431,7 @@ Engine::runCallback(Request req)
         fabricSlots_.release();
         bufferSlots_.release();
     }
-    addrOrder_.release(req.line);
+    addrOrder_.release(line);
     hBdAddrWait_->sample(addr_wait);
     hBdDispatch_->sample(dispatch);
     hBdXlate_->sample(xlate);
@@ -441,13 +439,12 @@ Engine::runCallback(Request req)
     hBdTotal_->sample(ctxNow(eq_) - enqueued);
     // The morph (and so its name) outlives the run that retires it.
     if (rec.on(RecordKind::CbRetire))
-        rec.push({.tick = ctxNow(eq_), .addr = req.line,
+        rec.push({.tick = ctxNow(eq_), .addr = line,
                   .w = {enqueued, admission_wait, addr_wait, dispatch,
                         xlate, body},
                   .name = morph.traits().name.c_str(), .tile = tile_,
                   .kind = RecordKind::CbRetire,
-                  .op = static_cast<std::uint8_t>(req.kind)});
-    req.done();
+                  .op = static_cast<std::uint8_t>(kind)});
 }
 
 // ---------------------------------------------------------------------
@@ -473,24 +470,11 @@ EngineCluster::EngineCluster(unsigned tiles, const EngineParams &params,
     }
 }
 
-void
-EngineCluster::triggerMiss(int tile, Addr line_addr,
-                           const MorphBinding &binding,
-                           std::function<void()> done)
+Task<>
+EngineCluster::callback(CallbackKind kind, int tile, Addr line_addr,
+                        const MorphBinding &binding, LineData data)
 {
-    engines_[tile]->trigger(CallbackKind::Miss, line_addr, binding, false,
-                            LineData{}, std::move(done));
-}
-
-void
-EngineCluster::triggerEviction(int tile, Addr line_addr,
-                               const MorphBinding &binding, bool dirty,
-                               LineData data, std::function<void()> done)
-{
-    engines_[tile]->trigger(dirty ? CallbackKind::Writeback
-                                  : CallbackKind::Eviction,
-                            line_addr, binding, dirty, std::move(data),
-                            std::move(done));
+    return engines_[tile]->runCallback(kind, line_addr, &binding, data);
 }
 
 } // namespace tako

@@ -82,15 +82,22 @@ class EngineCtx
 {
   public:
     EngineCtx(Engine &engine, const MorphBinding &binding,
-              CallbackKind kind, Addr line, LineData captured, bool dirty);
+              CallbackKind kind, Addr line, LineData captured);
 
     /** Triggering (virtual) line address. */
     Addr addr() const { return line_; }
 
     CallbackKind kind() const { return kind_; }
-    bool dirty() const { return dirty_; }
+    bool dirty() const { return kind_ == CallbackKind::Writeback; }
     int tile() const;
+
+    /** The System's queue, for Delay and Join (they schedule on the
+     *  executing domain's queue); its clock is domain 0's. */
     EventQueue &eq() const;
+
+    /** Simulated time at the engine's own domain (any shard count). */
+    Tick now() const;
+
     const MorphBinding &binding() const { return binding_; }
 
     /**
@@ -155,7 +162,6 @@ class EngineCtx
     CallbackKind kind_;
     Addr line_;
     LineData captured_;
-    bool dirty_;
 };
 
 /** One near-cache engine (per tile). */
@@ -171,9 +177,12 @@ class Engine
     EventQueue &eq() const { return eq_; }
     MemorySystem &mem() const { return mem_; }
 
-    /** Enqueue a callback request; `done` runs when it retires. */
-    void trigger(CallbackKind kind, Addr line, const MorphBinding &binding,
-                 bool dirty, LineData data, std::function<void()> done);
+    /**
+     * Full lifecycle of one callback, from enqueue to retire; the
+     * caller spawns it. @p binding outlives the run (registry storage).
+     */
+    Task<> runCallback(CallbackKind kind, Addr line,
+                       const MorphBinding *binding, LineData data);
 
     /** Fabric compute latency for (instrs, depth). */
     Tick computeLatency(unsigned instrs, unsigned depth) const;
@@ -185,10 +194,10 @@ class Engine
 
     void chargeCompute(unsigned instrs);
 
-    Task<std::uint64_t> memAccess(MemCmd cmd, Addr addr,
-                                  std::uint64_t wdata, int callback_level,
-                                  bool no_fetch = false,
-                                  bool use_once = false);
+    /** The request of one engine memory op (MemorySystem::access). */
+    AccessReq request(MemCmd cmd, Addr addr, std::uint64_t wdata,
+                      int callback_level, bool no_fetch = false,
+                      bool use_once = false) const;
 
     Semaphore &memPortSem() { return memPortSem_; }
 
@@ -227,19 +236,6 @@ class Engine
             return false;
         }
     };
-
-    struct Request
-    {
-        CallbackKind kind;
-        Addr line;
-        const MorphBinding *binding;
-        bool dirty;
-        LineData data;
-        std::function<void()> done;
-    };
-
-    /** Full lifecycle of one callback (detached coroutine). */
-    Task<> runCallback(Request req);
 
     /** rTLB lookup; returns added latency. */
     Tick rtlbLookup(Addr line);
@@ -282,7 +278,7 @@ class Engine
 
 /**
  * All engines of the CMP; implements the CallbackSink the memory
- * hierarchy triggers into, and routes interrupts back to cores.
+ * hierarchy spawns callbacks from, and routes interrupts back to cores.
  */
 class EngineCluster : public CallbackSink
 {
@@ -296,13 +292,10 @@ class EngineCluster : public CallbackSink
     Engine &engine(int tile) { return *engines_[tile]; }
     const EngineParams &params() const { return params_; }
 
-    void triggerMiss(int tile, Addr line_addr, const MorphBinding &binding,
-                     std::function<void()> done) override;
-
-    void triggerEviction(int tile, Addr line_addr,
-                         const MorphBinding &binding, bool dirty,
-                         LineData data,
-                         std::function<void()> done) override;
+    /** Tile @p tile 's runCallback Task, returned unstarted: the
+     *  forwarding costs no frame. */
+    Task<> callback(CallbackKind kind, int tile, Addr line_addr,
+                    const MorphBinding &binding, LineData data) override;
 
     void setInterruptHandler(InterruptHandler h)
     {

@@ -85,7 +85,7 @@ Task<>
 MorphRegistry::flushData(const MorphBinding *binding)
 {
     panic_if(!binding, "flushData(nullptr)");
-    co_await mem_.flushMorphData(*binding);
+    return mem_.flushMorphData(*binding);
 }
 
 Task<>

@@ -48,8 +48,8 @@ class MorphRegistry : public MorphResolver
     /** Cost of a register/unregister syscall + TLB shootdown. */
     static constexpr Tick registrationLat = 500;
 
-    MorphRegistry(MemorySystem &mem, Domains &dom, EventQueue &eq)
-        : mem_(mem), dom_(dom), eq_(eq), views_(dom.tiles())
+    MorphRegistry(MemorySystem &mem, Domains &dom)
+        : mem_(mem), dom_(dom), views_(dom.tiles())
     {
         panic_if(registrationLat < 2 * dom_.quantum(),
                  "registrationLat must cover the tile-0 round trip");
@@ -122,7 +122,6 @@ class MorphRegistry : public MorphResolver
 
     MemorySystem &mem_;
     Domains &dom_;
-    EventQueue &eq_;
 
     // Master state: touched only by events executing at tile 0.
     IntervalMap<const MorphBinding *> master_;

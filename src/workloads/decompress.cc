@@ -93,11 +93,10 @@ ndcDecompress(System &sys, const DecompressConfig &cfg, const Layout &lay,
                    sys.config().mem.l2TagLat + sys.config().mem.l2DataLat};
     co_await port.acquire();
     co_await Delay{sys.eq(), cfg.ndcDispatchLat};
-    const std::uint64_t base =
-        co_await eng.memAccess(MemCmd::Load, lay.bases + (idx / 8) * 8, 0,
-                               -1);
-    const std::uint64_t deltas = co_await eng.memAccess(
-        MemCmd::Load, lay.deltas + (idx / 8) * 8, 0, -1);
+    const std::uint64_t base = co_await sys.mem().access(
+        eng.request(MemCmd::Load, lay.bases + (idx / 8) * 8, 0, -1));
+    const std::uint64_t deltas = co_await sys.mem().access(
+        eng.request(MemCmd::Load, lay.deltas + (idx / 8) * 8, 0, -1));
     eng.chargeCompute(cfg.vectorDecompressInstrs);
     co_await Delay{sys.eq(),
                    eng.computeLatency(cfg.vectorDecompressInstrs, 4)};

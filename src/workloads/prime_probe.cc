@@ -45,7 +45,7 @@ runPrimeProbe(bool with_tako, const PrimeProbeConfig &cfg,
     for (unsigned r = 0; r < cfg.rounds; ++r)
         secret[r] = patternRng.chance(0.5);
 
-    EvictionGuardMorph guard(/*victim_core=*/0);
+    EvictionGuardMorph guard(/*victim_core=*/0, sys.config().mem.tiles);
     PrimeProbeResult res{};
     std::vector<bool> inferred(cfg.rounds, false);
     std::vector<bool> victimActive(cfg.rounds, true);
@@ -141,8 +141,7 @@ runPrimeProbe(bool with_tako, const PrimeProbeConfig &cfg,
                                     victimActive.end(), true)));
     res.metrics.extra["secretBitsRecovered"] =
         static_cast<double>(res.trueLeaks);
-    res.evictionTrace.reserve(guard.trace().size());
-    for (const auto &e : guard.trace())
+    for (const EvictionGuardMorph::Event &e : guard.trace())
         res.evictionTrace.emplace_back(e.when, e.line);
     return res;
 }

@@ -213,6 +213,48 @@ TEST(Engine, CallbacksMayNotTouchMorphedData)
     EXPECT_DEATH(run(), "morphed");
 }
 
+TEST(Engine, InterruptToCoreOutsideTheSystemDies)
+{
+    // EngineCtx::interrupt takes its core id from Morph code; an id
+    // outside [0, tiles) must panic, not index the router's tile table.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+
+    class StrayInterruptMorph : public Morph
+    {
+      public:
+        explicit StrayInterruptMorph(int core)
+            : Morph(MorphTraits{.name = "stray",
+                                .hasMiss = true,
+                                .missKernel = {1, 1}}),
+              core_(core)
+        {
+        }
+
+        Task<>
+        onMiss(EngineCtx &ctx) override
+        {
+            co_await ctx.compute(1, 1);
+            ctx.interrupt(core_);
+        }
+
+      private:
+        int core_;
+    };
+
+    auto run = [](int core) {
+        System sys(smallConfig());
+        StrayInterruptMorph morph(core);
+        sys.addThread(0, [&](Guest &g) -> Task<> {
+            const MorphBinding *b = co_await g.registerPhantom(
+                morph, MorphLevel::Private, 1 << 20);
+            co_await g.load(b->base);
+        });
+        sys.run();
+    };
+    EXPECT_DEATH(run(4), "interrupt to core 4 outside \\[0, 4\\)");
+    EXPECT_DEATH(run(-1), "interrupt to core -1 outside \\[0, 4\\)");
+}
+
 TEST(AreaModel, ReproducesTable2)
 {
     SystemConfig cfg = SystemConfig::forCores(16);

@@ -78,6 +78,44 @@ class TestMorph : public Morph
     LineData captured{};
 };
 
+/** Morph whose onMiss counts the frames of an engine-L1-hit load and of
+ *  a spawned atomicAdd to the real word @p target. */
+class EngineFramesMorph : public Morph
+{
+  public:
+    explicit EngineFramesMorph(Addr target)
+        : Morph(MorphTraits{.name = "engineFrames",
+                            .hasMiss = true,
+                            .missKernel = {1, 1}}),
+          target_(target)
+    {
+    }
+
+    Task<>
+    onMiss(EngineCtx &ctx) override
+    {
+        const FrameArena::Stats &arena = FrameArena::stats();
+        auto frames = [&arena]() { return arena.allocs + arena.oversize; };
+        co_await ctx.load(target_); // fills the engine L1 (Exclusive)
+        std::uint64_t f0 = frames();
+        co_await ctx.load(target_);
+        loadFrames = frames() - f0;
+        co_await ctx.atomicAdd(target_, 1);
+        Join join(ctx.eq());
+        f0 = frames();
+        join.add();
+        spawn(ctx.atomicAdd(target_, 1), join.completion());
+        co_await join.wait();
+        addFrames = frames() - f0;
+    }
+
+    std::uint64_t loadFrames = 0;
+    std::uint64_t addFrames = 0;
+
+  private:
+    Addr target_;
+};
+
 } // namespace
 
 TEST(MemorySystem, StoreLoadRoundTrip)
@@ -340,10 +378,11 @@ TEST(MemorySystem, EnergyAccumulates)
 
 TEST(MemorySystem, FramesPerOperation)
 {
-    // Coroutine frames (FrameArena allocations) one guest operation
-    // costs on a --shards=1 System. Forwarding Guest calls return the
-    // Core's Task, spawn() adds no wrapper, and fills allocate ways
-    // without a frame. Counts before -> now:
+    // Coroutine frames (FrameArena allocations) one guest or engine
+    // operation costs on a --shards=1 System. Forwarding Guest calls
+    // return the Core's Task, spawn() adds no wrapper and takes any
+    // Task<T>, fills allocate ways without a frame, and EngineCtx's
+    // word accesses return one ported access. Counts before -> now:
     //   load missing L1, L2 and L3:
     //     Guest::load, memOp, access, fetchIntoL2, allocL3Way,
     //     dramFetch, insertL2: 7 -> 4
@@ -352,9 +391,16 @@ TEST(MemorySystem, FramesPerOperation)
     //     Guest::rmoAdd, Core::rmoAdd, spawn wrapper, rmoIssue,
     //     remoteAtomicAdd, allocL3Way, Guest::rmoDrain, Core::rmoDrain:
     //     8 -> 3
+    //   engine-L1-hit load from a callback: EngineCtx::load,
+    //     portedAccess, Engine::memAccess, access: 4 -> 2
+    //   spawned EngineCtx::atomicAdd hitting the engine L1 (PHI's
+    //     in-place add): adapter lambda, atomicAdd, portedAccess,
+    //     Engine::memAccess, access: 5 -> 2
     System sys(smallConfig());
     TestMorph morph(/*miss=*/false, /*evict=*/false, /*wb=*/false);
+    EngineFramesMorph engineMorph(0x40000);
     std::uint64_t missFrames = 0, hitFrames = 0, rmoFrames = 0;
+    double guestL3Misses = 0;
     sys.addThread(0, [&](Guest &g) -> Task<> {
         const MorphBinding *b = co_await g.registerPhantom(
             morph, MorphLevel::Shared, 1 << 20);
@@ -370,12 +416,49 @@ TEST(MemorySystem, FramesPerOperation)
         co_await g.rmoAdd(b->base, 1);
         co_await g.rmoDrain();
         rmoFrames = frames() - f0;
+        // The first load and the RMO missed L3: the counts above
+        // measured the paths named for them.
+        guestL3Misses = sys.stats().get("l3.misses");
+        const MorphBinding *eb = co_await g.registerPhantom(
+            engineMorph, MorphLevel::Private, 1 << 20);
+        co_await g.load(eb->base);
     });
     sys.run();
     EXPECT_EQ(missFrames, 4u);
     EXPECT_EQ(hitFrames, 2u);
     EXPECT_EQ(rmoFrames, 3u);
-    EXPECT_EQ(sys.stats().get("l3.misses"), 2);
+    EXPECT_EQ(guestL3Misses, 2);
+    EXPECT_EQ(engineMorph.loadFrames, 2u);
+    EXPECT_EQ(engineMorph.addFrames, 2u);
+    EXPECT_EQ(sys.mem().realStore().read64(0x40000), 2u);
+}
+
+TEST(MemorySystem, PhantomMissWaiterResumesInItsOwnEvent)
+{
+    // The events one private-phantom load fires when its onMiss runs,
+    // pinned. The waiter resumes in the delta-0 event Join::done
+    // schedules when the callback retires; resuming it by symmetric
+    // transfer from the callback's final suspend would fire one event
+    // fewer and move every later same-tick event of the tile.
+    System sys(smallConfig());
+    TestMorph morph;
+    std::uint64_t events = 0;
+    Tick latency = 0;
+    sys.addThread(0, [&](Guest &g) -> Task<> {
+        const MorphBinding *b = co_await g.registerPhantom(
+            morph, MorphLevel::Private, 1 << 20);
+        const std::uint64_t e0 = sys.eq().eventsFired();
+        const Tick t0 = g.now();
+        co_await g.load(b->base);
+        latency = g.now() - t0;
+        events = sys.eq().eventsFired() - e0;
+    });
+    sys.run();
+    // L1 and L2 tag delays, the engine's scheduler, rTLB/bitstream and
+    // compute delays, then the waiter's resume.
+    EXPECT_EQ(morph.missCount, 1);
+    EXPECT_EQ(events, 6u);
+    EXPECT_EQ(latency, 94u);
 }
 
 namespace

@@ -21,6 +21,7 @@
 #include "system/system.hh"
 #include "workloads/decompress.hh"
 #include "workloads/pagerank_push.hh"
+#include "workloads/prime_probe.hh"
 
 using namespace tako;
 
@@ -638,6 +639,21 @@ TEST(ShardedSystem, PhiMorphCountersMatchAcrossShardCounts)
             EXPECT_EQ(got.at(name), value)
                 << name << " differs at shards=" << shards;
     }
+}
+
+TEST(ShardedSystem, PrimeProbeGuardTraceMatchesAcrossShardCounts)
+{
+    // The eviction guard is registered SHARED, so several banks' engines
+    // record evictions, each on its own domain's clock at --shards > 1.
+    const PrimeProbeConfig cfg;
+    const auto trace = [&cfg](unsigned shards) {
+        SystemConfig sys = SystemConfig::forCores(16);
+        sys.shards = shards;
+        return runPrimeProbe(true, cfg, sys).evictionTrace;
+    };
+    const auto ref = trace(1);
+    ASSERT_FALSE(ref.empty());
+    EXPECT_EQ(trace(4), ref);
 }
 
 // ------------------------------------ bounded runs (runFor) at any shards

@@ -315,6 +315,14 @@ delayTwice(EventQueue &eq, Tick d, int &count)
     ++count;
 }
 
+/** Two delayed steps, then a value nobody reads when spawned. */
+Task<std::uint64_t>
+delayedValue(EventQueue &eq, Tick d, int &count)
+{
+    co_await delayTwice(eq, d, count);
+    co_return 42;
+}
+
 Task<int>
 addAsync(EventQueue &eq, int a, int b)
 {
@@ -390,6 +398,30 @@ TEST(Task, SpawnedTaskIsItsOwnOnlyFrame)
     spawn(Task<>{}, [&]() { ++calls; });
     EXPECT_EQ(calls, 2);
     EXPECT_EQ(arena.allocs + arena.oversize - allocs0, 1u);
+    EXPECT_EQ(arena.live, live0);
+
+    // spawn() takes a Task<T> too, and drops its value with the frame.
+    // on_done runs once, after the body (which awaits a nested task, the
+    // second frame), while the spawned frame is still live.
+    count = calls = 0;
+    countAtDone = -1;
+    spawn(delayedValue(eq, 1, count), [&]() {
+        ++calls;
+        countAtDone = count;
+        liveAtDone = arena.live;
+    });
+    EXPECT_EQ(arena.allocs + arena.oversize - allocs0, 3u);
+    EXPECT_EQ(calls, 0);
+    eq.run();
+    EXPECT_EQ(calls, 1);
+    EXPECT_EQ(countAtDone, 2);
+    EXPECT_EQ(liveAtDone, live0 + 1);
+    EXPECT_EQ(arena.live, live0);
+
+    // An empty Task<T> runs on_done at once.
+    spawn(Task<std::uint64_t>{}, [&]() { ++calls; });
+    EXPECT_EQ(calls, 2);
+    EXPECT_EQ(arena.allocs + arena.oversize - allocs0, 3u);
     EXPECT_EQ(arena.live, live0);
 }
 
