@@ -12,14 +12,11 @@ namespace tako::bench
 namespace
 {
 
-/** Process-wide quick switch; env is parsed exactly once. */
+/** Process-wide quick switch, set by --quick. */
 bool &
 quickFlag()
 {
-    static bool quick = [] {
-        const char *q = std::getenv("TAKO_QUICK");
-        return q && q[0] == '1';
-    }();
+    static bool quick = false;
     return quick;
 }
 
@@ -29,8 +26,7 @@ usage(const std::string &bench, int code)
     std::fprintf(code ? stderr : stdout,
                  "usage: %s [--quick] [--json=FILE]\n"
                  "\n"
-                 "  --quick       smoke-sized inputs (same as "
-                 "TAKO_QUICK=1)\n"
+                 "  --quick       smoke-sized inputs\n"
                  "  --json=FILE   also write metrics as JSON "
                  "('-' for stdout)\n",
                  bench.c_str());
@@ -65,9 +61,6 @@ Reporter::Reporter(int argc, char **argv, std::string benchName)
         const std::string arg = argv[i];
         if (arg == "--quick") {
             quickFlag() = true;
-            // Keep the env var in sync for any code (or child) that
-            // still looks at it.
-            ::setenv("TAKO_QUICK", "1", 1);
         } else if (arg.rfind("--json=", 0) == 0) {
             jsonPath_ = arg.substr(7);
         } else if (arg == "--help" || arg == "-h") {

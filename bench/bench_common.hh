@@ -7,10 +7,8 @@
  * that takobench aggregates into BENCH_<suite>.json.
  *
  * Command line (parsed by the Reporter constructor):
- *   --quick        shrink inputs for smoke runs; equivalent to (and
- *                  kept in sync with) the TAKO_QUICK=1 environment
- *                  variable, so child-of-takobench and hand-run
- *                  invocations behave identically
+ *   --quick        shrink inputs for smoke runs (takobench passes it
+ *                  to each bench run whose suite spec sets "quick")
  *   --json=FILE    write {bench, quick, metrics, rows} JSON to FILE
  *                  ('-' for stdout)
  */
@@ -30,9 +28,8 @@ namespace tako::bench
 {
 
 /**
- * True when inputs should be smoke-sized. The TAKO_QUICK environment
- * variable is parsed once (not per call); a --quick flag seen by any
- * Reporter also turns this on for the whole process.
+ * True when inputs should be smoke-sized: a --quick flag seen by any
+ * Reporter turns this on for the whole process.
  */
 bool quickMode();
 

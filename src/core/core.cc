@@ -72,60 +72,34 @@ Task<>
 Guest::loadMulti(const std::vector<Addr> &addrs,
                  std::vector<std::uint64_t> *out)
 {
-    return core_.multiOp(MemCmd::Load, addrs, nullptr, out);
+    return core_.multiOp(MemCmd::Load, addrs, out);
 }
 
 Task<>
 Guest::streamLoadMulti(const std::vector<Addr> &addrs,
                        std::vector<std::uint64_t> *out)
 {
-    return core_.multiOp(MemCmd::Load, addrs, nullptr, out, false, true);
+    return core_.multiOp(MemCmd::Load, addrs, out, 0, false, true);
 }
-
-namespace
-{
-
-void
-splitPairs(const std::vector<std::pair<Addr, std::uint64_t>> &pairs,
-           std::vector<Addr> &addrs, std::vector<std::uint64_t> &data)
-{
-    addrs.reserve(pairs.size());
-    data.reserve(pairs.size());
-    for (const auto &[a, v] : pairs) {
-        addrs.push_back(a);
-        data.push_back(v);
-    }
-}
-
-} // namespace
 
 Task<>
 Guest::storeMulti(const std::vector<std::pair<Addr, std::uint64_t>> &writes)
 {
-    std::vector<Addr> addrs;
-    std::vector<std::uint64_t> data;
-    splitPairs(writes, addrs, data);
-    co_await core_.multiOp(MemCmd::Store, addrs, &data, nullptr);
+    return core_.multiOp(MemCmd::Store, writes, nullptr);
 }
 
 Task<>
 Guest::streamStoreMulti(
     const std::vector<std::pair<Addr, std::uint64_t>> &writes)
 {
-    std::vector<Addr> addrs;
-    std::vector<std::uint64_t> data;
-    splitPairs(writes, addrs, data);
-    co_await core_.multiOp(MemCmd::Store, addrs, &data, nullptr, true);
+    return core_.multiOp(MemCmd::Store, writes, nullptr, 0, true);
 }
 
 Task<>
 Guest::atomicAddMulti(
     const std::vector<std::pair<Addr, std::uint64_t>> &adds)
 {
-    std::vector<Addr> addrs;
-    std::vector<std::uint64_t> data;
-    splitPairs(adds, addrs, data);
-    co_await core_.multiOp(MemCmd::AtomicAdd, addrs, &data, nullptr);
+    return core_.multiOp(MemCmd::AtomicAdd, adds, nullptr);
 }
 
 Task<>
@@ -133,8 +107,7 @@ Guest::atomicSwapMulti(const std::vector<Addr> &addrs,
                        std::uint64_t value,
                        std::vector<std::uint64_t> *out)
 {
-    std::vector<std::uint64_t> data(addrs.size(), value);
-    co_await core_.multiOp(MemCmd::AtomicSwap, addrs, &data, out);
+    return core_.multiOp(MemCmd::AtomicSwap, addrs, out, value);
 }
 
 Task<>
@@ -315,23 +288,20 @@ windowedOp(Core &core, Semaphore &window, MemCmd cmd, Addr addr,
 
 } // namespace
 
+template <typename Op>
 Task<>
-Core::multiOp(MemCmd cmd, const std::vector<Addr> &addrs,
-              const std::vector<std::uint64_t> *wdata,
-              std::vector<std::uint64_t> *out, bool no_fetch,
-              bool use_once)
+Core::multiOp(MemCmd cmd, const std::vector<Op> &ops,
+              std::vector<std::uint64_t> *out, std::uint64_t wdata,
+              bool no_fetch, bool use_once)
 {
-    if (out)
-        out->assign(addrs.size(), 0);
-    Join join(eq_);
-    for (std::size_t i = 0; i < addrs.size(); ++i) {
-        join.add();
-        spawn(windowedOp(*this, loadWindow_, cmd, addrs[i],
-                         wdata ? (*wdata)[i] : 0,
-                         out ? &(*out)[i] : nullptr, no_fetch, use_once),
-              join.completion());
-    }
-    co_await join.wait();
+    return overlapOps(eq_, ops, wdata, out,
+                      [this, cmd, no_fetch, use_once](
+                          Addr addr, std::uint64_t data,
+                          std::uint64_t *slot_out) {
+                          return windowedOp(*this, loadWindow_, cmd, addr,
+                                            data, slot_out, no_fetch,
+                                            use_once);
+                      });
 }
 
 Task<>

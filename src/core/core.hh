@@ -180,10 +180,16 @@ class Core
     /** memOp's accounting after an access issued at @p start. */
     void endMemOp(MemCmd cmd, Tick start);
 
-    Task<> multiOp(MemCmd cmd, const std::vector<Addr> &addrs,
-                   const std::vector<std::uint64_t> *wdata,
-                   std::vector<std::uint64_t> *out, bool no_fetch = false,
-                   bool use_once = false);
+    /**
+     * One access per element of @p ops (addresses, written with
+     * @p wdata, or (address, data) pairs), overlapped up to the MLP
+     * window; loaded values land in @p out (if non-null) in argument
+     * order. Defined in core.cc, where the Guest API instantiates it.
+     */
+    template <typename Op>
+    Task<> multiOp(MemCmd cmd, const std::vector<Op> &ops,
+                   std::vector<std::uint64_t> *out, std::uint64_t wdata = 0,
+                   bool no_fetch = false, bool use_once = false);
     Task<> rmoAdd(Addr addr, std::uint64_t delta);
     Task<> rmoDrain();
     Task<> mispredict();

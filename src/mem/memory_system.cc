@@ -435,7 +435,7 @@ MemorySystem::coherenceVisit(int bank, int tile, Addr line, bool downgrade,
         co_await hop(tile, bank, 72);
     } else {
         co_await Delay{eq_, params_.l2TagLat};
-        dirty = invalidateTileCopies(tile, line, true);
+        dirty = invalidateTileCopies(tile, line);
         co_await hop(tile, bank, 8);
     }
     // Back at the bank: the flag lives in the bank-side caller's frame,
@@ -755,23 +755,8 @@ MemorySystem::evictL3Core(int bank_tile, L3Evict ev, bool take_lock)
     // owner has acknowledged, it can still be committing stores, and a
     // capture taken concurrently would not be partition-invariant.
     const MorphBinding *mb = resolve(bank_tile, line);
-    const bool shared_morph = mb && mb->level == MorphLevel::Shared;
-
-    if (shared_morph) {
-        LineData data = storeFor(line).readLine(line);
-        if (mb->phantom) {
-            phantomStore_.zeroLine(line);
-            launchEvictionCallback(bank_tile, line, *mb, dirty, data, {});
-        } else {
-            std::function<void()> after;
-            if (dirty) {
-                after = [this, bank_tile, line]() {
-                    spawn(dramWriteback(bank_tile, line));
-                };
-            }
-            launchEvictionCallback(bank_tile, line, *mb, dirty, data,
-                                   std::move(after));
-        }
+    if (mb && mb->level == MorphLevel::Shared) {
+        evictMorphLine(bank_tile, line, *mb, dirty, true);
     } else if (!isPhantom(line)) {
         if (dirty)
             spawn(dramWriteback(bank_tile, line));
@@ -826,35 +811,21 @@ MemorySystem::evictL2Way(int tile, CacheWay &w)
 
     const MorphBinding *mb = resolve(tile, line);
     const bool dirty = w.dirty;
-    const bool private_morph = mb && mb->level == MorphLevel::Private;
 
-    if (private_morph) {
-        // The line leaves the registered cache level: capture its data
-        // and hand it to onEviction/onWriteback.
-        LineData data = storeFor(line).readLine(line);
-        if (mb->phantom) {
-            phantomStore_.zeroLine(line);
-            launchEvictionCallback(tile, line, *mb, dirty, data, {});
-        } else {
-            // Real line: callback first, then the writeback proceeds.
+    if (mb && mb->level == MorphLevel::Private) {
+        // The line leaves the registered cache level. A phantom line
+        // never reached the L3, so only a real one has a directory entry
+        // to clear.
+        if (!mb->phantom)
             updateDirectoryOnPrivateEvict(tile, line, dirty);
-            std::function<void()> after;
-            if (dirty) {
-                after = [this, tile, line]() {
-                    spawn(writebackToL3Task(tile, line));
-                };
-            }
-            launchEvictionCallback(tile, line, *mb, dirty, data,
-                                   std::move(after));
-        }
-    } else if (!isPhantom(line)) {
-        updateDirectoryOnPrivateEvict(tile, line, dirty);
-        if (dirty)
-            spawn(writebackToL3Task(tile, line));
+        evictMorphLine(tile, line, *mb, dirty, true);
     } else {
-        // Shared phantom line cached privately: its home is the L3, so
-        // the private copy just folds back (dirty merge at directory).
+        // A shared phantom line cached privately has its home in the L3,
+        // so the private copy just folds back (dirty merge at the
+        // directory); a dirty real line also writes back.
         updateDirectoryOnPrivateEvict(tile, line, dirty);
+        if (dirty && !isPhantom(line))
+            spawn(writebackToL3Task(tile, line));
     }
 
     w.invalidate();
@@ -882,8 +853,7 @@ MemorySystem::updateDirectoryOnPrivateEvict(int tile, Addr line,
 }
 
 bool
-MemorySystem::invalidateTileCopies(int tile, Addr line,
-                                   bool trigger_callbacks)
+MemorySystem::invalidateTileCopies(int tile, Addr line)
 {
     TileState &t = *tiles_[tile];
     bool dirty = false;
@@ -896,13 +866,11 @@ MemorySystem::invalidateTileCopies(int tile, Addr line,
     if (CacheWay *w2 = t.l2.lookup(line)) {
         dirty |= w2->dirty;
         const MorphBinding *mb = resolve(tile, line);
-        if (trigger_callbacks && mb &&
-            mb->level == MorphLevel::Private) {
+        if (mb && mb->level == MorphLevel::Private) {
             // Losing the line at the registered level triggers the
             // eviction callback even when the eviction is inflicted by
             // the directory (inclusion victim / invalidation).
-            LineData data = storeFor(line).readLine(line);
-            launchEvictionCallback(tile, line, *mb, w2->dirty, data, {});
+            evictMorphLine(tile, line, *mb, w2->dirty, false);
         }
         w2->invalidate();
     }
@@ -919,30 +887,33 @@ MemorySystem::spawnMissCallback(Join &join, int tile, Addr line,
 }
 
 void
-MemorySystem::launchEvictionCallback(int engine_tile, Addr line,
-                                     const MorphBinding &mb, bool dirty,
-                                     LineData data,
-                                     std::function<void()> after)
+MemorySystem::evictMorphLine(int tile, Addr line, const MorphBinding &mb,
+                             bool dirty, bool leaves)
 {
-    const bool has = dirty ? mb.hasWriteback : mb.hasEviction;
+    const LineData data = storeFor(line).readLine(line);
+    if (mb.phantom)
+        phantomStore_.zeroLine(line);
     // The +1 posts now, from this very event, so a flusher that evicts
     // this line and then hops to the accounting home (tile 0) draws a
     // later key on the same stream — its arrival can never overtake the
     // increment.
     dom_.post(0, dom_.quantum(),
-              [this, id = mb.id]() { ++outstanding_[id].count; });
-    auto retire = [this, id = mb.id, after = std::move(after)]() {
-        if (after)
-            after();
+              [this, id = mb.id]() { ++outstanding(id).count; });
+    const bool write_back = leaves && dirty && !mb.phantom;
+    const bool to_dram = mb.level == MorphLevel::Shared;
+    auto retire = [this, tile, line, id = mb.id, write_back, to_dram]() {
+        if (write_back)
+            spawn(to_dram ? dramWriteback(tile, line)
+                          : writebackToL3Task(tile, line));
         evictionCallbackRetired(id);
     };
-    if (has && sink_) {
+    if ((dirty ? mb.hasWriteback : mb.hasEviction) && sink_) {
         spawn(sink_->callback(dirty ? CallbackKind::Writeback
                                     : CallbackKind::Eviction,
-                              engine_tile, line, mb, data),
+                              tile, line, mb, data),
               std::move(retire));
     } else {
-        dom_.post(engine_tile, 0, std::move(retire));
+        dom_.post(tile, 0, std::move(retire));
     }
 }
 
@@ -953,14 +924,14 @@ MemorySystem::evictionCallbackRetired(std::uint32_t morph_id)
     // same latency the matching increment paid, so a -1 can never land
     // before its +1.
     dom_.post(0, dom_.quantum(), [this, morph_id]() {
-        auto it = outstanding_.find(morph_id);
-        panic_if(it == outstanding_.end() || it->second.count == 0,
+        Outstanding &o = outstanding(morph_id);
+        panic_if(o.count == 0,
                  "eviction callback retired with no record (morph %u)",
                  morph_id);
-        if (--it->second.count == 0) {
-            for (auto h : it->second.waiters)
+        if (--o.count == 0) {
+            for (auto h : o.waiters)
                 dom_.post(0, 0, [h]() { h.resume(); });
-            it->second.waiters.clear();
+            o.waiters.clear();
         }
     });
 }
@@ -1093,16 +1064,15 @@ MemorySystem::flushMorphData(const MorphBinding &binding)
         std::uint32_t id;
 
         bool
-        await_ready() const noexcept
+        await_ready() const
         {
-            auto it = ms.outstanding_.find(id);
-            return it == ms.outstanding_.end() || it->second.count == 0;
+            return ms.outstanding(id).count == 0;
         }
 
         void
         await_suspend(std::coroutine_handle<> h)
         {
-            ms.outstanding_[id].waiters.push_back(h);
+            ms.outstanding(id).waiters.push_back(h);
         }
 
         void await_resume() const noexcept {}

@@ -28,7 +28,6 @@
 
 #include <array>
 #include <coroutine>
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -315,12 +314,6 @@ class MemorySystem
         return resolver_ && resolver_->isPhantomAddr(addr);
     }
 
-    const MorphBinding *
-    resolve(Addr addr) const
-    {
-        return resolver_ ? resolver_->resolve(addr) : nullptr;
-    }
-
     /**
      * Tile-aware resolve: consults tile @p tile's one-entry MRU before
      * the registry's interval map. Register/unregister bumps the
@@ -456,7 +449,7 @@ class MemorySystem
      * Remove @p line from tile @p tile's private caches (L3 eviction or
      * invalidation). Returns true if a dirty copy was merged.
      */
-    bool invalidateTileCopies(int tile, Addr line, bool trigger_callbacks);
+    bool invalidateTileCopies(int tile, Addr line);
 
     /**
      * Spawn the onMiss callback for @p line on tile @p tile 's engine,
@@ -465,12 +458,19 @@ class MemorySystem
     void spawnMissCallback(Join &join, int tile, Addr line,
                            const MorphBinding &mb);
 
-    /** Spawn the eviction/writeback callback for a captured line; its
-     *  retirement runs @p after, then the flushData accounting. */
-    void launchEvictionCallback(int engine_tile, Addr line,
-                                const MorphBinding &mb, bool dirty,
-                                LineData data,
-                                std::function<void()> after = {});
+    /**
+     * A line of @p mb leaves tile @p tile 's cache at the morph's level
+     * (its L2 for a PRIVATE morph, its L3 bank for a SHARED one):
+     * capture the data, zero a phantom line, count the callback for
+     * flushData and spawn onEviction/onWriteback on the tile's engine.
+     * The line holds its WB-buffer entry until the callback retires;
+     * the retirement then starts the writeback of a real @p dirty line
+     * that @p leaves its level (to the L3 bank from a PRIVATE morph, to
+     * DRAM from a SHARED one). A directory invalidation does not leave:
+     * the bank keeps the dirtiness it merged.
+     */
+    void evictMorphLine(int tile, Addr line, const MorphBinding &mb,
+                        bool dirty, bool leaves);
 
     /** An eviction callback of @p morph_id retired (flushData's count). */
     void evictionCallbackRetired(std::uint32_t morph_id);
@@ -524,20 +524,31 @@ class MemorySystem
     std::vector<MemCtrl> ctrls_;
     std::vector<int> ctrlTiles_;
 
-    /** Eviction-callback accounting, homed at tile 0's domain: every
-     *  +1/-1 arrives as a posted message, so flushData's await and the
-     *  retirements serialize on one stream regardless of partition. */
-    std::map<std::uint32_t, Outstanding> outstanding_;
+    /** Eviction-callback accounting, indexed by morph id (ids are
+     *  dense from 1) and homed at tile 0's domain: every +1/-1 arrives
+     *  as a posted message, so flushData's await and the retirements
+     *  serialize on one stream regardless of partition. */
+    std::vector<Outstanding> outstanding_;
+
+    /** @p morph_id 's accounting cell, grown on first use (tile 0). */
+    Outstanding &
+    outstanding(std::uint32_t morph_id)
+    {
+        if (morph_id >= outstanding_.size())
+            outstanding_.resize(morph_id + 1);
+        return outstanding_[morph_id];
+    }
 
     /** In-flight transaction counts, one cell per domain: a transaction
      *  begins and ends at its requester tile, so the cells balance. */
     std::vector<Padded<std::uint64_t>> inflightLanes_;
 
     /**
-     * Per-domain phase replica: the phase label plus the lazily-resolved
-     * "dram.reads.<phase>" handles. setPhase() broadcasts the new label
-     * to every domain one quantum ahead; DRAM events read only their own
-     * domain's replica.
+     * Per-controller phase replica: the phase label plus the
+     * lazily-resolved "dram.reads.<phase>" handles, one lane per memory
+     * controller. setPhase() posts the new label to each controller's
+     * tile one quantum ahead; a DRAM event reads only its own
+     * controller's lane.
      */
     struct alignas(64) PhaseLane
     {

@@ -68,10 +68,7 @@ TimeSeriesSink::TimeSeriesSink(std::vector<EventQueue *> queues,
         firstBoundary_ = queues_[0]->now() + opt_.sampleEvery;
     }
     if (!opt_.monPath.empty()) {
-        MonWriter::Options wopt;
-        wopt.chunkSamples = opt_.chunkSamples;
-        fatal_if(!writer_.open(opt_.monPath, opt_.sampleEvery, series_,
-                               wopt),
+        fatal_if(!writer_.open(opt_.monPath, opt_.sampleEvery, series_),
                  "%s", writer_.error().c_str());
         writing_ = true;
     }

@@ -65,8 +65,6 @@ class TimeSeriesSink
         /** takomon-v1 output path; empty = in-memory series only.
          *  Requires sampleEvery != 0. */
         std::string monPath;
-        /** Rows per takomon chunk (MonWriter::Options). */
-        std::uint32_t chunkSamples = 512;
         /** Heartbeat cadence in ticks; 0 = no heartbeats. */
         Tick progressEvery = 0;
         /** Heartbeat consumer; default prints one line to stderr. */

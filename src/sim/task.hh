@@ -32,6 +32,7 @@
 #include <exception>
 #include <functional>
 #include <utility>
+#include <vector>
 
 #include "sim/arena.hh"
 #include "sim/event_queue.hh"
@@ -335,6 +336,46 @@ class Join
     std::coroutine_handle<> waiter_;
     unsigned outstanding_ = 0;
 };
+
+/** The (address, write data) of one multi-op element: an address,
+ *  written with @p wdata, or an (address, data) pair. */
+inline std::pair<Addr, std::uint64_t>
+addrData(Addr addr, std::uint64_t wdata)
+{
+    return {addr, wdata};
+}
+
+inline const std::pair<Addr, std::uint64_t> &
+addrData(const std::pair<Addr, std::uint64_t> &op, std::uint64_t)
+{
+    return op;
+}
+
+/**
+ * Overlap one operation per element of @p ops under one Join: spawn
+ * slot(addr, wdata, out_i) for each element in index order, then wait
+ * for them all. A bare-address element writes @p wdata. A non-null
+ * @p out is sized to @p ops first, and slot i gets its element i to
+ * fill (else null). Guest and engine multi-ops both run here; the slot
+ * brings what bounds the overlap (a core's MLP window, an engine's
+ * memory ports).
+ */
+template <typename Op, typename Slot>
+Task<>
+overlapOps(EventQueue &eq, const std::vector<Op> &ops, std::uint64_t wdata,
+           std::vector<std::uint64_t> *out, Slot slot)
+{
+    if (out)
+        out->assign(ops.size(), 0);
+    Join join(eq);
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+        const auto [addr, data] = addrData(ops[i], wdata);
+        join.add();
+        spawn(slot(addr, data, out ? &(*out)[i] : nullptr),
+              join.completion());
+    }
+    co_await join.wait();
+}
 
 /**
  * Counting semaphore with FIFO coroutine waiters; completions are

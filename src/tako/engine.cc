@@ -105,44 +105,27 @@ portedAccess(Engine &engine, AccessReq req, std::uint64_t *out = nullptr)
     co_return v;
 }
 
-/** The (address, write data) of one multi-op element: a load's
- *  address, or a store's pair. */
-std::pair<Addr, std::uint64_t>
-addrData(Addr addr)
-{
-    return {addr, 0};
-}
-
-const std::pair<Addr, std::uint64_t> &
-addrData(const std::pair<Addr, std::uint64_t> &write)
-{
-    return write;
-}
-
 /**
- * Overlap one ported access per element of @p ops under one Join, the
- * engine's counterpart of Core::multiOp. A non-null @p out receives the
- * loaded values in argument order.
+ * One ported access per element of @p ops, overlapped up to the
+ * engine's memory ports; loaded values land in @p out (if non-null) in
+ * argument order.
  */
 template <typename Op>
 Task<>
-portedMulti(Engine &engine, EventQueue &eq, int level, MemCmd cmd,
+portedMulti(Engine &engine, int level, MemCmd cmd,
             const std::vector<Op> &ops, std::vector<std::uint64_t> *out,
             bool no_fetch = false, bool use_once = false)
 {
-    if (out)
-        out->assign(ops.size(), 0);
-    Join join(eq);
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-        const auto [addr, wdata] = addrData(ops[i]);
-        join.add();
-        spawn(portedAccess(engine,
-                           engine.request(cmd, addr, wdata, level,
-                                          no_fetch, use_once),
-                           out ? &(*out)[i] : nullptr),
-              join.completion());
-    }
-    co_await join.wait();
+    return overlapOps(engine.eq(), ops, 0, out,
+                      [&engine, level, cmd, no_fetch, use_once](
+                          Addr addr, std::uint64_t wdata,
+                          std::uint64_t *slot_out) {
+                          return portedAccess(
+                              engine,
+                              engine.request(cmd, addr, wdata, level,
+                                             no_fetch, use_once),
+                              slot_out);
+                      });
 }
 
 } // namespace
@@ -175,7 +158,7 @@ Task<>
 EngineCtx::loadMulti(const std::vector<Addr> &addrs,
                      std::vector<std::uint64_t> *out)
 {
-    return portedMulti(engine_, eq(), callbackLevelOf(binding_),
+    return portedMulti(engine_, callbackLevelOf(binding_),
                        MemCmd::Load, addrs, out);
 }
 
@@ -183,7 +166,7 @@ Task<>
 EngineCtx::streamLoadMulti(const std::vector<Addr> &addrs,
                            std::vector<std::uint64_t> *out)
 {
-    return portedMulti(engine_, eq(), callbackLevelOf(binding_),
+    return portedMulti(engine_, callbackLevelOf(binding_),
                        MemCmd::Load, addrs, out, false, true);
 }
 
@@ -191,7 +174,7 @@ Task<>
 EngineCtx::storeMulti(
     const std::vector<std::pair<Addr, std::uint64_t>> &writes)
 {
-    return portedMulti(engine_, eq(), callbackLevelOf(binding_),
+    return portedMulti(engine_, callbackLevelOf(binding_),
                        MemCmd::Store, writes, nullptr);
 }
 
@@ -199,7 +182,7 @@ Task<>
 EngineCtx::streamStoreMulti(
     const std::vector<std::pair<Addr, std::uint64_t>> &writes)
 {
-    return portedMulti(engine_, eq(), callbackLevelOf(binding_),
+    return portedMulti(engine_, callbackLevelOf(binding_),
                        MemCmd::Store, writes, nullptr, true);
 }
 

@@ -11,6 +11,7 @@
 #include <chrono>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 
 #include <cerrno>
@@ -736,6 +737,52 @@ TEST(TakosimCli, StampsBuildType)
     const Json &counters = doc["counters"];
     ASSERT_TRUE(counters.contains("host.peak_rss_mb"));
     EXPECT_GT(counters["host.peak_rss_mb"]["value"].asNumber(), 0.0);
+}
+
+TEST(TakosimCli, ReplicateObserversWatchReplicaZero)
+{
+    const std::string takosim = siblingTakosim();
+    if (takosim.empty())
+        GTEST_SKIP() << "takosim binary not found next to tests";
+
+    // Under --replicate the observers watch replica 0, the reported
+    // run: its profile and takomon series are the bytes a plain run at
+    // the same seed writes, while replica 1 runs beside it on a second
+    // lane without them.
+    const std::string scratch = makeScratch();
+    auto observed = [&](const std::string &name,
+                        std::vector<std::string> extra) {
+        RunCommand cmd;
+        cmd.name = name;
+        cmd.logPath = scratch + "/" + name + ".log";
+        cmd.timeoutSec = 120;
+        cmd.argv = {takosim,
+                    "--workload=decompress",
+                    "--variant=tako",
+                    "--seed=2",
+                    "--profile=" + scratch + "/" + name + ".prof.json",
+                    "--mon-every=1000",
+                    "--mon-out=" + scratch + "/" + name + ".takomon"};
+        cmd.argv.insert(cmd.argv.end(), extra.begin(), extra.end());
+        return cmd;
+    };
+    const std::vector<RunOutcome> out =
+        runAll({observed("plain", {"--shards=1"}),
+                observed("ensemble", {"--replicate=2", "--shards=2"})},
+               2);
+    ASSERT_EQ(out.size(), 2u);
+    ASSERT_EQ(out[0].status, RunStatus::Ok);
+    ASSERT_EQ(out[1].status, RunStatus::Ok) << "exit " << out[1].exitCode;
+
+    auto bytes = [&](const std::string &file) {
+        std::ifstream in(scratch + "/" + file, std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    for (const char *ext : {".prof.json", ".takomon"}) {
+        const std::string plain = bytes(std::string("plain") + ext);
+        EXPECT_FALSE(plain.empty()) << ext;
+        EXPECT_TRUE(plain == bytes(std::string("ensemble") + ext)) << ext;
+    }
 }
 
 } // namespace

@@ -116,6 +116,31 @@ class EngineFramesMorph : public Morph
     Addr target_;
 };
 
+/** Real-data morph whose onWriteback computes for @p cycles. */
+class SlowWritebackMorph : public Morph
+{
+  public:
+    explicit SlowWritebackMorph(unsigned cycles)
+        : Morph(MorphTraits{.name = "slowWriteback",
+                            .hasWriteback = true,
+                            .writebackKernel = {1, 1}}),
+          cycles_(cycles)
+    {
+    }
+
+    Task<>
+    onWriteback(EngineCtx &ctx) override
+    {
+        ++writebacks;
+        co_await ctx.compute(cycles_, cycles_);
+    }
+
+    int writebacks = 0;
+
+  private:
+    unsigned cycles_;
+};
+
 } // namespace
 
 TEST(MemorySystem, StoreLoadRoundTrip)
@@ -396,10 +421,14 @@ TEST(MemorySystem, FramesPerOperation)
     //   spawned EngineCtx::atomicAdd hitting the engine L1 (PHI's
     //     in-place add): adapter lambda, atomicAdd, portedAccess,
     //     Engine::memAccess, access: 5 -> 2
+    //   two-element storeMulti hitting L1 in M state: Guest::storeMulti,
+    //     multiOp, 2 x (windowedOp, access) -> the shared overlap loop
+    //     and 2 x (windowedOp, access): 6 -> 5
     System sys(smallConfig());
     TestMorph morph(/*miss=*/false, /*evict=*/false, /*wb=*/false);
     EngineFramesMorph engineMorph(0x40000);
     std::uint64_t missFrames = 0, hitFrames = 0, rmoFrames = 0;
+    std::uint64_t storeMultiFrames = 0;
     double guestL3Misses = 0;
     sys.addThread(0, [&](Guest &g) -> Task<> {
         const MorphBinding *b = co_await g.registerPhantom(
@@ -419,6 +448,13 @@ TEST(MemorySystem, FramesPerOperation)
         // The first load and the RMO missed L3: the counts above
         // measured the paths named for them.
         guestL3Misses = sys.stats().get("l3.misses");
+        co_await g.store(0x20000, 1);
+        co_await g.store(0x20040, 1);
+        const std::vector<std::pair<Addr, std::uint64_t>> writes{
+            {0x20000, 5}, {0x20040, 6}};
+        f0 = frames();
+        co_await g.storeMulti(writes);
+        storeMultiFrames = frames() - f0;
         const MorphBinding *eb = co_await g.registerPhantom(
             engineMorph, MorphLevel::Private, 1 << 20);
         co_await g.load(eb->base);
@@ -428,9 +464,53 @@ TEST(MemorySystem, FramesPerOperation)
     EXPECT_EQ(hitFrames, 2u);
     EXPECT_EQ(rmoFrames, 3u);
     EXPECT_EQ(guestL3Misses, 2);
+    EXPECT_EQ(storeMultiFrames, 5u);
+    EXPECT_EQ(sys.mem().realStore().read64(0x20000), 5u);
+    EXPECT_EQ(sys.mem().realStore().read64(0x20040), 6u);
     EXPECT_EQ(engineMorph.loadFrames, 2u);
     EXPECT_EQ(engineMorph.addFrames, 2u);
     EXPECT_EQ(sys.mem().realStore().read64(0x40000), 2u);
+}
+
+TEST(MemorySystem, SharedMorphWritebackWaitsForItsCallback)
+{
+    // A dirty line of a real SHARED morph holds its WB-buffer entry
+    // until onWriteback retires (Sec. 4.3): the DRAM write starts from
+    // the retirement, however long the callback computes.
+    System sys(smallConfig());
+    SlowWritebackMorph morph(2000);
+    const Addr line = 0x100000;
+    Tick retired = 0, written = 0;
+    int retires = 0, writes = 0;
+    sys.mem().recorder().subscribe(
+        recordBit(RecordKind::CbRetire) | recordBit(RecordKind::DramWrite),
+        [&](const Record &r) {
+            if (r.addr != line)
+                return;
+            if (r.kind == RecordKind::CbRetire) {
+                retired = r.tick;
+                ++retires;
+            } else {
+                written = r.tick;
+                ++writes;
+            }
+        });
+    Tick flushed = 0;
+    sys.addThread(0, [&](Guest &g) -> Task<> {
+        const MorphBinding *b = co_await g.registerReal(
+            morph, MorphLevel::Shared, line, lineBytes);
+        co_await g.store(line, 7);
+        const Tick t0 = g.now();
+        co_await g.flushData(b);
+        flushed = g.now() - t0;
+    });
+    sys.run();
+    EXPECT_EQ(morph.writebacks, 1);
+    ASSERT_EQ(retires, 1);
+    ASSERT_EQ(writes, 1);
+    EXPECT_GE(flushed, 2000u);
+    EXPECT_GE(written, retired);
+    EXPECT_EQ(sys.mem().realStore().read64(line), 7u);
 }
 
 TEST(MemorySystem, PhantomMissWaiterResumesInItsOwnEvent)

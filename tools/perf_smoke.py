@@ -12,6 +12,11 @@ a single "takoperf-v1" JSON artifact. CI uploads the artifact per
 commit so events/sec has a trajectory; feed one or more of these files
 to tools/plot_results.py to render the trend.
 
+--quick shortens the microbenchmark repetitions and the trace-codec
+run. It has never shrunk the takosim runs (the profiled run and both
+shard gates): takosim has no quick mode, and the environment variable
+this script used to set for them was read by nothing.
+
 Exit status is non-zero if either child fails or if the new event queue
 fails to beat the legacy baseline by at least MIN_SPEEDUP (the PR's
 regression gate).
@@ -99,7 +104,7 @@ def run_microbench(bin_dir, quick):
     return doc.get("context", {}), benches
 
 
-def run_takosim(bin_dir, quick):
+def run_takosim(bin_dir):
     exe = os.path.join(bin_dir, "tools", "takosim")
     stats = os.path.join(bin_dir, "perf_smoke_stats.json")
     prof = os.path.join(bin_dir, "perf_smoke_prof.json")
@@ -110,10 +115,7 @@ def run_takosim(bin_dir, quick):
         f"--stats-json={stats}",
         f"--profile={prof}",
     ]
-    env = dict(os.environ)
-    if quick:
-        env["TAKO_QUICK"] = "1"
-    subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL, env=env)
+    subprocess.run(cmd, check=True, stdout=subprocess.DEVNULL)
     doc = json.load(open(stats))
     return {
         "workload": "decompress",
@@ -132,7 +134,7 @@ def quartiles(xs):
     return q1, med, q3
 
 
-def paired_shard_speedup(base, env):
+def paired_shard_speedup(base):
     """Wall-time ``base`` at --shards=1 and --shards=4 over PAIRS
     interleaved pairs, alternating which side runs first so drift and
     warm-up fall on both sides alike. The speedup is the median of the
@@ -145,7 +147,7 @@ def paired_shard_speedup(base, env):
         for shards in ((1, 4) if i % 2 == 0 else (4, 1)):
             start = time.monotonic()
             subprocess.run(base + [f"--shards={shards}"], check=True,
-                           stdout=subprocess.DEVNULL, env=env)
+                           stdout=subprocess.DEVNULL)
             pair[shards] = time.monotonic() - start
         walls[1].append(pair[1])
         walls[4].append(pair[4])
@@ -162,7 +164,7 @@ def paired_shard_speedup(base, env):
     return result
 
 
-def run_shard_ensemble(bin_dir, quick):
+def run_shard_ensemble(bin_dir):
     """Wall-time a 16-tile nightly-sized ensemble at 1 vs. 4 lanes.
 
     Determinism is gated elsewhere (test_shard, the quick-suite
@@ -182,21 +184,18 @@ def run_shard_ensemble(bin_dir, quick):
         "--vertices=16384",
         "--replicate=4",
     ]
-    env = dict(os.environ)
-    if quick:
-        env["TAKO_QUICK"] = "1"
     return {
         "workload": "phi",
         "variant": "tako",
         "cores": 16,
         "vertices": 16384,
         "replicas": 4,
-        **paired_shard_speedup(base, env),
+        **paired_shard_speedup(base),
         "host_cpus": os.cpu_count() or 1,
     }
 
 
-def run_shard_single(bin_dir, quick):
+def run_shard_single(bin_dir):
     """Wall-time ONE 16-tile run at --shards=1 vs. --shards=4.
 
     Unlike run_shard_ensemble (4 independent replicas spread across
@@ -215,15 +214,12 @@ def run_shard_single(bin_dir, quick):
         "--cores=16",
         "--vertices=16384",
     ]
-    env = dict(os.environ)
-    if quick:
-        env["TAKO_QUICK"] = "1"
     return {
         "workload": "phi",
         "variant": "tako",
         "cores": 16,
         "vertices": 16384,
-        **paired_shard_speedup(base, env),
+        **paired_shard_speedup(base),
         "host_cpus": os.cpu_count() or 1,
     }
 
@@ -304,7 +300,8 @@ def main():
     ap.add_argument("--bin-dir", default="build")
     ap.add_argument("--out", default="BENCH_perf.json")
     ap.add_argument("--quick", action="store_true",
-                    help="short benchmark reps + quick-mode takosim")
+                    help="short benchmark reps and trace-codec run "
+                    "(the takosim runs keep their size)")
     ap.add_argument("--allow-untrusted", action="store_true",
                     help="emit an artifact even from a non-Release "
                     "build or a -dirty tree, tagged untrusted and with "
@@ -312,7 +309,7 @@ def main():
     args = ap.parse_args()
 
     context, benches = run_microbench(args.bin_dir, args.quick)
-    takosim, prof_path = run_takosim(args.bin_dir, args.quick)
+    takosim, prof_path = run_takosim(args.bin_dir)
 
     problems = trust_problems(takosim["build_type"], takosim["git_rev"])
     if problems and not args.allow_untrusted:
@@ -324,8 +321,8 @@ def main():
               "tagged artifact with the gates skipped", file=sys.stderr)
         return 1
 
-    shard = run_shard_ensemble(args.bin_dir, args.quick)
-    single = run_shard_single(args.bin_dir, args.quick)
+    shard = run_shard_ensemble(args.bin_dir)
+    single = run_shard_single(args.bin_dir)
     trace = run_trace_codec(args.bin_dir, args.quick)
     lint = run_lint_cold(args.bin_dir)
 

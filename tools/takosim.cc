@@ -136,9 +136,9 @@ usage(int code)
         "  --replicate=N      run N replicas at seeds seed..seed+N-1\n"
         "                     across min(shards, N) host lanes; output\n"
         "                     is replica 0 plus ens.* aggregates and is\n"
-        "                     identical at any lane count (incompatible\n"
-        "                     with --profile/--folded/--trace-out/\n"
-        "                     --mon-every/--mon-sample)\n"
+        "                     identical at any lane count; profiles,\n"
+        "                     spans, samples, heartbeats and recordings\n"
+        "                     observe replica 0\n"
         "  --list-workloads   print workloads and their variants\n"
         "  --version          print the embedded git revision and build type\n"
         "  --help             this text\n");
@@ -319,9 +319,9 @@ parse(int argc, char **argv)
 /**
  * Run one replica of the selected workload at @p seed on a copy of
  * @p sys. Builds its own System and touches no process-global state,
- * so ensemble lanes may call it concurrently (main() forbids the
- * single-file outputs — tracing, profiling, sampling — whenever more
- * than one replica runs).
+ * so ensemble lanes may call it concurrently (main() hands the
+ * single-file outputs — tracing, profiling, sampling, recording — to
+ * replica 0 alone).
  */
 RunMetrics
 runOne(const Options &o, SystemConfig sys, std::uint64_t seed)
@@ -438,19 +438,6 @@ main(int argc, char **argv)
     sys.mem.latBreakdown = true;
     sys.profile = o.profileSet || !o.folded.empty();
     sys.shards = o.shards;
-    if (o.replicate > 1 &&
-        (sys.profile || !o.traceOut.empty() || o.sampleEvery > 0 ||
-         !o.samplePatterns.empty() || !o.traceRecord.empty() ||
-         !o.monOut.empty() || o.progressEvery > 0)) {
-        std::fprintf(stderr,
-                     "takosim: --replicate=%u is incompatible with "
-                     "--profile/--folded/--trace-out/--mon-every/"
-                     "--mon-sample/--mon-out/--progress/--trace-record "
-                     "(they write single-file outputs; replicas run "
-                     "concurrently)\n",
-                     o.replicate);
-        return 2;
-    }
 
     // Open output files up front so a bad path fails before the run,
     // not after minutes of simulation.
@@ -513,14 +500,26 @@ main(int argc, char **argv)
         // one domain (its own System, shards=1) — --shards spends the
         // host-parallelism budget on lanes here, and the job -> lane
         // map is index-pure, so the merged output is identical at any
-        // lane count.
+        // lane count. The observers watch replica 0, the reported run;
+        // the other replicas run without them.
         SystemConfig repSys = sys;
         repSys.shards = 1;
+        SystemConfig quietSys = repSys;
+        quietSys.profile = false;
+        quietSys.spanWriter = nullptr;
+        quietSys.sampleInterval = 0;
+        quietSys.samplePatterns.clear();
+        quietSys.monPath.clear();
+        quietSys.progressEvery = 0;
+        quietSys.onBeat = nullptr;
+        Options quiet = o;
+        quiet.traceRecord.clear();
         std::vector<RunMetrics> reps(o.replicate);
         std::vector<std::function<void()>> jobs;
         for (unsigned i = 0; i < o.replicate; ++i) {
-            jobs.push_back([&o, &repSys, &reps, i] {
-                reps[i] = runOne(o, repSys, o.seed + i);
+            jobs.push_back([&o, &quiet, &repSys, &quietSys, &reps, i] {
+                reps[i] = i == 0 ? runOne(o, repSys, o.seed)
+                                 : runOne(quiet, quietSys, o.seed + i);
             });
         }
         runLanes(std::min(o.shards, o.replicate), jobs);
