@@ -282,7 +282,7 @@ BM_BackingStoreRead64(benchmark::State &state)
 {
     // Random word reads of written lines over a kv-replay-sized
     // footprint (~17K pages, one written line each): the present-line
-    // path that PHI and the demand path take.
+    // path through a page's sparse table.
     constexpr std::uint64_t pages = 17 * 1024;
     constexpr Addr base = 0x10000000;
     BackingStore st;
@@ -301,11 +301,35 @@ BM_BackingStoreRead64(benchmark::State &state)
 BENCHMARK(BM_BackingStoreRead64);
 
 void
+BM_BackingStoreReadDense(benchmark::State &state)
+{
+    // Random word reads over pages with every line written, as PHI's
+    // graph fills them: each read goes through a promoted page's line
+    // table. As many written lines as BM_BackingStoreRead64.
+    constexpr std::uint64_t pages = 17 * 1024 / 64;
+    constexpr std::uint64_t wordsPerPage = BackingStore::pageBytes / 8;
+    constexpr Addr base = 0x10000000;
+    BackingStore st;
+    for (std::uint64_t w = 0; w < pages * wordsPerPage; w += wordsPerLine)
+        st.write64(base + w * 8, w);
+    Rng rng(5);
+    std::uint64_t sum = 0;
+    for (auto _ : state) {
+        const Addr a = base + rng.below(pages) * BackingStore::pageBytes +
+                       rng.below(wordsPerPage) * 8;
+        sum += st.read64(a);
+        benchmark::DoNotOptimize(sum);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_BackingStoreReadDense);
+
+void
 BM_BackingStoreFirstTouch(benchmark::State &state)
 {
     // A fresh store written one word per page over a kv-replay-sized
-    // footprint (~13K pages): every write creates a line, and most a
-    // page's line table too.
+    // footprint (~13K pages): every write creates a line and its
+    // page's sparse table.
     constexpr std::uint64_t pages = 13 * 1024;
     constexpr Addr base = 0x10000000;
     for (auto _ : state) {

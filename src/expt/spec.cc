@@ -79,7 +79,7 @@ parseArgs(const Json &node, const std::string &where,
             json::writeNumber(os, v.asNumber());
             val = os.str();
         } else if (v.isBool()) {
-            val = v.asBool() ? "1" : "0";
+            val = v.asBool() ? '1' : '0';
         } else {
             err = where + ": argument \"" + k +
                   "\" must be a string, number, or bool";

@@ -14,6 +14,7 @@
 
 #include <array>
 #include <atomic>
+#include <cstdint>
 #include <memory>
 #include <mutex>
 #include <vector>
@@ -139,7 +140,28 @@ class BackingStore
         std::array<std::uint64_t, wordsPerLine> words{};
     };
 
-    /** A page's lines; a slot stays null until its line is written. */
+    /** A line's slot in its page, kept in the low bits of a `Line *`
+     *  (lines are line-aligned, so those bits are free). */
+    static constexpr std::uintptr_t slotMask = linesPerPage - 1;
+    static_assert(alignof(Line) > slotMask);
+
+    /**
+     * A page's first lines: up to seven `Line *` words, each tagged
+     * with its slot, and how many are set. Entries are appended below
+     * `count` and never change, so a reader scans `count` entries after
+     * one acquire load of it. The eighth line promotes the page to a
+     * LineTable.
+     */
+    struct alignas(lineBytes) SparseTable
+    {
+        static constexpr std::size_t capacity = 7;
+        std::array<std::atomic<std::uintptr_t>, capacity> lines{};
+        std::atomic<std::size_t> count{0};
+    };
+    static_assert(sizeof(SparseTable) == lineBytes);
+
+    /** A promoted page's lines; a slot stays null until its line is
+     *  written. */
     struct LineTable
     {
         std::array<std::atomic<Line *>, linesPerPage> lines{};
@@ -147,14 +169,18 @@ class BackingStore
 
     /**
      * An insert-only three-level radix table over the page number whose
-     * leaves point at line tables. Shard domains commit functional data
-     * from several threads, so:
-     *  - lookups are lock-free: four acquire loads, no write;
-     *  - nodes, line tables and lines are created zeroed under createMu_
+     * leaves point at each page's SparseTable, or at its LineTable once
+     * promoted (tagged with denseTag). Shard domains commit functional
+     * data from several threads, so:
+     *  - lookups are lock-free: three acquire loads down to the page,
+     *    then one of a LineTable slot, or one of a SparseTable's count
+     *    before a scan of its entries;
+     *  - nodes, tables and lines are created zeroed under createMu_
      *    and published with a release store, so a reader that finds a
-     *    pointer also sees the zeroed contents behind it;
+     *    pointer also sees the contents behind it;
      *  - nothing is unlinked or freed before destruction, so a pointer
-     *    once found never dangles.
+     *    once found never dangles: a promoted page's SparseTable keeps
+     *    its entries for readers that loaded it before the LineTable.
      * Word accesses through a found line need no lock either: coherence
      * serializes every same-line access (one M/E owner at a time), and
      * distinct words never alias.
@@ -164,9 +190,12 @@ class BackingStore
     static_assert(pageBytes == std::uint64_t(1) << 12 &&
                   (addrBits - 12) % 3 == 0);
 
+    /** Tags a leaf entry that points at a LineTable. */
+    static constexpr std::uintptr_t denseTag = 1;
+
     struct Leaf
     {
-        std::array<std::atomic<LineTable *>, fanout> tables{};
+        std::array<std::atomic<std::uintptr_t>, fanout> pages{};
     };
 
     struct Mid
@@ -234,6 +263,32 @@ class BackingStore
                (fanout - 1);
     }
 
+    static SparseTable *
+    asSparse(std::uintptr_t page)
+    {
+        return reinterpret_cast<SparseTable *>(page);
+    }
+
+    static LineTable *
+    asDense(std::uintptr_t page)
+    {
+        return reinterpret_cast<LineTable *>(page & ~denseTag);
+    }
+
+    /** @p idx 's line among @p table 's entries, or null. */
+    static Line *
+    findSparse(const SparseTable &table, std::size_t idx)
+    {
+        const std::size_t n = table.count.load(std::memory_order_acquire);
+        for (std::size_t i = 0; i < n; ++i) {
+            const std::uintptr_t e =
+                table.lines[i].load(std::memory_order_relaxed);
+            if ((e & slotMask) == idx)
+                return reinterpret_cast<Line *>(e & ~slotMask);
+        }
+        return nullptr;
+    }
+
     Line *
     findLine(Addr addr) const
     {
@@ -245,11 +300,12 @@ class BackingStore
             mid->leaves[slot(pn, 1)].load(std::memory_order_acquire);
         if (!leaf)
             return nullptr;
-        const LineTable *table =
-            leaf->tables[slot(pn, 0)].load(std::memory_order_acquire);
-        if (!table)
-            return nullptr;
-        return table->lines[lineIndex(addr)].load(std::memory_order_acquire);
+        const std::uintptr_t page =
+            leaf->pages[slot(pn, 0)].load(std::memory_order_acquire);
+        const std::size_t idx = lineIndex(addr);
+        if (page & denseTag)
+            return asDense(page)->lines[idx].load(std::memory_order_acquire);
+        return page ? findSparse(*asSparse(page), idx) : nullptr;
     }
 
     Line &
@@ -266,12 +322,45 @@ class BackingStore
     createLine(Addr addr)
     {
         const std::uint64_t pn = pageNumber(addr);
+        const std::size_t idx = lineIndex(addr);
         std::lock_guard<std::mutex> g(createMu_);
         Mid *mid = publish(root_[slot(pn, 2)], mids_);
         Leaf *leaf = publish(mid->leaves[slot(pn, 1)], leaves_);
-        LineTable *table =
-            publish(leaf->tables[slot(pn, 0)], tables_, &pageCount_);
-        return *publish(table->lines[lineIndex(addr)], lines_, &lineCount_);
+        std::atomic<std::uintptr_t> &cell = leaf->pages[slot(pn, 0)];
+        std::uintptr_t page = cell.load(std::memory_order_relaxed);
+        if (page & denseTag)
+            return *publish(asDense(page)->lines[idx], lines_, &lineCount_);
+        if (!page) {
+            page = reinterpret_cast<std::uintptr_t>(sparse_.carve());
+            cell.store(page, std::memory_order_release);
+            pageCount_.fetch_add(1, std::memory_order_relaxed);
+        }
+        SparseTable &sparse = *asSparse(page);
+        if (Line *line = findSparse(sparse, idx))
+            return *line;
+
+        Line *line = lines_.carve();
+        lineCount_.fetch_add(1, std::memory_order_relaxed);
+        const std::size_t n = sparse.count.load(std::memory_order_relaxed);
+        if (n < SparseTable::capacity) {
+            sparse.lines[n].store(reinterpret_cast<std::uintptr_t>(line) | idx,
+                                  std::memory_order_relaxed);
+            sparse.count.store(n + 1, std::memory_order_release);
+            return *line;
+        }
+        // The eighth line: copy the entries into a LineTable and publish
+        // it in place of the SparseTable, which stays as it is.
+        LineTable *dense = tables_.carve();
+        for (const std::atomic<std::uintptr_t> &entry : sparse.lines) {
+            const std::uintptr_t e = entry.load(std::memory_order_relaxed);
+            dense->lines[e & slotMask].store(
+                reinterpret_cast<Line *>(e & ~slotMask),
+                std::memory_order_relaxed);
+        }
+        dense->lines[idx].store(line, std::memory_order_relaxed);
+        cell.store(reinterpret_cast<std::uintptr_t>(dense) | denseTag,
+                   std::memory_order_release);
+        return *line;
     }
 
     /** @p cell 's object, carved from @p slabs and published if absent
@@ -293,9 +382,10 @@ class BackingStore
 
     std::array<std::atomic<Mid *>, fanout> root_{};
     std::mutex createMu_;
-    // One radix node per slab; line tables and lines 64 KiB to a slab.
+    // One radix node per slab; tables and lines 64 KiB to a slab.
     Slabs<Mid, 1> mids_;
     Slabs<Leaf, 1> leaves_;
+    Slabs<SparseTable, 1024> sparse_;
     Slabs<LineTable, 128> tables_;
     Slabs<Line, 1024> lines_;
     std::atomic<std::size_t> pageCount_{0};

@@ -50,25 +50,25 @@ enum class ReplPolicy
 struct CacheWay
 {
     Addr lineAddr = invalidAddr;
-    bool valid = false;
-    bool dirty = false;
-    /** A Morph is registered on this line (at this or a child level). */
-    bool morph = false;
-    /** Last fill/touch came from an engine (trrîp low priority). */
-    bool engineTouched = false;
-    /** Filled by a prefetch; cleared (and trains the prefetcher) on the
-     *  first demand touch. */
-    bool prefetched = false;
-    Coh coh = Coh::I;
-    std::uint8_t rrpv = 0;
-    /** L3-only directory state: the exclusive owner tile, or -1. */
-    std::int8_t owner = -1;
     std::uint64_t lastUse = 0;
     /** L3-only directory state: one bit per tile holding a copy. A
      *  System has at most 63 tiles. */
     std::uint64_t sharers = 0;
     /** Morph id for flush walks; 0 if none. */
     std::uint32_t morphId = 0;
+    Coh coh = Coh::I;
+    std::uint8_t rrpv = 0;
+    /** L3-only directory state: the exclusive owner tile, or -1. */
+    std::int8_t owner = -1;
+    bool valid : 1 = false;
+    bool dirty : 1 = false;
+    /** A Morph is registered on this line (at this or a child level). */
+    bool morph : 1 = false;
+    /** Last fill/touch came from an engine (trrîp low priority). */
+    bool engineTouched : 1 = false;
+    /** Filled by a prefetch; cleared (and trains the prefetcher) on the
+     *  first demand touch. */
+    bool prefetched : 1 = false;
 
     void
     invalidate()
@@ -85,8 +85,9 @@ struct CacheWay
         owner = -1;
     }
 };
-// Tag arrays are a large share of a run's host memory; keep ways small.
-static_assert(sizeof(CacheWay) == 40);
+// Tag arrays are a large share of a run's host memory; keep ways small:
+// a 16-way set spans 512 B.
+static_assert(sizeof(CacheWay) == 32);
 
 class CacheArray
 {

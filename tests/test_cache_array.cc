@@ -7,12 +7,16 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
+#include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "mem/backing_store.hh"
 #include "mem/cache_array.hh"
+#include "sim/random.hh"
 
 using namespace tako;
 
@@ -311,16 +315,18 @@ TEST(BackingStore, ConcurrentFirstTouchCreatesEachLineOnce)
 {
     // Four threads first-touch the same lines at once, each writing its
     // own words of every line: each line must be created once and no
-    // write lost. Lines span several radix nodes, several lines of one
-    // page, and the phantom half of the address space. Fresh stores,
+    // write lost. Lines span several radix nodes, twelve lines of each
+    // page (so every page outgrows its sparse table while the threads
+    // race), and the phantom half of the address space. Fresh stores,
     // several rounds, so the threads race on many first touches.
     constexpr unsigned threads = 4;
     constexpr unsigned lines = 96;
+    constexpr unsigned perPage = 12;
     constexpr unsigned rounds = 20;
     auto lineAddr = [](unsigned l) {
-        return Addr(l / 4) * 40961 * BackingStore::pageBytes +
-               (l % 4) * 3 * lineBytes +
-               ((l / 4) % 3 == 0 ? Addr(1) << 46 : 0);
+        return Addr(l / perPage) * 40961 * BackingStore::pageBytes +
+               (l % perPage) * 5 * lineBytes +
+               ((l / perPage) % 3 == 0 ? Addr(1) << 46 : 0);
     };
     auto value = [](unsigned l, unsigned w) {
         return (std::uint64_t(l) << 32) | (w + 1);
@@ -345,13 +351,56 @@ TEST(BackingStore, ConcurrentFirstTouchCreatesEachLineOnce)
             w.join();
 
         ASSERT_EQ(st.allocatedLines(), lines) << "round " << round;
-        ASSERT_EQ(st.allocatedPages(), lines / 4) << "round " << round;
+        ASSERT_EQ(st.allocatedPages(), lines / perPage)
+            << "round " << round;
         for (unsigned l = 0; l < lines; ++l) {
             for (unsigned w = 0; w < wordsPerLine; ++w)
                 ASSERT_EQ(st.read64(lineAddr(l) + w * 8), value(l, w))
                     << "round " << round << " line " << l << " word " << w;
         }
     }
+}
+
+TEST(BackingStore, PageWrittenLineByLineReadsBackAcrossPromotion)
+{
+    // A page keeps its first seven lines in a sparse table; the eighth
+    // promotes it to a full line table. Write every line of one page in
+    // a seeded shuffled order and read the whole page after each write.
+    constexpr unsigned lines = BackingStore::pageBytes / lineBytes;
+    constexpr Addr page = 0x5000;
+    auto wordAddr = [](unsigned l) {
+        return page + l * lineBytes + (l % wordsPerLine) * 8;
+    };
+    auto value = [](unsigned l) { return std::uint64_t{0x100} + l; };
+
+    std::array<unsigned, lines> order;
+    std::iota(order.begin(), order.end(), 0u);
+    Rng rng(28);
+    for (unsigned i = lines - 1; i > 0; --i)
+        std::swap(order[i], order[rng.below(i + 1)]);
+
+    BackingStore st;
+    std::array<bool, lines> written{};
+    for (unsigned n = 0; n < lines; ++n) {
+        st.write64(wordAddr(order[n]), value(order[n]));
+        written[order[n]] = true;
+        ASSERT_EQ(st.allocatedLines(), n + 1) << "after write " << n;
+        ASSERT_EQ(st.allocatedPages(), 1u) << "after write " << n;
+        for (unsigned l = 0; l < lines; ++l) {
+            LineData expect;
+            if (written[l])
+                expect[l % wordsPerLine] = value(l);
+            ASSERT_EQ(st.read64(wordAddr(l)), expect[l % wordsPerLine])
+                << "after write " << n << ", line " << l;
+            ASSERT_EQ(st.readLine(page + l * lineBytes), expect)
+                << "after write " << n << ", line " << l;
+        }
+    }
+    // Rewriting present lines allocates nothing.
+    for (unsigned l = 0; l < lines; ++l)
+        st.write64(wordAddr(l), value(l) + 1);
+    EXPECT_EQ(st.allocatedLines(), lines);
+    EXPECT_EQ(st.read64(wordAddr(order[0])), value(order[0]) + 1);
 }
 
 TEST(BackingStore, AddressOutsidePageTableDies)

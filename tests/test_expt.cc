@@ -542,8 +542,7 @@ TEST(ExptRunner, ParallelismPreservesOrderAndResults)
     auto make = [&](const std::string &suffix) {
         std::vector<RunCommand> cmds;
         for (int i = 0; i < 8; ++i) {
-            const std::string name =
-                "r" + std::to_string(i) + suffix;
+            const std::string name = 'r' + std::to_string(i) + suffix;
             cmds.push_back(shCommand(
                 name,
                 "echo '{\"metrics\": {\"v\": " + std::to_string(i * 11) +

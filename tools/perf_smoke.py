@@ -61,7 +61,8 @@ MIN_SINGLE_RUN_SPEEDUP = 1.8
 PAIRS = 10
 KERNEL_FILTER = ("BM_EventQueue|BM_Coroutine|BM_CacheLookup|"
                  "BM_VictimSelection|BM_LineLockAcquireRelease|"
-                 "BM_BackingStoreRead64|BM_BackingStoreFirstTouch|"
+                 "BM_BackingStoreRead64|BM_BackingStoreReadDense|"
+                 "BM_BackingStoreFirstTouch|"
                  "BM_MeshTraverse|BM_MeshWalk|"
                  "BM_SimulatedAccess")
 
