@@ -4,6 +4,8 @@
 #include <chrono>
 #include <cstdio>
 
+#include "system/system.hh"
+
 namespace tako::mon
 {
 
@@ -47,94 +49,59 @@ printProgressBeat(const ProgressBeat &b)
                  tail);
 }
 
-TimeSeriesSink::TimeSeriesSink(std::vector<EventQueue *> queues,
-                               StatsRegistry &stats, Options opt)
-    : queues_(std::move(queues)), stats_(stats), opt_(std::move(opt))
+TimeSeriesSink::TimeSeriesSink(Options opt) : opt_(std::move(opt))
 {
-    panic_if(queues_.empty(), "takomon sink with no queue to sample");
-    panic_if(opt_.sampleEvery == 0 && opt_.progressEvery == 0,
-             "takomon sink with no cadence (sampleEvery and "
-             "progressEvery both zero)");
-    fatal_if(!opt_.monPath.empty() && opt_.sampleEvery == 0,
-             "a takomon output file needs a sampling interval");
-
-    if (opt_.sampleEvery > 0) {
-        buildSeries(opt_.patterns);
-        StatsTimeSeries &ts = stats_.timeSeries();
-        ts.interval = opt_.sampleEvery;
-        ts.names.clear();
-        for (const SeriesDesc &d : series_)
-            ts.names.push_back(d.name);
-        firstBoundary_ = queues_[0]->now() + opt_.sampleEvery;
-    }
-    if (!opt_.monPath.empty()) {
-        fatal_if(!writer_.open(opt_.monPath, opt_.sampleEvery, series_),
-                 "%s", writer_.error().c_str());
-        writing_ = true;
-    }
-    if (opt_.progressEvery > 0) {
-        nextBeat_ = queues_[0]->now() + opt_.progressEvery;
-        firstBeatHostTime_ = hostNow();
-    }
-    capture_.resize(queues_.size());
-    for (unsigned d = 0; d < queues_.size(); ++d) {
-        DomainCapture &dc = capture_[d];
-        dc.next = opt_.sampleEvery > 0
-                      ? queues_[d]->now() + opt_.sampleEvery
-                      : 0;
-        if (dc.next > 0 || d == 0) {
-            queues_[d]->setAdvanceHook(
-                [this, d](Tick to) { return onDomainAdvance(d, to); },
-                watermark(d));
-        }
-    }
+    panic_if(opt_.sampleEvery == 0, "takomon sink with no cadence");
 }
 
-TimeSeriesSink::~TimeSeriesSink()
+void
+TimeSeriesSink::attach(const std::vector<EventQueue *> &queues,
+                       StatsRegistry &stats)
 {
-    if (!finished_ && !finish())
-        warn("%s", writer_.error().c_str());
+    panic_if(queues.empty(), "takomon sink with no queue to sample");
+    stats_ = &stats;
+    buildSeries(opt_.patterns);
+    StatsTimeSeries &ts = stats_->timeSeries();
+    ts.interval = opt_.sampleEvery;
+    ts.names.clear();
+    for (const SeriesDesc &d : series_)
+        ts.names.push_back(d.name);
+    firstBoundary_ = queues[0]->now() + opt_.sampleEvery;
+    fatal_if(!opt_.path.empty() &&
+                 !writer_.open(opt_.path, opt_.sampleEvery, series_),
+             "%s", writer_.error().c_str());
+    capture_.resize(queues.size());
+    for (unsigned d = 0; d < queues.size(); ++d)
+        capture_[d].next = queues[d]->now() + opt_.sampleEvery;
+}
+
+void
+TimeSeriesSink::attach(System &sys)
+{
+    attach(sys.domains().queues(), sys.stats());
 }
 
 Tick
-TimeSeriesSink::watermark(unsigned d) const
-{
-    const DomainCapture &dc = capture_[d];
-    Tick wm = dc.next > 0 ? dc.next : ~Tick{0};
-    if (d == 0 && nextBeat_ > 0 && nextBeat_ < wm)
-        wm = nextBeat_;
-    return wm;
-}
-
-Tick
-TimeSeriesSink::onDomainAdvance(unsigned d, Tick to)
+TimeSeriesSink::advance(unsigned d, Tick to)
 {
     // Replay every boundary this domain's clock is crossing. The hook
     // fires before any event at tick >= the boundary runs here, so the
     // captured lane partial covers exactly this domain's events strictly
     // before the boundary.
     DomainCapture &dc = capture_[d];
-    while (dc.next > 0 && dc.next <= to) {
+    while (dc.next <= to) {
         std::vector<double> row(sources_.size());
         for (std::size_t i = 0; i < sources_.size(); ++i)
             row[i] = readLane(sources_[i], d);
         dc.rows.push_back(std::move(row));
         dc.next += opt_.sampleEvery;
     }
-    if (d == 0) {
-        while (nextBeat_ > 0 && nextBeat_ <= to) {
-            emitBeat(nextBeat_);
-            nextBeat_ += opt_.progressEvery;
-        }
-    }
-    return watermark(d);
+    return dc.next;
 }
 
 void
 TimeSeriesSink::mergeRows()
 {
-    if (opt_.sampleEvery == 0)
-        return;
     // The domain owning the globally-last event replayed every boundary
     // up to it, so the longest capture has the full row count. Domains
     // that drained earlier stopped firing; their partials for the
@@ -144,7 +111,7 @@ TimeSeriesSink::mergeRows()
     std::size_t rows = 0;
     for (const DomainCapture &dc : capture_)
         rows = std::max(rows, dc.rows.size());
-    StatsTimeSeries &ts = stats_.timeSeries();
+    StatsTimeSeries &ts = stats_->timeSeries();
     for (std::size_t r = 0; r < rows; ++r) {
         std::fill(row_.begin(), row_.end(), 0.0);
         for (unsigned d = 0; d < capture_.size(); ++d) {
@@ -166,32 +133,32 @@ TimeSeriesSink::mergeRows()
             firstBoundary_ + static_cast<Tick>(r) * opt_.sampleEvery;
         ts.ticks.push_back(at);
         ts.samples.push_back(row_);
-        if (writing_)
+        if (!opt_.path.empty())
             writer_.addSample(at, row_);
-        ++samplesTaken_;
     }
 }
 
 bool
 TimeSeriesSink::finish()
 {
-    if (finished_)
+    if (finished_ || !stats_)
         return error().empty();
     finished_ = true;
-    for (EventQueue *q : queues_)
-        q->clearAdvanceHook();
     mergeRows();
-    if (!writing_)
-        return error().empty();
-    writing_ = false;
-    return writer_.close();
+    return opt_.path.empty() ? error().empty() : writer_.close();
+}
+
+void
+TimeSeriesSink::finish(System &, Tick)
+{
+    fatal_if(!finish(), "%s", error().c_str());
 }
 
 void
 TimeSeriesSink::buildSeries(const std::vector<std::string> &patterns)
 {
     // Fix the series set and order (registry map order = sorted by
-    // name) at construction; host.* is excluded by design — those
+    // name) at attach; host.* is excluded by design — those
     // gauges are host-timing-dependent and would break the format's
     // bit-identity contract.
     auto addCounter = [this](const std::string &name) {
@@ -199,14 +166,14 @@ TimeSeriesSink::buildSeries(const std::vector<std::string> &patterns)
             return;
         series_.push_back({name, SeriesKind::Counter});
         Source src;
-        src.counter = &stats_.counters().at(name);
+        src.counter = &stats_->counters().at(name);
         src.kind = SeriesKind::Counter;
         sources_.push_back(src);
     };
     auto addHistogram = [this](const std::string &name) {
         if (name.rfind("host.", 0) == 0)
             return;
-        const Histogram *h = &stats_.histograms().at(name);
+        const Histogram *h = &stats_->histograms().at(name);
         for (SeriesKind k : {SeriesKind::HistCount, SeriesKind::HistSum,
                              SeriesKind::HistMax}) {
             series_.push_back({name + seriesKindSuffix(k), k});
@@ -218,16 +185,16 @@ TimeSeriesSink::buildSeries(const std::vector<std::string> &patterns)
     };
 
     if (patterns.empty()) {
-        for (const auto &kv : stats_.counters())
+        for (const auto &kv : stats_->counters())
             addCounter(kv.first);
-        for (const auto &kv : stats_.histograms())
+        for (const auto &kv : stats_->histograms())
             addHistogram(kv.first);
     } else {
         for (const std::string &p : patterns) {
-            for (const std::string &n : stats_.counterNamesMatching(p))
+            for (const std::string &n : stats_->counterNamesMatching(p))
                 addCounter(n);
             for (const std::string &n :
-                 stats_.histogramNamesMatching(p))
+                 stats_->histogramNamesMatching(p))
                 addHistogram(n);
         }
     }
@@ -250,22 +217,38 @@ TimeSeriesSink::readLane(const Source &s, unsigned d) const
     return 0;
 }
 
-void
-TimeSeriesSink::emitBeat(Tick at)
+Heartbeat::Heartbeat(Tick every,
+                     std::function<void(const ProgressBeat &)> emit)
+    : every_(every), emit_(std::move(emit))
 {
-    ProgressBeat b;
-    b.tick = at;
-    b.events = queues_[0]->eventsFired();
-    b.hostSeconds = hostNow() - firstBeatHostTime_;
-    b.eventsPerSec = b.hostSeconds > 0
-                         ? static_cast<double>(b.events) / b.hostSeconds
-                         : 0;
-    if (fractionDone_)
-        b.fractionDone = fractionDone_();
-    if (opt_.onBeat)
-        opt_.onBeat(b);
-    else
-        printProgressBeat(b);
+    panic_if(every_ == 0, "heartbeat with no cadence");
+}
+
+void
+Heartbeat::attach(System &sys)
+{
+    sys_ = &sys;
+    next_ = sys.eq().now() + every_;
+    startHostTime_ = hostNow();
+}
+
+Tick
+Heartbeat::advance(unsigned, Tick to)
+{
+    while (next_ <= to) {
+        ProgressBeat b;
+        b.tick = next_;
+        b.events = sys_->eq().eventsFired();
+        b.hostSeconds = hostNow() - startHostTime_;
+        b.eventsPerSec =
+            b.hostSeconds > 0
+                ? static_cast<double>(b.events) / b.hostSeconds
+                : 0;
+        b.fractionDone = sys_->fractionDone();
+        emit_(b);
+        next_ += every_;
+    }
+    return next_;
 }
 
 } // namespace tako::mon

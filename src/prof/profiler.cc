@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "sim/logging.hh"
+#include "system/system.hh"
 
 namespace tako::prof
 {
@@ -21,19 +21,23 @@ Profiler::kindName(unsigned kind)
     return "unknown";
 }
 
-Profiler::Profiler(const ProfilerConfig &cfg)
-    : cfg_(cfg), l1_("l1"), l2_("l2"), l3_("l3"), occ_(cfg.tiles)
+void
+Profiler::attach(System &sys)
 {
-    panic_if(cfg.tiles == 0, "profiler over zero tiles");
-    l1StackCore_.reserve(cfg.tiles);
-    l1StackEng_.reserve(cfg.tiles);
-    l2Stack_.reserve(cfg.tiles);
-    for (unsigned t = 0; t < cfg.tiles; ++t) {
-        l1StackCore_.push_back(l1_.addStack(cfg.l1Lines));
-        l1StackEng_.push_back(l1_.addStack(cfg.engL1Lines));
-        l2Stack_.push_back(l2_.addStack(cfg.l2Lines));
+    const SystemConfig &cfg = sys.config();
+    const unsigned tiles = cfg.mem.tiles;
+    meshX_ = cfg.mesh.dimX;
+    meshY_ = cfg.mesh.dimY;
+    occ_.resize(tiles);
+    for (unsigned t = 0; t < tiles; ++t) {
+        l1StackCore_.push_back(l1_.addStack(cfg.mem.l1Size / lineBytes));
+        l1StackEng_.push_back(l1_.addStack(cfg.mem.engL1Size / lineBytes));
+        l2Stack_.push_back(l2_.addStack(cfg.mem.l2Size / lineBytes));
     }
-    l3_.addStack(cfg.l3Lines); // banked but shared: one stack
+    // The L3 is one shared cache banked across tiles: one stack, and
+    // reuse distances classify against the aggregate capacity.
+    l3_.addStack(std::uint64_t(tiles) * (cfg.mem.l3BankSize / lineBytes));
+    sys.noc().enableLinkProfiling();
 }
 
 void
@@ -102,27 +106,23 @@ Profiler::record(const Record &r)
 }
 
 void
-Profiler::setNocLinks(std::vector<std::uint64_t> busyCycles,
-                      std::vector<std::uint64_t> messages)
+Profiler::finish(System &sys, Tick end)
 {
-    linkBusy_ = std::move(busyCycles);
-    linkMsgs_ = std::move(messages);
-}
-
-void
-Profiler::setNocTotals(std::uint64_t messages, std::uint64_t localMessages)
-{
-    nocMessages_ = messages;
-    nocLocalMessages_ = localMessages;
+    if (finalized_)
+        return;
+    linkBusy_ = sys.noc().linkBusyCycles();
+    linkMsgs_ = sys.noc().linkMessages();
+    finalize(end, sys.stats());
 }
 
 void
 Profiler::finalize(Tick end, StatsRegistry &stats)
 {
-    if (finalized_)
-        return;
     finalized_ = true;
     end_ = end;
+    nocMessages_ = static_cast<std::uint64_t>(stats.get("noc.messages"));
+    nocLocalMessages_ =
+        static_cast<std::uint64_t>(stats.get("noc.localMessages"));
     for (EngineOcc &o : occ_) {
         if (o.levelCycles.size() <= o.cur)
             o.levelCycles.resize(o.cur + 1, 0);
@@ -295,8 +295,8 @@ Profiler::writeJson(
     // (row-major, dim_y rows of dim_x, summing each tile's 4 outgoing
     // links) that plot_results.py renders directly.
     static const char *dirs[4] = {"E", "W", "N", "S"};
-    os << ",\n  \"noc\": {\"dim_x\": " << cfg_.meshX
-       << ", \"dim_y\": " << cfg_.meshY
+    os << ",\n  \"noc\": {\"dim_x\": " << meshX_
+       << ", \"dim_y\": " << meshY_
        << ", \"messages\": " << nocMessages_
        << ", \"local_messages\": " << nocLocalMessages_ << ", \"links\": [";
     first = true;
@@ -309,10 +309,10 @@ Profiler::writeJson(
         first = false;
     }
     os << "\n  ], \"tile_busy\": [";
-    for (unsigned y = 0; y < cfg_.meshY; ++y) {
+    for (unsigned y = 0; y < meshY_; ++y) {
         os << (y ? ",\n    " : "\n    ") << "[";
-        for (unsigned x = 0; x < cfg_.meshX; ++x) {
-            const std::size_t tile = std::size_t(y) * cfg_.meshX + x;
+        for (unsigned x = 0; x < meshX_; ++x) {
+            const std::size_t tile = std::size_t(y) * meshX_ + x;
             std::uint64_t busy = 0;
             for (unsigned d = 0; d < 4; ++d) {
                 if (tile * 4 + d < linkBusy_.size())

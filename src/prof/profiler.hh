@@ -2,9 +2,9 @@
  * @file
  * takoprof: the profiling/attribution subsystem.
  *
- * One Profiler instance rides along a System when SystemConfig::profile
- * is set. It consumes the System's observation records (record.hh) in
- * their released (tick, key) order, so its output is the same at every
+ * A Profiler is one observer on a System's list (sim/observer.hh). It
+ * consumes the System's observation records (record.hh) in their
+ * released (tick, key) order, so its output is the same at every
  * shard count:
  *
  *   - cache lookups (level, line, hit) feed the miss classifiers
@@ -14,8 +14,8 @@
  *     engine samples into the engine.breakdown.* histograms, keyed by
  *     (Morph, callback kind, tile), and the enqueue/retire pair drives a
  *     per-engine occupancy timeline;
- *   - Mesh counts busy cycles per directed link (enableLinkProfiling),
- *     harvested at finalize into a 2D heatmap.
+ *   - Mesh counts busy cycles per directed link (enableLinkProfiling,
+ *     turned on at attach), harvested at finish into a 2D heatmap.
  *
  * Everything is passive — counters and shadow tag state only, never an
  * event-queue interaction — so a profiled run is cycle-identical to an
@@ -40,6 +40,7 @@
 #include <vector>
 
 #include "prof/miss_classifier.hh"
+#include "sim/observer.hh"
 #include "sim/record.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -47,19 +48,7 @@
 namespace tako::prof
 {
 
-/** Geometry the Profiler needs up front (from SystemConfig). */
-struct ProfilerConfig
-{
-    unsigned tiles = 1;
-    std::uint64_t l1Lines = 1;    ///< per core L1d
-    std::uint64_t engL1Lines = 1; ///< per engine L1d
-    std::uint64_t l2Lines = 1;    ///< per private L2
-    std::uint64_t l3Lines = 1;    ///< whole shared L3 (all banks)
-    unsigned meshX = 1;
-    unsigned meshY = 1;
-};
-
-class Profiler
+class Profiler : public Observer
 {
   public:
     static constexpr unsigned kKinds = 3;
@@ -71,25 +60,23 @@ class Profiler
         recordBit(RecordKind::L3Lookup) | recordBit(RecordKind::CbEnqueue) |
         recordBit(RecordKind::CbRetire);
 
-    explicit Profiler(const ProfilerConfig &cfg);
+    /** Size the shadow stacks from @p sys's tiles, cache capacities and
+     *  mesh, and turn on its mesh's link counters. */
+    void attach(System &sys) override;
+
+    std::uint32_t recordKinds() const override { return kRecordKinds; }
 
     /** Consume one released record (kinds outside kRecordKinds are
      *  ignored). */
-    void record(const Record &r);
-
-    // --- finalize inputs (System::run epilogue) ----------------------
-    void setNocLinks(std::vector<std::uint64_t> busyCycles,
-                     std::vector<std::uint64_t> messages);
-    /** Whole-mesh totals (noc.messages / noc.localMessages), so the
-     *  profile's per-link counts can be reconciled against them. */
-    void setNocTotals(std::uint64_t messages, std::uint64_t localMessages);
+    void record(const Record &r) override;
 
     /**
-     * Close occupancy intervals at @p end and inject the prof.* scalar
-     * counters into @p stats. Idempotent: only the first call counts
-     * (run()/runFor() both finalize; a second run would double-count).
+     * Harvest @p sys's NoC link counters, close occupancy intervals at
+     * @p end and inject the prof.* scalar counters into its stats.
+     * Idempotent: only the first call counts (a second run would
+     * double-count).
      */
-    void finalize(Tick end, StatsRegistry &stats);
+    void finish(System &sys, Tick end) override;
     bool finalized() const { return finalized_; }
 
     // --- output ------------------------------------------------------
@@ -156,14 +143,17 @@ class Profiler
      *  stops growing (droppedTransitions counts the rest). */
     static constexpr std::size_t kTimelineCap = 4096;
 
+    /** finish() past the NoC harvest: the stats half. */
+    void finalize(Tick end, StatsRegistry &stats);
     void occDelta(int tile, Tick now, int delta);
     void writeMissClass(std::ostream &os, const MissClassifier &mc) const;
     std::vector<std::string> foldedLines() const;
 
-    ProfilerConfig cfg_;
-    MissClassifier l1_;
-    MissClassifier l2_;
-    MissClassifier l3_;
+    unsigned meshX_ = 0;
+    unsigned meshY_ = 0;
+    MissClassifier l1_{"l1"};
+    MissClassifier l2_{"l2"};
+    MissClassifier l3_{"l3"};
     std::vector<unsigned> l1StackCore_; ///< per-tile stack ids
     std::vector<unsigned> l1StackEng_;
     std::vector<unsigned> l2Stack_;

@@ -291,24 +291,17 @@ class EventQueue
      * Observer invoked when simulated time is about to advance to or past
      * @p watermark, with the tick being advanced to (events at that tick
      * have not yet run). The hook returns the next tick it wants to see;
-     * the queue stays silent until time crosses it. Used by the stats
-     * sampler to snapshot counters at fixed intervals without injecting
-     * events that would keep the queue from draining. Costs one integer
-     * compare per event when unset (or between watermarks) — never a
-     * std::function touch.
+     * the queue stays silent until time crosses it. A System's observer
+     * list rides it (observer.hh) to sample counters at fixed intervals
+     * without injecting events that would keep the queue from draining.
+     * Costs one integer compare per event when unset (or between
+     * watermarks) — never a std::function touch. A null hook clears it.
      */
     void
     setAdvanceHook(std::function<Tick(Tick)> hook, Tick watermark)
     {
         advanceHook_ = std::move(hook);
         hookWatermark_ = advanceHook_ ? watermark : kNoWatermark;
-    }
-
-    void
-    clearAdvanceHook()
-    {
-        advanceHook_ = nullptr;
-        hookWatermark_ = kNoWatermark;
     }
 
     /**

@@ -8,8 +8,9 @@
  * (tick, key) from ExecCtx. ShardedExecutor releases records once no
  * domain can still emit below them (each barrier, solo rounds past
  * kSoloCap, run end), in (tick, key) order and stable within an event,
- * so every consumer — Chrome spans, takoprof, trace recording — sees
- * the same stream at every shard count while the buffers stay bounded.
+ * so every consumer — the record observers (observer.hh) and the
+ * accessTracer — sees the same stream at every shard count while the
+ * buffers stay bounded.
  * With nothing subscribed a site costs one branch (Recorder::on).
  * DESIGN.md §4.5 has the argument.
  */

@@ -9,9 +9,9 @@
  * organized as pid/tid pairs: pid 0 = per-tile memory transactions,
  * pid 1 = per-tile engines, pid 2 = memory controllers.
  *
- * A writer is one consumer of the observation records (record.hh): a
- * System given one in SystemConfig::spanWriter subscribes it to the
- * record kinds its category mask selects, so spans arrive in the
+ * A writer is one observer (observer.hh) of the observation records
+ * (record.hh): a System with one on its observer list subscribes it to
+ * the record kinds its category mask selects, so spans arrive in the
  * executor's (tick, key) order at every shard count.
  */
 
@@ -23,6 +23,7 @@
 #include <set>
 #include <string>
 
+#include "sim/observer.hh"
 #include "sim/record.hh"
 #include "sim/types.hh"
 
@@ -46,7 +47,7 @@ enum SpanCategory : std::uint32_t
 bool parseSpanMask(const std::string &spec, std::uint32_t &mask,
                    std::string &bad);
 
-class ChromeTraceWriter
+class ChromeTraceWriter : public Observer
 {
   public:
     /** Starts the JSON array; @p os must outlive the writer. @p mask
@@ -55,17 +56,14 @@ class ChromeTraceWriter
                                std::uint32_t mask = kAllSpans);
 
     /** Closes the array (idempotent; also runs at destruction). */
-    ~ChromeTraceWriter();
-
-    ChromeTraceWriter(const ChromeTraceWriter &) = delete;
-    ChromeTraceWriter &operator=(const ChromeTraceWriter &) = delete;
+    ~ChromeTraceWriter() override;
 
     /** Record kinds this writer turns into spans under its mask. */
-    std::uint32_t recordKinds() const { return kinds_; }
+    std::uint32_t recordKinds() const override { return kinds_; }
 
     /** Emit the span for one released record (kinds outside the mask
      *  are ignored). */
-    void record(const Record &r);
+    void record(const Record &r) override;
 
     /**
      * One complete-span event: [ts, ts+dur) on track (pid, tid).

@@ -5,8 +5,6 @@
 #include <fstream>
 #include <string>
 
-#include "sim/tracesink.hh"
-
 namespace tako
 {
 
@@ -85,10 +83,6 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
                                                config_.engine, *mem_, dom_,
                                                eq_, stats_, *energy_);
     mem_->setCallbackSink(engines_.get());
-    if (trace::ChromeTraceWriter *w = config_.spanWriter) {
-        recorder_.subscribe(w->recordKinds(),
-                            [w](const Record &r) { w->record(r); });
-    }
     if (config_.accessTracer) {
         recorder_.subscribe(
             recordBit(RecordKind::DemandIssue), [this](const Record &r) {
@@ -103,27 +97,6 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
             });
     }
 
-    if (config_.profile) {
-        prof::ProfilerConfig pc;
-        pc.tiles = config_.mem.tiles;
-        pc.l1Lines = config_.mem.l1Size / lineBytes;
-        pc.engL1Lines = config_.mem.engL1Size / lineBytes;
-        pc.l2Lines = config_.mem.l2Size / lineBytes;
-        // The L3 is one shared cache banked across tiles: reuse
-        // distances classify against the aggregate capacity.
-        pc.l3Lines =
-            std::uint64_t(config_.mem.tiles) *
-            (config_.mem.l3BankSize / lineBytes);
-        pc.meshX = config_.mesh.dimX;
-        pc.meshY = config_.mesh.dimY;
-        prof_ = std::make_shared<prof::Profiler>(pc);
-        noc_->enableLinkProfiling();
-        recorder_.subscribe(prof::Profiler::kRecordKinds,
-                            [p = prof_.get()](const Record &r) {
-                                p->record(r);
-                            });
-    }
-
     cores_.reserve(config_.mem.tiles);
     for (unsigned c = 0; c < config_.mem.tiles; ++c) {
         cores_.push_back(std::make_unique<Core>(
@@ -136,22 +109,16 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
     });
 
     // Last: every component above has registered its counters, so an
-    // empty pattern list ("sample everything") sees all of them. The
-    // post-run namespaces (host.*, shard.*) are not registered yet and
-    // so can never enter the sampled series.
-    if (config_.sampleInterval > 0 || config_.progressEvery > 0) {
-        mon::TimeSeriesSink::Options mo;
-        mo.sampleEvery = config_.sampleInterval;
-        mo.patterns = config_.samplePatterns;
-        mo.monPath = config_.monPath;
-        mo.progressEvery = config_.progressEvery;
-        mo.onBeat = config_.onBeat;
-        monitor_ = std::make_unique<mon::TimeSeriesSink>(
-            dom_.queues(), stats_, std::move(mo));
-    } else {
-        fatal_if(!config_.monPath.empty(),
-                 "a takomon output file needs a sampling interval");
+    // observer that fixes its stat set at attach (takomon's sampled
+    // series) sees all of them, and none of the post-run namespaces
+    // (host.*, shard.*), which are not registered yet.
+    for (Observer *o : config_.observers) {
+        o->attach(*this);
+        if (const std::uint32_t kinds = o->recordKinds())
+            recorder_.subscribe(kinds,
+                                [o](const Record &r) { o->record(r); });
     }
+    installWatermarks(config_.observers, dom_.queues());
 }
 
 void
@@ -190,13 +157,6 @@ System::postRunChecks() const
     panic_if(mem_->inflight() != 0,
              "event queue drained with %u memory transactions in flight",
              mem_->inflight());
-}
-
-void
-System::finishMonitor()
-{
-    fatal_if(monitor_ && !monitor_->finish(), "%s",
-             monitor_->error().c_str());
 }
 
 void
@@ -327,18 +287,6 @@ System::stampHostStats(
         .set(peakRssMb());
 }
 
-void
-System::finalizeProfiler(Tick end)
-{
-    if (!prof_ || prof_->finalized())
-        return;
-    prof_->setNocLinks(noc_->linkBusyCycles(), noc_->linkMessages());
-    prof_->setNocTotals(
-        static_cast<std::uint64_t>(stats_.get("noc.messages")),
-        static_cast<std::uint64_t>(stats_.get("noc.localMessages")));
-    prof_->finalize(end, stats_);
-}
-
 Tick
 System::run()
 {
@@ -368,9 +316,17 @@ System::runDomains(Tick limit)
     exec.run(limit);
     dom_.setExecutor(nullptr);
 
-    // Merge order matters: the monitor's tail rows read live lane
-    // partials, so fold the stat lanes only after the series merge.
-    finishMonitor();
+    // The run ends at the globally-last event, wherever it executed (or
+    // at the cut, where every domain's clock stops).
+    Tick end = start;
+    for (EventQueue *q : dom_.queues()) {
+        q->setAdvanceHook(nullptr, 0);
+        end = std::max(end, q->now());
+    }
+    // Merge order matters: takomon's tail rows read live lane partials,
+    // so fold the stat lanes only after the observers finish.
+    for (Observer *o : config_.observers)
+        o->finish(*this, end);
     stats_.mergeLanes();
 
     stampShardStats(exec);
@@ -378,13 +334,6 @@ System::runDomains(Tick limit)
     // A bounded run stops mid-flight by design (crash injection).
     if (limit == ShardedExecutor::kNoLimit)
         postRunChecks();
-
-    // The run ends at the globally-last event, wherever it executed (or
-    // at the cut, where every domain's clock stops).
-    Tick end = start;
-    for (const EventQueue *q : dom_.queues())
-        end = std::max(end, q->now());
-    finalizeProfiler(end);
     return end - start;
 }
 

@@ -16,11 +16,10 @@
 #include "core/core.hh"
 #include "energy/energy.hh"
 #include "mem/memory_system.hh"
-#include "mon/sink.hh"
 #include "noc/mesh.hh"
-#include "prof/profiler.hh"
 #include "sim/domains.hh"
 #include "sim/event_queue.hh"
+#include "sim/observer.hh"
 #include "sim/random.hh"
 #include "sim/record.hh"
 #include "sim/shard.hh"
@@ -31,11 +30,6 @@
 namespace tako
 {
 
-namespace trace
-{
-class ChromeTraceWriter;
-} // namespace trace
-
 struct SystemConfig
 {
     MemParams mem;
@@ -45,40 +39,16 @@ struct SystemConfig
     EnergyParams energy;
     std::uint64_t seed = 1;
 
-    /** takoprof: build a Profiler fed by the observation records, plus
-     *  set heat and NoC link counters. Purely observational — enabling
-     *  it changes no simulated timing or stat (the determinism test
-     *  holds it to that). */
-    bool profile = false;
+    /** Observers of the run (borrowed; each must outlive the System):
+     *  record consumers, watermark observers, or both (sim/observer.hh).
+     *  Observational only: none changes a simulated timing or stat. */
+    std::vector<Observer *> observers;
 
     /** takotrace recording: invoked for every core demand access issue
      *  (prefetches, engine traffic, and täkō callbacks excluded), in
      *  (tick, key) order. Observational only: installing it changes no
      *  simulated timing or stat. */
     std::function<void(Tick, const AccessReq &)> accessTracer;
-
-    /** Chrome trace-event output: the writer (borrowed; it must outlive
-     *  the run) receives the spans its category mask selects, in
-     *  (tick, key) order. Observational only. */
-    trace::ChromeTraceWriter *spanWriter = nullptr;
-
-    /** Periodic counter sampling: snapshot every @c sampleInterval
-     *  cycles into StatsRegistry::timeSeries() (0 disables). Patterns
-     *  select which counters (wildcards allowed; empty = all). */
-    Tick sampleInterval = 0;
-    std::vector<std::string> samplePatterns;
-
-    /** takomon-v1 binary telemetry output path (empty disables).
-     *  Requires sampleInterval > 0; the file holds the same rows as the
-     *  in-memory time series and is bit-identical across host thread
-     *  counts and shard counts (CI gates on it). */
-    std::string monPath;
-
-    /** Progress heartbeat cadence in cycles (0 disables). Beats fire at
-     *  deterministic sim ticks but carry host-side throughput; they go
-     *  to @c onBeat (or one stderr line each), never into stats. */
-    Tick progressEvery = 0;
-    std::function<void(const mon::ProgressBeat &)> onBeat;
 
     /**
      * Shard the run across a ShardPlan partition of this many column
@@ -136,14 +106,16 @@ class System
 
     double totalEnergy() const { return energy_->total(); }
 
-    /** Null unless config.profile; finalized when run()/runFor() returns. */
-    prof::Profiler *profiler() { return prof_.get(); }
-    std::shared_ptr<prof::Profiler> profilerShared() const { return prof_; }
-
-    /** The takomon sink (null unless sampling or progress beats are
-     *  configured). Callers may install a done-fraction provider for
-     *  heartbeat ETAs (see mon::TimeSeriesSink::setFractionDone). */
-    mon::TimeSeriesSink *monitor() { return monitor_.get(); }
+    /** Work done, as a fraction, for progress reports (< 0: unknown);
+     *  a frontend that knows its total work provides it. */
+    void setFractionDone(std::function<double()> fn)
+    {
+        fractionDone_ = std::move(fn);
+    }
+    double fractionDone() const
+    {
+        return fractionDone_ ? fractionDone_() : -1.0;
+    }
 
   private:
     /** The one body of run() and runFor(): every shard domain (one when
@@ -165,10 +137,6 @@ class System
     /** Post-run deadlock/leak checks for runs that drain. */
     void postRunChecks() const;
 
-    /** Harvest NoC counters into the profiler and finalize it
-     *  at @p end, the run's globally-last tick. */
-    void finalizeProfiler(Tick end);
-
     /** Set the host.* wall-clock, throughput and memory gauges after a
      *  run. */
     void stampHostStats(std::chrono::steady_clock::time_point host_start);
@@ -181,9 +149,6 @@ class System
      * diffs them across host thread counts.
      */
     void stampShardStats(const ShardedExecutor &exec);
-
-    /** Close the takomon file (if any); write errors are fatal. */
-    void finishMonitor();
 
     SystemConfig config_;
     EventQueue eq_;
@@ -203,10 +168,9 @@ class System
     std::unique_ptr<MemorySystem> mem_;
     std::unique_ptr<MorphRegistry> registry_;
     std::unique_ptr<EngineCluster> engines_;
-    std::shared_ptr<prof::Profiler> prof_;
     std::vector<std::unique_ptr<Core>> cores_;
-    std::unique_ptr<mon::TimeSeriesSink> monitor_;
     std::vector<std::pair<int, std::function<Task<>(Guest &)>>> pending_;
+    std::function<double()> fractionDone_;
     double hostSeconds_ = 0.0;
 };
 

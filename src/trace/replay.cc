@@ -215,23 +215,6 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
         return res;
     }
 
-    // Optional re-record of the replayed stream (normalized form).
-    TraceWriter recorder;
-    if (!cfg.recordPath.empty()) {
-        TraceWriter::Options wopt;
-        wopt.timestamps = true;
-        if (!recorder.open(cfg.recordPath, wopt)) {
-            res.error = recorder.error();
-            return res;
-        }
-        TraceWriter *w = &recorder;
-        sys_cfg.accessTracer = [w](Tick now, const AccessReq &req) {
-            w->append({req.addr, 8, opOfReq(req),
-                       static_cast<std::uint32_t>(req.tile),
-                       static_cast<std::uint64_t>(now)});
-        };
-    }
-
     System sys(sys_cfg);
     ReplayStats stats(sys.stats());
     // The replay frontend knows its total work up front (decoded
@@ -241,17 +224,15 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
     // fraction covers domain 0 only: its lane of the records counter
     // against the records of the cores it owns. Observability only;
     // nothing feeds back into the run.
-    if (sys.monitor()) {
-        std::size_t owned = 0;
-        for (unsigned c = 0; c < cores; ++c)
-            if (sys.domains().domainOf(static_cast<int>(c)) == 0)
-                owned += perCore[c].size();
-        Counter *done = stats.records;
-        const double total = static_cast<double>(owned);
-        sys.monitor()->setFractionDone([done, total] {
-            return total > 0 ? done->laneValue(0) / total : -1.0;
-        });
-    }
+    std::size_t owned = 0;
+    for (unsigned c = 0; c < cores; ++c)
+        if (sys.domains().domainOf(static_cast<int>(c)) == 0)
+            owned += perCore[c].size();
+    Counter *done = stats.records;
+    const double total = static_cast<double>(owned);
+    sys.setFractionDone([done, total] {
+        return total > 0 ? done->laneValue(0) / total : -1.0;
+    });
     for (unsigned c = 0; c < cores; ++c) {
         if (perCore[c].empty())
             continue;
@@ -267,15 +248,18 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
         static_cast<double>(res.records);
     res.metrics.extra["trace.tenants"] =
         static_cast<double>(res.tenantsSeen);
-
-    if (!cfg.recordPath.empty()) {
-        if (!recorder.close()) {
-            res.error = recorder.error();
-            return res;
-        }
-    }
     res.ok = true;
     return res;
+}
+
+std::function<void(Tick, const AccessReq &)>
+recordAccesses(TraceWriter &w)
+{
+    return [&w](Tick now, const AccessReq &req) {
+        w.append({req.addr, 8, opOfReq(req),
+                  static_cast<std::uint32_t>(req.tile),
+                  static_cast<std::uint64_t>(now)});
+    };
 }
 
 } // namespace tako::trace

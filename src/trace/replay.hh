@@ -15,6 +15,7 @@
 #ifndef TAKO_TRACE_REPLAY_HH
 #define TAKO_TRACE_REPLAY_HH
 
+#include <functional>
 #include <string>
 
 #include "workloads/common.hh"
@@ -25,14 +26,6 @@ namespace tako::trace
 struct TraceReplayConfig
 {
     std::string path;       ///< takotrace-v1 file to replay
-    /**
-     * Optional: re-record the replayed stream into a fresh takotrace
-     * file. The recorded trace is the *normalized* form of the input —
-     * word-granular accesses tagged tenant = issuing core, timestamped
-     * with the simulated tick — so ingest-text -> replay -> record
-     * yields a compact binary equivalent.
-     */
-    std::string recordPath;
     std::string label = "trace";
     unsigned batch = 8;     ///< multi-op batch bound (issue-window MLP)
     /** Non-memory work charged per record (compute between accesses). */
@@ -51,6 +44,18 @@ struct TraceReplayResult
 /** Replay @p cfg.path on a system built from @p sys_cfg. */
 TraceReplayResult runTraceReplay(const TraceReplayConfig &cfg,
                                  SystemConfig sys_cfg);
+
+class TraceWriter;
+
+/**
+ * A SystemConfig::accessTracer that records any workload's core demand
+ * accesses into @p w (open, with timestamps, and outliving the run) in
+ * the *normalized* takotrace form: word-granular accesses tagged
+ * tenant = issuing core, timestamped with the simulated tick. Replaying
+ * a trace while recording it therefore yields its compact normalized
+ * equivalent (ingest-text -> replay -> record).
+ */
+std::function<void(Tick, const AccessReq &)> recordAccesses(TraceWriter &w);
 
 } // namespace tako::trace
 

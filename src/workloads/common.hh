@@ -139,11 +139,6 @@ struct RunMetrics
      *  copied around freely by the figure drivers. */
     std::shared_ptr<StatsRegistry> stats;
 
-    /** takoprof profiler from the run's System; null unless the run was
-     *  profiled. Already finalized (System::run does that), so it can
-     *  outlive the System and be serialized at leisure. */
-    std::shared_ptr<prof::Profiler> prof;
-
     double
     speedupOver(const RunMetrics &base) const
     {
@@ -173,7 +168,6 @@ collectMetrics(System &sys, std::string label, Tick cycles)
     m.dramReads = sys.mem().dramReads();
     m.dramWrites = sys.mem().dramWrites();
     m.stats = std::make_shared<StatsRegistry>(sys.stats());
-    m.prof = sys.profilerShared();
     // Surface kernel throughput in bench tables / Reporter metrics
     // ("<label>.host.events_per_sec"). Host-side only — never gated.
     if (double eps = sys.stats().get("host.events_per_sec"); eps > 0) {

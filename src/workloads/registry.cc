@@ -113,7 +113,6 @@ runTraceEntry(const WorkloadRequest &req, SystemConfig sys,
 {
     trace::TraceReplayConfig cfg;
     cfg.path = req.tracePath;
-    cfg.recordPath = req.traceRecordPath;
     trace::TraceReplayResult res = trace::runTraceReplay(cfg, sys);
     if (!res.ok) {
         err = res.error;

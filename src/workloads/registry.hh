@@ -28,8 +28,7 @@ struct WorkloadRequest
     unsigned cores = 16;
     std::uint64_t vertices = 1 << 14; ///< phi / hats graph size
     std::uint64_t txBytes = 16 * 1024; ///< nvm transaction size
-    std::string tracePath;       ///< "trace" workload: file to replay
-    std::string traceRecordPath; ///< "trace" workload: re-record output
+    std::string tracePath; ///< "trace" workload: file to replay
 };
 
 struct WorkloadEntry

@@ -24,6 +24,7 @@
 #include "expt/report.hh"
 #include "expt/runner.hh"
 #include "expt/spec.hh"
+#include "trace/reader.hh"
 
 using namespace tako::expt;
 
@@ -570,9 +571,9 @@ TEST(ExptRunner, ParallelismPreservesOrderAndResults)
 
 // -------------------------------------- end-to-end with real binaries
 
-/** build/tests/<this binary> -> build/tools/takosim, if built. */
+/** build/tests/<this binary> -> build/tools/<name>, if built. */
 std::string
-siblingTakosim()
+siblingTool(const std::string &name)
 {
     char buf[PATH_MAX];
     const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
@@ -582,13 +583,13 @@ siblingTakosim()
     std::string dir(buf);
     const auto slash = dir.rfind('/');
     dir = slash == std::string::npos ? "." : dir.substr(0, slash);
-    const std::string candidate = dir + "/../tools/takosim";
+    const std::string candidate = dir + "/../tools/" + name;
     return ::access(candidate.c_str(), X_OK) == 0 ? candidate : "";
 }
 
 TEST(ExptEndToEnd, SameSpecSameSeedIdenticalMetricsAcrossJobLevels)
 {
-    const std::string takosim = siblingTakosim();
+    const std::string takosim = siblingTool("takosim");
     if (takosim.empty())
         GTEST_SKIP() << "takosim binary not found next to tests";
 
@@ -644,7 +645,7 @@ TEST(ExptEndToEnd, SameSpecSameSeedIdenticalMetricsAcrossJobLevels)
 
 TEST(TakosimCli, MalformedArgvExitsWithoutSignal)
 {
-    const std::string takosim = siblingTakosim();
+    const std::string takosim = siblingTool("takosim");
     if (takosim.empty())
         GTEST_SKIP() << "takosim binary not found next to tests";
 
@@ -658,6 +659,8 @@ TEST(TakosimCli, MalformedArgvExitsWithoutSignal)
     };
     const std::vector<Case> cases = {
         {"--cores=0", 2},
+        {"--shards=0", 2},
+        {"--replicate=0", 2},
         {"--cores=abc", 2},
         {"--cores=", 2},
         {"--cores=4x", 2},
@@ -692,9 +695,142 @@ TEST(TakosimCli, MalformedArgvExitsWithoutSignal)
     }
 }
 
+/** Run @p tool once per argv case (each appended to @p base) and
+ *  expect every one to exit with @p code, never a signal. */
+void
+expectEachExits(const std::string &tool, const std::vector<std::string> &base,
+                const std::vector<std::string> &cases, int code)
+{
+    const std::string scratch = makeScratch();
+    std::vector<RunCommand> cmds;
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        RunCommand cmd;
+        cmd.name = "argv" + std::to_string(i);
+        cmd.logPath = scratch + "/" + cmd.name + ".log";
+        cmd.timeoutSec = 60;
+        cmd.argv = {tool};
+        cmd.argv.insert(cmd.argv.end(), base.begin(), base.end());
+        cmd.argv.push_back(cases[i]);
+        cmds.push_back(cmd);
+    }
+    const std::vector<RunOutcome> out = runAll(cmds, 4);
+    ASSERT_EQ(out.size(), cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        EXPECT_EQ(out[i].status, RunStatus::Failed) << cases[i];
+        EXPECT_EQ(out[i].exitCode, code) << cases[i];
+    }
+}
+
+TEST(TakotracegenCli, MalformedNumbersAreUsageErrors)
+{
+    const std::string tool = siblingTool("takotracegen");
+    if (tool.empty())
+        GTEST_SKIP() << "takotracegen binary not found next to tests";
+    // Each value is only partly a number, out of range, or not a
+    // number at all; every one fails while parsing argv.
+    const std::string out = makeScratch() + "/argv.takotrace";
+    expectEachExits(tool, {"--kind=kv", "--records=64", "--out=" + out},
+                    {"--records=1e5", "--tenants=4294967297", "--seed=x",
+                     "--theta=0.5x", "--records=", "--store-frac=",
+                     "--leaf-frac=nan", "--chunk-records=-1",
+                     "--limit=9x"},
+                    2);
+}
+
+TEST(TakobenchCli, MalformedNumbersAreUsageErrors)
+{
+    const std::string tool = siblingTool("takobench");
+    if (tool.empty())
+        GTEST_SKIP() << "takobench binary not found next to tests";
+    // A valid spec under --list: a number that parsed would list the
+    // suite and exit 0, and none of these cases can launch a run.
+    const std::string spec = makeScratch() + "/spec.json";
+    writeFile(spec,
+              R"({"suite": "s", "runs": [{"name": "r", "bench": "b"}]})");
+    expectEachExits(tool, {spec, "--list"},
+                    {"-jabc", "-j4x", "-j-1", "--progress=abc",
+                     "--progress=-5"},
+                    2);
+}
+
+TEST(TakosimCli, BadOutputPathExitsOneBeforeTheRun)
+{
+    const std::string takosim = siblingTool("takosim");
+    if (takosim.empty())
+        GTEST_SKIP() << "takosim binary not found next to tests";
+    // Every output file opens before the simulation: a path inside a
+    // missing directory exits 1 without simulating anything.
+    const std::string scratch = makeScratch();
+    std::vector<RunCommand> cmds;
+    for (const char *flag : {"--stats-json", "--profile", "--folded",
+                             "--trace-out", "--trace-record"}) {
+        RunCommand cmd;
+        cmd.name = flag + 2;
+        cmd.logPath = scratch + "/" + cmd.name + ".log";
+        cmd.timeoutSec = 60;
+        cmd.argv = {takosim, "--workload=decompress", "--variant=tako",
+                    std::string(flag) + "=" + scratch + "/missing/out"};
+        cmds.push_back(cmd);
+    }
+    const std::vector<RunOutcome> out = runAll(cmds, 4);
+    ASSERT_EQ(out.size(), cmds.size());
+    for (std::size_t i = 0; i < cmds.size(); ++i) {
+        EXPECT_EQ(out[i].status, RunStatus::Failed) << cmds[i].name;
+        EXPECT_EQ(out[i].exitCode, 1) << cmds[i].name;
+        std::ifstream log(cmds[i].logPath);
+        const std::string text(std::istreambuf_iterator<char>(log), {});
+        EXPECT_NE(text.find("cannot open"), std::string::npos)
+            << cmds[i].name << ": " << text;
+        EXPECT_EQ(text.find("cycles"), std::string::npos)
+            << cmds[i].name << " ran: " << text;
+    }
+}
+
+TEST(TakosimCli, TraceRecordWorksOnEveryWorkload)
+{
+    const std::string takosim = siblingTool("takosim");
+    if (takosim.empty())
+        GTEST_SKIP() << "takosim binary not found next to tests";
+    // --trace-record records any workload's demand stream, not only a
+    // trace replay's, into the same bytes at every shard count.
+    const std::string scratch = makeScratch();
+    std::vector<RunCommand> cmds;
+    for (const char *shards : {"1", "4"}) {
+        RunCommand cmd;
+        cmd.name = std::string("phi_s") + shards;
+        cmd.logPath = scratch + "/" + cmd.name + ".log";
+        cmd.timeoutSec = 120;
+        cmd.argv = {takosim,
+                    "--workload=phi",
+                    "--variant=tako",
+                    "--vertices=2048",
+                    std::string("--shards=") + shards,
+                    "--trace-record=" + scratch + "/" + cmd.name +
+                        ".takotrace"};
+        cmds.push_back(cmd);
+    }
+    const std::vector<RunOutcome> out = runAll(cmds, 2);
+    ASSERT_EQ(out.size(), 2u);
+    for (const RunOutcome &o : out)
+        ASSERT_EQ(o.status, RunStatus::Ok)
+            << o.name << ": exit " << o.exitCode;
+
+    auto bytes = [&](const std::string &name) {
+        std::ifstream in(scratch + "/" + name + ".takotrace",
+                         std::ios::binary);
+        return std::string(std::istreambuf_iterator<char>(in), {});
+    };
+    EXPECT_TRUE(bytes("phi_s1") == bytes("phi_s4"));
+    tako::trace::TraceReader reader;
+    ASSERT_TRUE(reader.open(scratch + "/phi_s1.takotrace"))
+        << reader.error();
+    EXPECT_TRUE(reader.hasTimestamps());
+    EXPECT_GT(reader.recordCount(), 0u);
+}
+
 TEST(TakosimCli, StampsBuildType)
 {
-    const std::string takosim = siblingTakosim();
+    const std::string takosim = siblingTool("takosim");
     if (takosim.empty())
         GTEST_SKIP() << "takosim binary not found next to tests";
 
@@ -740,7 +876,7 @@ TEST(TakosimCli, StampsBuildType)
 
 TEST(TakosimCli, ReplicateObserversWatchReplicaZero)
 {
-    const std::string takosim = siblingTakosim();
+    const std::string takosim = siblingTool("takosim");
     if (takosim.empty())
         GTEST_SKIP() << "takosim binary not found next to tests";
 

@@ -3,14 +3,16 @@
  * takomon tests: writer/reader codec round-trips, loud failure on every
  * corruption class, TimeSeriesSink sampling and heartbeat determinism,
  * and the System-level contracts — telemetry cannot perturb the model,
- * takomon files are byte-identical across shard counts, and the shard.*
- * observability counters are bit-identical at any worker thread count.
+ * takomon files are byte-identical across shard counts, the shard.*
+ * observability counters are bit-identical at any worker thread count,
+ * and a third observer shares the observer list with takomon's two.
  *
  * Labeled `sanfast`: the reader mmaps files and the sharded profile
  * counters are written from real worker threads, so ASan/TSan coverage
  * is the point.
  */
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <cstdio>
@@ -18,6 +20,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -363,10 +366,9 @@ TEST(TimeSeriesSink, TakomonFileMatchesInMemorySeries)
     Histogram &h = stats.histogram("lat");
     stats.counter("host.fake"); // must be skipped by namespace
 
-    TimeSeriesSink::Options opt;
-    opt.sampleEvery = 10;
-    opt.monPath = f.path();
-    TimeSeriesSink sink({&eq}, stats, opt);
+    TimeSeriesSink sink({.sampleEvery = 10, .path = f.path()});
+    sink.attach({&eq}, stats);
+    installWatermarks({&sink}, {&eq});
 
     eq.schedule(7, [&] {
         c += 1;
@@ -411,34 +413,37 @@ TEST(TimeSeriesSink, TakomonFileMatchesInMemorySeries)
     EXPECT_EQ(ts.samples[2], (std::vector<double>{3, 2, 12, 9}));
 }
 
-TEST(TimeSeriesSink, HeartbeatsFireAtDeterministicTicks)
+TEST(Heartbeat, FiresAtDeterministicTicks)
 {
-    EventQueue eq;
-    StatsRegistry stats;
-    Counter &c = stats.counter("c");
+    // Beats ride domain 0's clock on a System's observer list; a
+    // frontend that knows its work fraction provides it to the System.
+    for (const bool provided : {false, true}) {
+        std::vector<Tick> beatTicks;
+        std::vector<std::uint64_t> beatEvents;
+        Heartbeat beat(10, [&](const ProgressBeat &b) {
+            beatTicks.push_back(b.tick);
+            beatEvents.push_back(b.events);
+            if (provided)
+                EXPECT_EQ(b.fractionDone, 0.25);
+            else
+                EXPECT_LT(b.fractionDone, 0); // unknown unless provided
+        });
+        SystemConfig cfg = SystemConfig::forCores(4);
+        cfg.observers = {&beat};
+        System sys(cfg);
+        if (provided)
+            sys.setFractionDone([] { return 0.25; });
+        for (Tick t = 1; t <= 34; ++t)
+            sys.eq().schedule(t, [] {});
+        sys.run();
 
-    std::vector<Tick> beatTicks;
-    std::vector<std::uint64_t> beatEvents;
-    TimeSeriesSink::Options opt;
-    opt.progressEvery = 10;
-    opt.onBeat = [&](const ProgressBeat &b) {
-        beatTicks.push_back(b.tick);
-        beatEvents.push_back(b.events);
-        EXPECT_LT(b.fractionDone, 0); // unknown unless provided
-    };
-    TimeSeriesSink sink({&eq}, stats, opt);
-    sink.setFractionDone(nullptr);
-
-    for (Tick t = 1; t <= 34; ++t)
-        eq.schedule(t, [&] { c += 1; });
-    eq.run();
-
-    // Beat ticks are simulation state; event counts at those ticks are
-    // too (events strictly before the boundary).
-    EXPECT_EQ(beatTicks, (std::vector<Tick>{10, 20, 30}));
-    EXPECT_EQ(beatEvents,
-              (std::vector<std::uint64_t>{9, 19, 29}));
-    EXPECT_EQ(sink.samplesTaken(), 0u); // no series cadence requested
+        // Beat ticks are simulation state; event counts at those ticks
+        // are too (events strictly before the boundary).
+        EXPECT_EQ(beatTicks, (std::vector<Tick>{10, 20, 30}));
+        EXPECT_EQ(beatEvents, (std::vector<std::uint64_t>{9, 19, 29}));
+        // Beats never enter the sampled series.
+        EXPECT_FALSE(sys.stats().timeSeries().enabled());
+    }
 }
 
 // ---- shard.* profile determinism --------------------------------------
@@ -584,8 +589,10 @@ runDecompressMon(unsigned shards, const std::string &monPath,
     cfg.mem.l2Size = 8 * 1024;
     cfg.mem.l3BankSize = 32 * 1024;
     cfg.shards = shards;
-    cfg.sampleInterval = sampleEvery;
-    cfg.monPath = monPath;
+    std::optional<TimeSeriesSink> sink;
+    if (sampleEvery > 0)
+        cfg.observers = {&sink.emplace(
+            TimeSeriesSink::Options{sampleEvery, {}, monPath})};
     DecompressConfig dc;
     dc.numValues = 2 * 1024;
     dc.numIndices = 4 * 1024;
@@ -650,4 +657,152 @@ TEST(MonSystem, TakomonBytesIdenticalAcrossShardCounts)
     // construction; the checksum ties all three runs to one answer.
     EXPECT_EQ(s2.checksum, s1.checksum);
     EXPECT_EQ(s4.checksum, s1.checksum);
+}
+
+// ---- the observer list --------------------------------------------------
+
+namespace
+{
+
+/** A third observer beside takomon's two: it reads records and asks for
+ *  its own watermark period, logging per domain. */
+class FakeObserver : public Observer
+{
+  public:
+    static constexpr Tick kPeriod = 700;
+
+    struct Seen
+    {
+        Tick tick;
+        std::uint64_t key;
+        RecordKind kind;
+        Addr addr;
+        std::int32_t tile;
+        bool operator==(const Seen &) const = default;
+    };
+
+    void
+    attach(System &sys) override
+    {
+        lanes_ = std::vector<Lane>(sys.domains().queues().size());
+    }
+
+    std::uint32_t
+    recordKinds() const override
+    {
+        return recordBit(RecordKind::MemDone) |
+               recordBit(RecordKind::DramRead) |
+               recordBit(RecordKind::CbRetire);
+    }
+
+    void
+    record(const Record &r) override
+    {
+        records.push_back({r.tick, r.key, r.kind, r.addr, r.tile});
+    }
+
+    Tick watermark(unsigned d) const override { return lanes_[d].next; }
+
+    Tick
+    advance(unsigned d, Tick to) override
+    {
+        Lane &lane = lanes_[d];
+        EXPECT_GE(to, lane.next);
+        while (lane.next <= to) {
+            lane.boundaries.push_back(lane.next);
+            lane.next += kPeriod;
+        }
+        return lane.next;
+    }
+
+    void finish(System &, Tick) override { ++finishes; }
+
+    /** Every boundary some domain's clock crossed, in tick order. */
+    std::vector<Tick>
+    boundaries() const
+    {
+        std::vector<Tick> all;
+        for (const Lane &lane : lanes_)
+            all.insert(all.end(), lane.boundaries.begin(),
+                       lane.boundaries.end());
+        std::sort(all.begin(), all.end());
+        all.erase(std::unique(all.begin(), all.end()), all.end());
+        return all;
+    }
+
+    std::vector<Seen> records;
+    unsigned finishes = 0;
+
+  private:
+    /** One domain's state, touched only on its worker. */
+    struct alignas(64) Lane
+    {
+        Tick next = kPeriod;
+        std::vector<Tick> boundaries;
+    };
+    std::vector<Lane> lanes_;
+};
+
+} // namespace
+
+TEST(ObserverList, ThirdObserverSeesOneStreamAtEveryShardCount)
+{
+    // One list, three watermark observers at three periods (takomon
+    // sampling, heartbeats, and a fake) plus the fake's record kinds:
+    // the fake sees the same records and the same boundary ticks at
+    // every shard count, and takomon's rows do not move.
+    struct Result
+    {
+        std::vector<FakeObserver::Seen> records;
+        std::vector<Tick> boundaries;
+        std::vector<std::vector<double>> samples;
+        std::vector<Tick> beats;
+        Tick cycles = 0;
+    };
+    auto runAt = [](unsigned shards) {
+        Result r;
+        FakeObserver fake;
+        TimeSeriesSink sink({.sampleEvery = 500, .patterns = {"l1.*"}});
+        Heartbeat beat(300, [&r](const ProgressBeat &b) {
+            r.beats.push_back(b.tick);
+        });
+        SystemConfig cfg = SystemConfig::forCores(16);
+        cfg.mem.l1Size = 2 * 1024;
+        cfg.mem.l2Size = 8 * 1024;
+        cfg.mem.l3BankSize = 32 * 1024;
+        cfg.shards = shards;
+        cfg.observers = {&sink, &fake, &beat};
+        DecompressConfig dc;
+        dc.numValues = 2 * 1024;
+        dc.numIndices = 4 * 1024;
+        const RunMetrics m = runDecompress(DecompressVariant::Tako, dc, cfg);
+        EXPECT_EQ(fake.finishes, 1u);
+        r.records = std::move(fake.records);
+        r.boundaries = fake.boundaries();
+        r.samples = m.stats->timeSeries().samples;
+        r.cycles = m.cycles;
+        return r;
+    };
+    const Result one = runAt(1);
+    ASSERT_FALSE(one.records.empty());
+    ASSERT_FALSE(one.boundaries.empty());
+    ASSERT_FALSE(one.samples.empty());
+    ASSERT_FALSE(one.beats.empty());
+    // At one domain every boundary up to the last event is crossed.
+    EXPECT_EQ(one.boundaries.size(), one.cycles / FakeObserver::kPeriod);
+    for (std::size_t i = 0; i < one.boundaries.size(); ++i)
+        EXPECT_EQ(one.boundaries[i], (i + 1) * FakeObserver::kPeriod);
+    for (const unsigned shards : {3u, 4u}) {
+        const Result got = runAt(shards);
+        EXPECT_EQ(got.cycles, one.cycles) << "shards=" << shards;
+        EXPECT_TRUE(got.records == one.records) << "shards=" << shards;
+        EXPECT_EQ(got.boundaries, one.boundaries) << "shards=" << shards;
+        EXPECT_EQ(got.samples, one.samples) << "shards=" << shards;
+        // Beats ride domain 0's clock, which stops at its own last
+        // event, so a sharded run beats a prefix of the ticks.
+        ASSERT_LE(got.beats.size(), one.beats.size());
+        EXPECT_TRUE(std::equal(got.beats.begin(), got.beats.end(),
+                               one.beats.begin()))
+            << "shards=" << shards;
+    }
 }

@@ -11,6 +11,7 @@
 
 #include <cctype>
 #include <cstring>
+#include <memory>
 #include <sstream>
 
 #include "mon/sink.hh"
@@ -320,13 +321,17 @@ TEST(Trace, ParseSpecCoversAllDefinedFlags)
 namespace
 {
 
-mon::TimeSeriesSink::Options
-sampleEvery(Tick interval, std::vector<std::string> patterns = {})
+/** A sink sampling standalone queue @p eq (one domain) over @p stats,
+ *  riding the queue's advance hook. */
+std::unique_ptr<mon::TimeSeriesSink>
+sampleEvery(EventQueue &eq, StatsRegistry &stats, Tick interval,
+            std::vector<std::string> patterns = {})
 {
-    mon::TimeSeriesSink::Options opt;
-    opt.sampleEvery = interval;
-    opt.patterns = std::move(patterns);
-    return opt;
+    auto sink = std::make_unique<mon::TimeSeriesSink>(
+        mon::TimeSeriesSink::Options{interval, std::move(patterns)});
+    sink->attach({&eq}, stats);
+    installWatermarks({sink.get()}, {&eq});
+    return sink;
 }
 
 } // namespace
@@ -336,12 +341,12 @@ TEST(Sampler, SnapshotsAtIntervalBoundaries)
     EventQueue eq;
     StatsRegistry stats;
     Counter &c = stats.counter("c");
-    mon::TimeSeriesSink sampler({&eq}, stats, sampleEvery(10));
+    const auto sampler = sampleEvery(eq, stats, 10);
     eq.schedule(7, [&]() { c += 1; });
     eq.schedule(25, [&]() { c += 2; });
     eq.schedule(35, [&]() {});
     eq.run();
-    ASSERT_TRUE(sampler.finish());
+    ASSERT_TRUE(sampler->finish());
 
     const StatsTimeSeries &ts = stats.timeSeries();
     ASSERT_EQ(ts.numSamples(), 3u);
@@ -354,9 +359,9 @@ TEST(Sampler, RunUntilSamplesIdleTime)
     EventQueue eq;
     StatsRegistry stats;
     stats.counter("c");
-    mon::TimeSeriesSink sampler({&eq}, stats, sampleEvery(10));
+    const auto sampler = sampleEvery(eq, stats, 10);
     eq.runUntil(50);
-    ASSERT_TRUE(sampler.finish());
+    ASSERT_TRUE(sampler->finish());
     EXPECT_EQ(stats.timeSeries().numSamples(), 5u);
 }
 
@@ -367,7 +372,7 @@ TEST(Sampler, PatternSelectsCounters)
     stats.counter("l1.hits");
     stats.counter("l1.misses");
     stats.counter("dram.reads");
-    mon::TimeSeriesSink sampler({&eq}, stats, sampleEvery(10, {"l1.*"}));
+    const auto sampler = sampleEvery(eq, stats, 10, {"l1.*"});
     ASSERT_EQ(stats.timeSeries().names.size(), 2u);
     EXPECT_EQ(stats.timeSeries().names[0], "l1.hits");
     EXPECT_EQ(stats.timeSeries().names[1], "l1.misses");
@@ -529,7 +534,7 @@ TEST(TraceSink, SystemRunProducesSpans)
         cfg.mem.l2Size = 4 * 1024;
         cfg.mem.l3BankSize = 16 * 1024;
         cfg.shards = shards;
-        cfg.spanWriter = &w;
+        cfg.observers = {&w};
         System sys(cfg);
         EXPECT_EQ(sys.shardPlan().shards, shards);
         for (int tile : {0, 1, 2, 3, 6, 13}) {
@@ -580,14 +585,15 @@ TEST(RunMetrics, CarriesStatsSnapshot)
 }
 
 // -------------------------------------------------------------------
-// Sampler wired through SystemConfig.
+// Sampler wired through the SystemConfig observer list.
 // -------------------------------------------------------------------
 
 TEST(SystemSampling, ConfigDrivenTimeSeries)
 {
+    mon::TimeSeriesSink sink({.sampleEvery = 100,
+                              .patterns = {"l1.*", "dram.*"}});
     SystemConfig cfg = smallConfig();
-    cfg.sampleInterval = 100;
-    cfg.samplePatterns = {"l1.*", "dram.*"};
+    cfg.observers = {&sink};
     System sys(cfg);
     sys.addThread(0, [&](Guest &g) -> Task<> {
         for (Addr a = 0x40000; a < 0x44000; a += 64)

@@ -32,8 +32,9 @@ lineAddr(std::uint64_t n)
     return n * lineBytes;
 }
 
+/** A small system, profiled by @p profiler when one is given. */
 SystemConfig
-smallConfig(bool profile, unsigned cores = 4)
+smallConfig(prof::Profiler *profiler, unsigned cores = 4)
 {
     SystemConfig cfg = SystemConfig::forCores(cores);
     cfg.mem.l1Size = 1024;
@@ -41,7 +42,8 @@ smallConfig(bool profile, unsigned cores = 4)
     cfg.mem.l3BankSize = 16 * 1024;
     cfg.mem.prefetchEnable = false;
     cfg.mem.latBreakdown = true;
-    cfg.profile = profile;
+    if (profiler)
+        cfg.observers.push_back(profiler);
     return cfg;
 }
 
@@ -252,13 +254,12 @@ TEST(MissClassifier, ReuseHistogramGolden)
 
 TEST(Profiler, ClassifiedAccessesMatchCacheStats)
 {
-    System sys(smallConfig(true));
+    prof::Profiler p;
+    System sys(smallConfig(&p));
     FillMorph morph;
     addProfWorkload(sys, morph);
     sys.run();
 
-    ASSERT_NE(sys.profiler(), nullptr);
-    const prof::Profiler &p = *sys.profiler();
     StatsRegistry &st = sys.stats();
 
     // Every L3 probe site is profiled, so classified accesses must agree
@@ -285,12 +286,12 @@ TEST(Profiler, ClassifiedAccessesMatchCacheStats)
 
 TEST(Profiler, CallbackAggregatesMatchEngineCounters)
 {
-    System sys(smallConfig(true));
+    prof::Profiler p;
+    System sys(smallConfig(&p));
     FillMorph morph;
     addProfWorkload(sys, morph);
     sys.run();
 
-    const prof::Profiler &p = *sys.profiler();
     StatsRegistry &st = sys.stats();
 
     std::uint64_t count = 0;
@@ -317,12 +318,12 @@ TEST(Profiler, CallbackAggregatesMatchEngineCounters)
 
 TEST(Profiler, OccupancyTimelineInvariants)
 {
-    System sys(smallConfig(true));
+    prof::Profiler p;
+    System sys(smallConfig(&p));
     FillMorph morph;
     addProfWorkload(sys, morph);
     const Tick cycles = sys.run();
 
-    const prof::Profiler &p = *sys.profiler();
     bool any_peak = false;
     for (unsigned t = 0; t < 4; ++t) {
         const prof::Profiler::EngineOcc &o = p.engineOcc(t);
@@ -343,7 +344,8 @@ TEST(Profiler, OccupancyTimelineInvariants)
 
 TEST(Profiler, NocLinkCountersMatchFlitHops)
 {
-    System sys(smallConfig(true));
+    prof::Profiler p;
+    System sys(smallConfig(&p));
     FillMorph morph;
     addProfWorkload(sys, morph);
     sys.run();
@@ -351,7 +353,7 @@ TEST(Profiler, NocLinkCountersMatchFlitHops)
     // Each flit occupies one link per hop, so the per-link busy cycles
     // must sum to exactly the mesh's flit-hop count.
     std::uint64_t busy = 0;
-    for (std::uint64_t b : sys.profiler()->linkBusyCycles())
+    for (std::uint64_t b : p.linkBusyCycles())
         busy += b;
     EXPECT_EQ(busy, sys.noc().flitHops());
     EXPECT_GT(busy, 0u);
@@ -376,7 +378,9 @@ TEST(Profiler, EnablingProfilingChangesNoSimulatedStat)
     Tick cycles[3] = {0, 0, 0};
     std::string json[3];
     for (int run = 0; run < 3; ++run) {
-        SystemConfig cfg = smallConfig(runs[run].profile, 8);
+        prof::Profiler profiler;
+        SystemConfig cfg =
+            smallConfig(runs[run].profile ? &profiler : nullptr, 8);
         cfg.shards = runs[run].shards;
         System sys(cfg);
         ASSERT_EQ(sys.shardPlan().shards, runs[run].shards);
@@ -390,9 +394,9 @@ TEST(Profiler, EnablingProfilingChangesNoSimulatedStat)
         }
         // prof.* counters exist exactly when profiled.
         EXPECT_EQ(sys.stats().get("prof.cb.count") > 0, runs[run].profile);
-        if (sys.profiler()) {
+        if (runs[run].profile) {
             std::ostringstream os;
-            sys.profiler()->writeJson(os);
+            profiler.writeJson(os);
             json[run] = os.str();
         }
     }
@@ -420,14 +424,14 @@ TEST(Profiler, EnablingProfilingChangesNoSimulatedStat)
 
 TEST(Profiler, WriteJsonEmitsValidTakoprofV1)
 {
-    System sys(smallConfig(true));
+    prof::Profiler p;
+    System sys(smallConfig(&p));
     FillMorph morph;
     addProfWorkload(sys, morph);
     const Tick cycles = sys.run();
 
     std::ostringstream os;
-    sys.profiler()->writeJson(os, {{"git_rev", "test"},
-                                   {"workload", "synthetic"}});
+    p.writeJson(os, {{"git_rev", "test"}, {"workload", "synthetic"}});
     std::string err;
     Json doc = Json::parse(os.str(), &err);
     ASSERT_TRUE(err.empty()) << err << "\n" << os.str();
@@ -479,13 +483,14 @@ TEST(Profiler, WriteJsonEmitsValidTakoprofV1)
 
 TEST(Profiler, WriteFoldedMatchesCallbackTotals)
 {
-    System sys(smallConfig(true));
+    prof::Profiler p;
+    System sys(smallConfig(&p));
     FillMorph morph;
     addProfWorkload(sys, morph);
     sys.run();
 
     std::ostringstream os;
-    sys.profiler()->writeFolded(os);
+    p.writeFolded(os);
     // Sum the folded counts per phase and compare against aggregates.
     std::uint64_t foldedBody = 0;
     std::istringstream in(os.str());
@@ -496,7 +501,7 @@ TEST(Profiler, WriteFoldedMatchesCallbackTotals)
             foldedBody += count;
     }
     std::uint64_t body = 0;
-    for (const auto &[key, agg] : sys.profiler()->callbacks())
+    for (const auto &[key, agg] : p.callbacks())
         body += agg.body;
     EXPECT_EQ(foldedBody, body);
     EXPECT_GT(foldedBody, 0u);
@@ -508,40 +513,44 @@ TEST(Profiler, WriteFoldedMatchesCallbackTotals)
 
 TEST(Profiler, SetHeatAggregatesPerLevel)
 {
-    System sys(smallConfig(true));
+    prof::Profiler p;
+    System sys(smallConfig(&p));
     FillMorph morph;
     addProfWorkload(sys, morph);
     sys.run();
 
     // l2 heat: one counter per set, summing to every profiled l2 probe
     // (prefetch probes also bump heat, but prefetching is disabled here).
-    const std::vector<std::uint64_t> &heat = sys.profiler()->setHeat(2);
+    const std::vector<std::uint64_t> &heat = p.setHeat(2);
     ASSERT_FALSE(heat.empty());
     std::uint64_t total = 0;
     for (std::uint64_t h : heat)
         total += h;
-    EXPECT_EQ(total, sys.profiler()->l2().counts().accesses);
+    EXPECT_EQ(total, p.l2().counts().accesses);
 }
 
 // -------------------------------------------------------------------
-// RunMetrics carries the profiler.
+// A borrowed profiler is finalized when run() returns.
 // -------------------------------------------------------------------
 
-TEST(Profiler, RunMetricsCarriesProfiler)
+TEST(Profiler, BorrowedProfilerIsFinalizedWhenRunReturns)
 {
-    System sys(smallConfig(true));
+    prof::Profiler p;
+    System sys(smallConfig(&p));
     FillMorph morph;
     addProfWorkload(sys, morph);
+    EXPECT_FALSE(p.finalized());
     const Tick cycles = sys.run();
+    // Finalized by the System, so it can outlive the System and be
+    // serialized at leisure.
+    EXPECT_TRUE(p.finalized());
     RunMetrics m = collectMetrics(sys, "test", cycles);
-    ASSERT_TRUE(m.prof);
-    EXPECT_TRUE(m.prof->finalized());
     EXPECT_GT(m.stats->get("prof.cb.count"), 0.0);
 
-    System unprofiled(smallConfig(false));
+    System unprofiled(smallConfig(nullptr));
     FillMorph morph2;
     addProfWorkload(unprofiled, morph2);
     const Tick c2 = unprofiled.run();
     RunMetrics m2 = collectMetrics(unprofiled, "test", c2);
-    EXPECT_FALSE(m2.prof);
+    EXPECT_TRUE(m2.stats->counterNamesMatching("prof.*").empty());
 }

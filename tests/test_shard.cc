@@ -16,6 +16,7 @@
 #include <memory>
 #include <vector>
 
+#include "mon/sink.hh"
 #include "sim/domains.hh"
 #include "sim/shard.hh"
 #include "system/system.hh"
@@ -687,21 +688,23 @@ addColumnGuests(System &sys)
     }
 }
 
+/** A sampled 16-tile system; @p sink must outlive it. */
 SystemConfig
-cutConfig(unsigned shards)
+cutConfig(unsigned shards, mon::TimeSeriesSink &sink)
 {
     SystemConfig cfg = SystemConfig::forCores(16);
     cfg.mem.l1Size = 2 * 1024;
     cfg.mem.l2Size = 8 * 1024;
     cfg.shards = shards;
-    cfg.sampleInterval = 250;
+    cfg.observers = {&sink};
     return cfg;
 }
 
 CutResult
 runCut(unsigned shards, Tick limit)
 {
-    System sys(cutConfig(shards));
+    mon::TimeSeriesSink sink({.sampleEvery = 250});
+    System sys(cutConfig(shards, sink));
     addColumnGuests(sys);
     CutResult r;
     r.ran = sys.runFor(limit);
@@ -721,7 +724,8 @@ TEST(ShardedSystem, RunForCutsEveryShardCountAtTheSameTick)
 {
     Tick full = 0;
     {
-        System sys(cutConfig(1));
+        mon::TimeSeriesSink sink({.sampleEvery = 250});
+        System sys(cutConfig(1, sink));
         addColumnGuests(sys);
         full = sys.run();
     }

@@ -627,13 +627,20 @@ TEST(TraceReplay, RecorderRoundTripReplays)
     // --shards=4 records from four domains — into the same bytes.
     TraceReplayConfig cfg;
     cfg.path = src.path();
-    cfg.recordPath = rec.path();
-    const TraceReplayResult first = runTraceReplay(cfg, tinySystem(8));
+    auto replayRecording = [&cfg](const std::string &path,
+                                  unsigned shards) {
+        TraceWriter recording;
+        EXPECT_TRUE(recording.open(path, {.timestamps = true}));
+        SystemConfig sys = tinySystem(8);
+        sys.shards = shards;
+        sys.accessTracer = recordAccesses(recording);
+        const TraceReplayResult res = runTraceReplay(cfg, sys);
+        EXPECT_TRUE(recording.close()) << recording.error();
+        return res;
+    };
+    const TraceReplayResult first = replayRecording(rec.path(), 1);
     ASSERT_TRUE(first.ok) << first.error;
-    SystemConfig sharded = tinySystem(8);
-    sharded.shards = 4;
-    cfg.recordPath = rec4.path();
-    const TraceReplayResult first4 = runTraceReplay(cfg, sharded);
+    const TraceReplayResult first4 = replayRecording(rec4.path(), 4);
     ASSERT_TRUE(first4.ok) << first4.error;
     EXPECT_EQ(readAll(rec4.path()), readAll(rec.path()));
 

@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -29,6 +28,7 @@
 #include "expt/report.hh"
 #include "expt/runner.hh"
 #include "expt/spec.hh"
+#include "tools/cli.hh"
 
 using namespace tako::expt;
 
@@ -50,7 +50,7 @@ struct Options
     /** Heartbeat cadence passed to takosim-kind runs (--progress=N);
      *  0 = no heartbeats. The runner tails the children's logs and
      *  reprints every beat tagged with its run name. */
-    std::uint64_t progressEvery = 0;
+    std::uint64_t progress = 0;
 };
 
 [[noreturn]] void
@@ -87,6 +87,7 @@ Options
 parse(int argc, char **argv)
 {
     Options o;
+    const tako::cli::Numbers nums("takobench", usage);
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto eq = arg.find('=');
@@ -113,17 +114,17 @@ parse(int argc, char **argv)
             }
             o.takosimArgs.push_back(val);
         } else if (key == "--progress") {
-            o.progressEvery =
-                val.empty() ? 1000000 : std::strtoull(val.c_str(),
-                                                      nullptr, 0);
-            if (o.progressEvery == 0)
-                o.progressEvery = 1000000;
-        } else if (arg == "-j") {
-            if (i + 1 >= argc)
-                usage(2);
-            o.jobs = static_cast<unsigned>(std::atoi(argv[++i]));
-        } else if (arg.rfind("-j", 0) == 0 && arg.size() > 2) {
-            o.jobs = static_cast<unsigned>(std::atoi(arg.c_str() + 2));
+            o.progress = val.empty() ? 0 : nums.num(key, val);
+            if (o.progress == 0)
+                o.progress = 1000000;
+        } else if (arg.rfind("-j", 0) == 0) {
+            std::string n = arg.substr(2); // -jN, or -j N
+            if (n.empty()) {
+                if (i + 1 >= argc)
+                    usage(2);
+                n = argv[++i];
+            }
+            o.jobs = static_cast<unsigned>(nums.num("-j", n, 0, UINT_MAX));
         } else if (arg.rfind("-", 0) == 0) {
             std::fprintf(stderr, "takobench: unknown option '%s'\n\n",
                          arg.c_str());
@@ -252,9 +253,8 @@ buildCommand(const RunSpec &run, const Options &o,
         // --shards=4 for the CI determinism gate) wins on conflicts.
         for (const std::string &extra : o.takosimArgs)
             cmd.argv.push_back(extra);
-        if (o.progressEvery > 0)
-            cmd.argv.push_back("--progress=" +
-                               std::to_string(o.progressEvery));
+        if (o.progress > 0)
+            cmd.argv.push_back("--progress=" + std::to_string(o.progress));
         cmd.argv.push_back("--stats-json=" + cmd.outputJson);
     } else {
         if (run.quick)
@@ -332,7 +332,7 @@ main(int argc, char **argv)
     // and the runner tails them, so concurrent runs' progress lines
     // arrive whole and tagged instead of interleaved mid-line.
     std::function<void(const std::string &, const std::string &)> pulse;
-    if (o.progressEvery > 0) {
+    if (o.progress > 0) {
         pulse = [](const std::string &name, const std::string &line) {
             std::printf("  [%s] %s\n", name.c_str(), line.c_str());
             std::fflush(stdout);

@@ -15,22 +15,22 @@
  */
 
 #include <algorithm>
-#include <cctype>
-#include <cerrno>
 #include <climits>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <map>
-#include <memory>
+#include <optional>
 #include <string>
 
 #include "gitrev.hh"
+#include "mon/sink.hh"
 #include "prof/profiler.hh"
 #include "sim/shard.hh"
 #include "sim/tracesink.hh"
+#include "tools/cli.hh"
+#include "trace/replay.hh"
+#include "trace/writer.hh"
 #include "workloads/registry.hh"
 
 using namespace tako;
@@ -45,7 +45,7 @@ struct Options
     bool workloadSet = false; ///< --workload given explicitly
     bool variantSet = false;  ///< --variant given explicitly
     std::string trace;        ///< takotrace file to replay
-    std::string traceRecord;  ///< re-record the replayed stream here
+    std::string traceRecord;  ///< record the demand stream here
     unsigned cores = 16;
     std::uint64_t l1 = 0, l2 = 0, l3bank = 0; // 0 = default
     std::uint64_t vertices = 1 << 14;
@@ -59,9 +59,9 @@ struct Options
     std::string traceOut;
     std::uint32_t traceMask = trace::kAllSpans;
     Tick sampleEvery = 0;
-    std::vector<std::string> samplePatterns;
+    std::vector<std::string> monSample; ///< sampled stat patterns
     std::string monOut;   ///< takomon-v1 binary series output
-    Tick progressEvery = 0; ///< heartbeat cadence (0 = off)
+    Tick progress = 0;    ///< heartbeat cadence (0 = off)
     std::string logJson;  ///< structured JSONL run log
     /** SystemConfig::shards: quantum-barrier sharded execution (and the
      *  ensemble lane count under --replicate). */
@@ -95,9 +95,9 @@ usage(int code)
         "                     the trace frontend; incompatible with an\n"
         "                     explicit --workload/--variant)\n"
         "  --trace-record=FILE\n"
-        "                     while replaying, re-record the normalized\n"
-        "                     stream as a fresh takotrace file\n"
-        "                     (requires --trace)\n"
+        "                     record every core demand access of any\n"
+        "                     workload as a takotrace file (under\n"
+        "                     --trace: the replayed stream, normalized)\n"
         "  --stats            dump every counter and histogram as text\n"
         "  --stats-json=FILE  write counters, histograms, and the sampled\n"
         "                     time series as JSON ('-' for stdout)\n"
@@ -109,7 +109,8 @@ usage(int code)
         "  --folded=FILE      write folded-stack callback profile lines\n"
         "                     (flamegraph.pl input; implies profiling)\n"
         "  --trace-out=FILE   write a Chrome trace-event JSON file\n"
-        "                     (loadable in Perfetto / chrome://tracing)\n"
+        "                     (loadable in Perfetto / chrome://tracing;\n"
+        "                     '-' for stdout)\n"
         "  --trace-mask=SPEC  span categories for --trace-out: comma-\n"
         "                     separated mem, engine, dram, or all\n"
         "                     (default: all)\n"
@@ -161,37 +162,11 @@ listWorkloads(int code = 0)
     std::exit(code);
 }
 
-/**
- * Strict number parse (decimal, 0x hex, 0 octal) for option @p key: an
- * empty value, a sign, trailing garbage, or a value above @p max is a
- * usage error, never a silent 0 or a wrapped count.
- */
-std::uint64_t
-parseNum(const std::string &key, const std::string &v,
-         std::uint64_t max = ~std::uint64_t{0})
-{
-    errno = 0;
-    char *end = nullptr;
-    const unsigned long long n = std::strtoull(v.c_str(), &end, 0);
-    if (v.empty() || !std::isdigit(static_cast<unsigned char>(v[0])) ||
-        *end != '\0' || errno == ERANGE || n > max) {
-        std::fprintf(stderr, "takosim: %s needs a number, got '%s'\n\n",
-                     key.c_str(), v.c_str());
-        usage(2);
-    }
-    return n;
-}
-
-unsigned
-parseCount(const std::string &key, const std::string &v)
-{
-    return static_cast<unsigned>(parseNum(key, v, UINT_MAX));
-}
-
 Options
 parse(int argc, char **argv)
 {
     Options o;
+    const cli::Numbers nums("takosim", usage);
     for (int i = 1; i < argc; ++i) {
         std::string arg = argv[i];
         auto eq = arg.find('=');
@@ -215,25 +190,20 @@ parse(int argc, char **argv)
             o.trace = val;
         else if (key == "--trace-record")
             o.traceRecord = val;
-        else if (key == "--cores") {
-            o.cores = parseCount(key, val);
-            if (o.cores == 0) {
-                std::fprintf(stderr, "takosim: --cores must be at least "
-                                     "1\n\n");
-                usage(2);
-            }
-        } else if (key == "--l1")
-            o.l1 = parseNum(key, val);
+        else if (key == "--cores")
+            o.cores = static_cast<unsigned>(nums.num(key, val, 1, UINT_MAX));
+        else if (key == "--l1")
+            o.l1 = nums.num(key, val);
         else if (key == "--l2")
-            o.l2 = parseNum(key, val);
+            o.l2 = nums.num(key, val);
         else if (key == "--l3bank")
-            o.l3bank = parseNum(key, val);
+            o.l3bank = nums.num(key, val);
         else if (key == "--vertices")
-            o.vertices = parseNum(key, val);
+            o.vertices = nums.num(key, val);
         else if (key == "--txbytes")
-            o.txBytes = parseNum(key, val);
+            o.txBytes = nums.num(key, val);
         else if (key == "--seed")
-            o.seed = parseNum(key, val);
+            o.seed = nums.num(key, val);
         else if (key == "--stats")
             o.dumpStats = true;
         else if (key == "--stats-json")
@@ -255,22 +225,19 @@ parse(int argc, char **argv)
                 usage(2);
             }
         } else if (key == "--mon-every")
-            o.sampleEvery = parseNum(key, val);
+            o.sampleEvery = nums.num(key, val);
         else if (key == "--mon-out")
             o.monOut = val;
         else if (key == "--progress")
-            o.progressEvery = val.empty() ? 1000000 : parseNum(key, val);
+            o.progress = val.empty() ? 1000000 : nums.num(key, val);
         else if (key == "--log-json")
             o.logJson = val;
-        else if (key == "--shards") {
-            o.shards = parseCount(key, val);
-            if (o.shards == 0)
-                o.shards = 1;
-        } else if (key == "--replicate") {
-            o.replicate = parseCount(key, val);
-            if (o.replicate == 0)
-                o.replicate = 1;
-        } else if (key == "--mon-sample") {
+        else if (key == "--shards")
+            o.shards = static_cast<unsigned>(nums.num(key, val, 1, UINT_MAX));
+        else if (key == "--replicate")
+            o.replicate =
+                static_cast<unsigned>(nums.num(key, val, 1, UINT_MAX));
+        else if (key == "--mon-sample") {
             std::size_t pos = 0;
             while (pos <= val.size()) {
                 const std::size_t comma = val.find(',', pos);
@@ -278,7 +245,7 @@ parse(int argc, char **argv)
                     pos, comma == std::string::npos ? std::string::npos
                                                     : comma - pos);
                 if (!pat.empty())
-                    o.samplePatterns.push_back(pat);
+                    o.monSample.push_back(pat);
                 if (comma == std::string::npos)
                     break;
                 pos = comma + 1;
@@ -305,12 +272,6 @@ parse(int argc, char **argv)
                      "--workload/--variant\n");
         std::exit(2);
     }
-    if (!o.traceRecord.empty() && o.trace.empty()) {
-        std::fprintf(stderr,
-                     "takosim: --trace-record=FILE requires --trace=FILE "
-                     "(it re-records the replayed stream)\n");
-        std::exit(2);
-    }
     if (!o.trace.empty())
         o.workload = "trace";
     return o;
@@ -319,9 +280,8 @@ parse(int argc, char **argv)
 /**
  * Run one replica of the selected workload at @p seed on a copy of
  * @p sys. Builds its own System and touches no process-global state,
- * so ensemble lanes may call it concurrently (main() hands the
- * single-file outputs — tracing, profiling, sampling, recording — to
- * replica 0 alone).
+ * so ensemble lanes may call it concurrently (main() gives the
+ * observers and the recording to replica 0 alone).
  */
 RunMetrics
 runOne(const Options &o, SystemConfig sys, std::uint64_t seed)
@@ -351,7 +311,6 @@ runOne(const Options &o, SystemConfig sys, std::uint64_t seed)
     req.vertices = o.vertices;
     req.txBytes = o.txBytes;
     req.tracePath = o.trace;
-    req.traceRecordPath = o.traceRecord;
     std::string err;
     RunMetrics m = w->run(req, sys, err);
     if (!err.empty()) {
@@ -359,6 +318,39 @@ runOne(const Options &o, SystemConfig sys, std::uint64_t seed)
         std::exit(1);
     }
     return m;
+}
+
+/**
+ * Open one output before the run, so a bad path exits 1 before any
+ * simulation rather than after it; an empty path means the output is
+ * off. @p open creates the file and says whether it could.
+ */
+template <typename Open>
+void
+openOutput(const std::string &path, Open open)
+{
+    if (path.empty() || open(path))
+        return;
+    std::fprintf(stderr, "takosim: cannot open '%s'\n", path.c_str());
+    std::exit(1);
+}
+
+/** openOutput's opener for a text output: '-' is stdout, else @p f. */
+auto
+textFile(std::ofstream &f)
+{
+    return [&f](const std::string &path) {
+        if (path != "-")
+            f.open(path);
+        return path == "-" || f.is_open();
+    };
+}
+
+/** Where text output @p path writes. */
+std::ostream &
+textOut(const std::string &path, std::ofstream &f)
+{
+    return path == "-" ? std::cout : f;
 }
 
 void
@@ -394,10 +386,6 @@ main(int argc, char **argv)
         sys.mem.l2Size = o.l2;
     if (o.l3bank)
         sys.mem.l3BankSize = o.l3bank;
-    sys.sampleInterval = o.sampleEvery;
-    sys.samplePatterns = o.samplePatterns;
-    sys.monPath = o.monOut;
-    sys.progressEvery = o.progressEvery;
     if (!o.monOut.empty() && o.sampleEvery == 0) {
         std::fprintf(stderr,
                      "takosim: --mon-out=FILE requires --mon-every=N "
@@ -418,72 +406,52 @@ main(int argc, char **argv)
                      {{"cores", static_cast<double>(o.cores)},
                       {"seed", static_cast<double>(o.seed)},
                       {"shards", static_cast<double>(o.shards)}});
-        if (o.progressEvery > 0) {
-            // Beats go to the human stderr line AND the structured log.
-            sys.onBeat = [](const mon::ProgressBeat &b) {
-                mon::printProgressBeat(b);
-                jsonLogEvent(
-                    "progress", {},
-                    {{"tick", static_cast<double>(b.tick)},
-                     {"events", static_cast<double>(b.events)},
-                     {"host_seconds", b.hostSeconds},
-                     {"events_per_sec", b.eventsPerSec},
-                     {"fraction_done", b.fractionDone}});
-            };
-        }
     }
     // takosim exists to inspect runs; always collect the mem.breakdown.*
     // latency attribution (benches leave it off to keep the hot path
     // lean — see MemParams::latBreakdown).
     sys.mem.latBreakdown = true;
-    sys.profile = o.profileSet || !o.folded.empty();
     sys.shards = o.shards;
 
-    // Open output files up front so a bad path fails before the run,
-    // not after minutes of simulation.
-    std::ofstream statsJsonFile;
-    if (!o.statsJson.empty() && o.statsJson != "-") {
-        statsJsonFile.open(o.statsJson);
-        if (!statsJsonFile) {
-            std::fprintf(stderr, "takosim: cannot open '%s'\n",
-                         o.statsJson.c_str());
-            return 1;
-        }
-    }
-    std::ofstream profileFile;
-    if (!o.profile.empty() && o.profile != "-") {
-        profileFile.open(o.profile);
-        if (!profileFile) {
-            std::fprintf(stderr, "takosim: cannot open '%s'\n",
-                         o.profile.c_str());
-            return 1;
-        }
-    }
-    std::ofstream foldedFile;
-    if (!o.folded.empty() && o.folded != "-") {
-        foldedFile.open(o.folded);
-        if (!foldedFile) {
-            std::fprintf(stderr, "takosim: cannot open '%s'\n",
-                         o.folded.c_str());
-            return 1;
-        }
-    }
+    std::ofstream statsJsonFile, profileFile, foldedFile, traceFile;
+    trace::TraceWriter recording;
+    openOutput(o.statsJson, textFile(statsJsonFile));
+    openOutput(o.profile, textFile(profileFile));
+    openOutput(o.folded, textFile(foldedFile));
+    openOutput(o.traceOut, textFile(traceFile));
+    openOutput(o.traceRecord, [&recording](const std::string &path) {
+        return recording.open(path, {.timestamps = true});
+    });
 
-    // The span writer rides into the workload's System through the
-    // config; it is closed (terminating the JSON array) after the run.
-    std::ofstream traceFile;
-    std::unique_ptr<trace::ChromeTraceWriter> traceWriter;
-    if (!o.traceOut.empty()) {
-        traceFile.open(o.traceOut);
-        if (!traceFile) {
-            std::fprintf(stderr, "takosim: cannot open '%s'\n",
-                         o.traceOut.c_str());
-            return 1;
-        }
-        traceWriter = std::make_unique<trace::ChromeTraceWriter>(
-            traceFile, o.traceMask);
-        sys.spanWriter = traceWriter.get();
+    // takosim's observers, on the reported run's list.
+    std::optional<trace::ChromeTraceWriter> spans;
+    std::optional<prof::Profiler> profiler;
+    std::optional<mon::TimeSeriesSink> sampler;
+    std::optional<mon::Heartbeat> heartbeat;
+    if (!o.traceOut.empty())
+        sys.observers.push_back(
+            &spans.emplace(textOut(o.traceOut, traceFile), o.traceMask));
+    if (o.profileSet || !o.folded.empty())
+        sys.observers.push_back(&profiler.emplace());
+    if (o.sampleEvery > 0)
+        sys.observers.push_back(&sampler.emplace(mon::TimeSeriesSink::Options{
+            o.sampleEvery, o.monSample, o.monOut}));
+    if (o.progress > 0) {
+        sys.observers.push_back(&heartbeat.emplace(
+            o.progress, [](const mon::ProgressBeat &b) {
+                mon::printProgressBeat(b);
+                if (jsonLogEnabled())
+                    jsonLogEvent(
+                        "progress", {},
+                        {{"tick", static_cast<double>(b.tick)},
+                         {"events", static_cast<double>(b.events)},
+                         {"host_seconds", b.hostSeconds},
+                         {"events_per_sec", b.eventsPerSec},
+                         {"fraction_done", b.fractionDone}});
+            }));
     }
+    if (!o.traceRecord.empty())
+        sys.accessTracer = trace::recordAccesses(recording);
 
     RunMetrics m;
     if (o.replicate == 1) {
@@ -500,26 +468,18 @@ main(int argc, char **argv)
         // one domain (its own System, shards=1) — --shards spends the
         // host-parallelism budget on lanes here, and the job -> lane
         // map is index-pure, so the merged output is identical at any
-        // lane count. The observers watch replica 0, the reported run;
-        // the other replicas run without them.
+        // lane count. The observers and the recording watch replica 0,
+        // the reported run; the other replicas run without them.
         SystemConfig repSys = sys;
         repSys.shards = 1;
         SystemConfig quietSys = repSys;
-        quietSys.profile = false;
-        quietSys.spanWriter = nullptr;
-        quietSys.sampleInterval = 0;
-        quietSys.samplePatterns.clear();
-        quietSys.monPath.clear();
-        quietSys.progressEvery = 0;
-        quietSys.onBeat = nullptr;
-        Options quiet = o;
-        quiet.traceRecord.clear();
+        quietSys.observers.clear();
+        quietSys.accessTracer = nullptr;
         std::vector<RunMetrics> reps(o.replicate);
         std::vector<std::function<void()>> jobs;
         for (unsigned i = 0; i < o.replicate; ++i) {
-            jobs.push_back([&o, &quiet, &repSys, &quietSys, &reps, i] {
-                reps[i] = i == 0 ? runOne(o, repSys, o.seed)
-                                 : runOne(quiet, quietSys, o.seed + i);
+            jobs.push_back([&o, &repSys, &quietSys, &reps, i] {
+                reps[i] = runOne(o, i == 0 ? repSys : quietSys, o.seed + i);
             });
         }
         runLanes(std::min(o.shards, o.replicate), jobs);
@@ -552,17 +512,21 @@ main(int argc, char **argv)
             .set(dramTotal);
     }
 
-    if (traceWriter) {
-        traceWriter->close();
+    if (spans) {
+        spans->close();
         std::fprintf(stderr, "takosim: wrote %llu trace events to %s\n",
-                     (unsigned long long)traceWriter->eventsWritten(),
+                     (unsigned long long)spans->eventsWritten(),
                      o.traceOut.c_str());
+    }
+    if (!o.traceRecord.empty() && !recording.close()) {
+        std::fprintf(stderr, "takosim: %s\n", recording.error().c_str());
+        return 1;
     }
 
     // Keep stdout machine-readable when any JSON/folded output goes
     // there: the human report moves to stderr.
     const bool stdoutTaken = o.statsJson == "-" || o.profile == "-" ||
-                             o.folded == "-";
+                             o.folded == "-" || o.traceOut == "-";
     report(m, stdoutTaken ? stderr : stdout);
     if (o.dumpStats && m.stats) {
         std::ostream &os = stdoutTaken ? std::cerr : std::cout;
@@ -578,22 +542,18 @@ main(int argc, char **argv)
             {"host_seconds", m.stats->get("host.seconds")},
             {"sim_events", m.stats->get("host.sim_events")},
             {"events_per_sec", m.stats->get("host.events_per_sec")}};
-        if (o.statsJson == "-")
-            m.stats->dumpJson(std::cout, header, numericHeader);
-        else
-            m.stats->dumpJson(statsJsonFile, header, numericHeader);
+        m.stats->dumpJson(textOut(o.statsJson, statsJsonFile), header,
+                          numericHeader);
     }
-    if (m.prof) {
+    if (profiler) {
         const std::vector<std::pair<std::string, std::string>> header{
             {"git_rev", TAKO_GIT_REV},
             {"workload", o.workload},
             {"variant", o.variant}};
-        if (!o.profile.empty()) {
-            m.prof->writeJson(o.profile == "-" ? std::cout : profileFile,
-                              header);
-        }
+        if (!o.profile.empty())
+            profiler->writeJson(textOut(o.profile, profileFile), header);
         if (!o.folded.empty())
-            m.prof->writeFolded(o.folded == "-" ? std::cout : foldedFile);
+            profiler->writeFolded(textOut(o.folded, foldedFile));
     }
     if (jsonLogEnabled()) {
         jsonLogEvent(

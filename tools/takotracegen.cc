@@ -19,11 +19,11 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
 
+#include "tools/cli.hh"
 #include "trace/gen.hh"
 #include "trace/reader.hh"
 #include "trace/textio.hh"
@@ -72,23 +72,15 @@ usage(int code)
     std::exit(code);
 }
 
-std::uint64_t
-parseNum(const std::string &v)
-{
-    return std::strtoull(v.c_str(), nullptr, 0);
-}
-
-double
-parseFrac(const std::string &v)
-{
-    return std::strtod(v.c_str(), nullptr);
-}
-
 Options
 parse(int argc, char **argv)
 {
     Options o;
     bool kindSet = false;
+    const cli::Numbers nums("takotracegen", usage);
+    auto u32 = [&nums](const std::string &key, const std::string &v) {
+        return static_cast<std::uint32_t>(nums.num(key, v, 0, UINT32_MAX));
+    };
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         const auto eq = arg.find('=');
@@ -107,35 +99,35 @@ parse(int argc, char **argv)
         else if (key == "--dump")
             o.dump = val;
         else if (key == "--limit")
-            o.dumpLimit = parseNum(val);
+            o.dumpLimit = nums.num(key, val);
         else if (key == "--records")
-            o.gen.records = parseNum(val);
+            o.gen.records = nums.num(key, val);
         else if (key == "--tenants")
-            o.gen.tenants = static_cast<std::uint32_t>(parseNum(val));
+            o.gen.tenants = u32(key, val);
         else if (key == "--seed")
-            o.gen.seed = parseNum(val);
+            o.gen.seed = nums.num(key, val);
         else if (key == "--theta")
-            o.gen.theta = parseFrac(val);
+            o.gen.theta = nums.real(key, val);
         else if (key == "--keys")
-            o.gen.keys = parseNum(val);
+            o.gen.keys = nums.num(key, val);
         else if (key == "--value-bytes")
-            o.gen.valueBytes = static_cast<std::uint32_t>(parseNum(val));
+            o.gen.valueBytes = u32(key, val);
         else if (key == "--store-frac")
-            o.gen.storeFraction = parseFrac(val);
+            o.gen.storeFraction = nums.real(key, val);
         else if (key == "--nodes")
-            o.gen.nodes = parseNum(val);
+            o.gen.nodes = nums.num(key, val);
         else if (key == "--leaf-frac")
-            o.gen.leafFraction = parseFrac(val);
+            o.gen.leafFraction = nums.real(key, val);
         else if (key == "--rows")
-            o.gen.rows = parseNum(val);
+            o.gen.rows = nums.num(key, val);
         else if (key == "--row-bytes")
-            o.gen.rowBytes = static_cast<std::uint32_t>(parseNum(val));
+            o.gen.rowBytes = u32(key, val);
         else if (key == "--batch")
-            o.gen.batch = static_cast<std::uint32_t>(parseNum(val));
+            o.gen.batch = u32(key, val);
         else if (key == "--no-timestamps")
             o.gen.timestamps = false;
         else if (key == "--chunk-records")
-            o.chunkRecords = static_cast<std::uint32_t>(parseNum(val));
+            o.chunkRecords = u32(key, val);
         else {
             std::fprintf(stderr,
                          "takotracegen: unknown option '%s' (valid "
