@@ -163,10 +163,10 @@ BM_EventQueueCrossStream(benchmark::State &state)
 BENCHMARK(BM_EventQueueCrossStream);
 
 Task<>
-pingPong(EventQueue &eq, int rounds)
+pingPong(int rounds)
 {
     for (int i = 0; i < rounds; ++i)
-        co_await Delay{eq, 1};
+        co_await Delay{1};
 }
 
 void
@@ -174,7 +174,7 @@ BM_CoroutineResume(benchmark::State &state)
 {
     for (auto _ : state) {
         EventQueue eq;
-        spawn(pingPong(eq, 1024));
+        eq.schedule(0, [] { spawn(pingPong(1024)); });
         eq.run();
     }
     state.SetItemsProcessed(state.iterations() * 1024);
@@ -182,9 +182,9 @@ BM_CoroutineResume(benchmark::State &state)
 BENCHMARK(BM_CoroutineResume);
 
 Task<>
-tinyTask(EventQueue &eq)
+tinyTask()
 {
-    co_await Delay{eq, 1};
+    co_await Delay{1};
 }
 
 void
@@ -194,8 +194,10 @@ BM_CoroutineSpawn(benchmark::State &state)
     // After the first batch every frame comes from the arena free list.
     EventQueue eq;
     for (auto _ : state) {
-        for (int i = 0; i < 1024; ++i)
-            spawn(tinyTask(eq));
+        eq.schedule(0, [] {
+            for (int i = 0; i < 1024; ++i)
+                spawn(tinyTask());
+        });
         eq.run();
     }
     state.SetItemsProcessed(state.iterations() * 1024);
@@ -266,11 +268,12 @@ BM_LineLockAcquireRelease(benchmark::State &state)
     // Uncontended acquire + release, the per-transaction lock cost, with
     // 32 other lines held (a busy tile's in-flight transactions).
     EventQueue eq;
-    LineLockTable locks(eq);
-    spawn(holdLines(locks, 0x100000, 32));
+    LineLockTable locks;
+    LineLockTable *lt = &locks;
+    eq.schedule(0, [lt] { spawn(holdLines(*lt, 0x100000, 32)); });
     eq.run();
     for (auto _ : state) {
-        spawn(lockUnlock(locks, 0x200000, 1024));
+        eq.schedule(0, [lt] { spawn(lockUnlock(*lt, 0x200000, 1024)); });
         eq.run();
     }
     state.SetItemsProcessed(state.iterations() * 1024);
@@ -387,8 +390,11 @@ BM_MeshWalk(benchmark::State &state)
     dom.init(ShardPlan::build(p.dimX, p.dimY, p.routerDelay, p.linkDelay, 1),
              {&eq});
     Rng rng(3);
+    Mesh *m = &mesh;
+    Domains *d = &dom;
+    Rng *r = &rng;
     for (auto _ : state) {
-        spawn(walkBatch(mesh, dom, rng, 1024));
+        eq.schedule(0, [m, d, r] { spawn(walkBatch(*m, *d, *r, 1024)); });
         eq.run();
     }
     state.SetItemsProcessed(state.iterations() * 1024);

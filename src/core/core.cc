@@ -14,16 +14,10 @@ Guest::id() const
     return core_.id();
 }
 
-EventQueue &
-Guest::eq() const
-{
-    return core_.eq();
-}
-
 Tick
 Guest::now() const
 {
-    return ctxNow(core_.eq());
+    return ctxNow();
 }
 
 MemorySystem &
@@ -172,19 +166,17 @@ Guest::interruptsSeen() const
 // ---------------------------------------------------------------------
 
 Core::Core(int id, const CoreParams &params, MemorySystem &mem,
-           MorphRegistry &registry, EventQueue &eq, StatsRegistry &stats,
+           MorphRegistry &registry, StatsRegistry &stats,
            EnergyModel &energy, std::uint64_t seed)
     : id_(id),
       params_(params),
       mem_(mem),
       registry_(registry),
-      eq_(eq),
       energy_(energy),
       rng_(seed),
       guest_(*this),
-      loadWindow_(eq, params.maxOutstandingLoads),
-      storeBuffer_(eq, params.storeBufferEntries),
-      rmoOutstanding_(eq),
+      loadWindow_(params.maxOutstandingLoads),
+      storeBuffer_(params.storeBufferEntries),
       instrs_(stats.counter("core.instrs")),
       myInstrs_(stats.counter(strprintf("core%d.instrs", id))),
       mispredicts_(stats.counter("core.mispredicts")),
@@ -227,7 +219,7 @@ Core::exec(std::uint64_t instrs)
     const Tick cycles = execCarry_ / params_.issueWidth;
     execCarry_ %= params_.issueWidth;
     if (cycles > 0)
-        co_await Delay{eq_, cycles};
+        co_await Delay{cycles};
 }
 
 AccessReq
@@ -251,7 +243,7 @@ void
 Core::endMemOp(MemCmd cmd, Tick start)
 {
     if (cmd == MemCmd::Load)
-        loadLatency_.sample(ctxNow(eq_) - start);
+        loadLatency_.sample(ctxNow() - start);
 }
 
 Task<std::uint64_t>
@@ -259,7 +251,7 @@ Core::memOp(MemCmd cmd, Addr addr, std::uint64_t wdata, bool no_fetch,
             bool use_once)
 {
     const AccessReq req = beginMemOp(cmd, addr, wdata, no_fetch, use_once);
-    const Tick start = ctxNow(eq_);
+    const Tick start = ctxNow();
     const std::uint64_t v = co_await mem_.access(req);
     endMemOp(cmd, start);
     co_return v;
@@ -278,7 +270,7 @@ windowedOp(Core &core, Semaphore &window, MemCmd cmd, Addr addr,
     co_await window.acquire();
     const AccessReq req =
         core.beginMemOp(cmd, addr, wdata, no_fetch, use_once);
-    const Tick start = ctxNow(core.eq());
+    const Tick start = ctxNow();
     const std::uint64_t v = co_await core.mem().access(req);
     core.endMemOp(cmd, start);
     window.release();
@@ -294,7 +286,7 @@ Core::multiOp(MemCmd cmd, const std::vector<Op> &ops,
               std::vector<std::uint64_t> *out, std::uint64_t wdata,
               bool no_fetch, bool use_once)
 {
-    return overlapOps(eq_, ops, wdata, out,
+    return overlapOps(ops, wdata, out,
                       [this, cmd, no_fetch, use_once](
                           Addr addr, std::uint64_t data,
                           std::uint64_t *slot_out) {
@@ -319,7 +311,7 @@ Core::rmoAdd(Addr addr, std::uint64_t delta)
         rmoOutstanding_.done();
     });
     // One-cycle issue slot.
-    co_await Delay{eq_, 1};
+    co_await Delay{1};
 }
 
 Task<>
@@ -332,7 +324,7 @@ Task<>
 Core::mispredict()
 {
     ++mispredicts_;
-    co_await Delay{eq_, params_.mispredictPenalty};
+    co_await Delay{params_.mispredictPenalty};
 }
 
 } // namespace tako

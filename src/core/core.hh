@@ -47,7 +47,6 @@ class Guest
     explicit Guest(Core &core) : core_(core) {}
 
     int id() const;
-    EventQueue &eq() const;
     Tick now() const;
     MemorySystem &mem() const;
     Rng &rng();
@@ -139,7 +138,7 @@ class Core
 {
   public:
     Core(int id, const CoreParams &params, MemorySystem &mem,
-         MorphRegistry &registry, EventQueue &eq, StatsRegistry &stats,
+         MorphRegistry &registry, StatsRegistry &stats,
          EnergyModel &energy, std::uint64_t seed);
 
     Core(const Core &) = delete;
@@ -147,7 +146,6 @@ class Core
 
     int id() const { return id_; }
     const CoreParams &params() const { return params_; }
-    EventQueue &eq() const { return eq_; }
     MemorySystem &mem() const { return mem_; }
     MorphRegistry &registry() const { return registry_; }
     Rng &rng() { return rng_; }
@@ -207,7 +205,6 @@ class Core
     CoreParams params_;
     MemorySystem &mem_;
     MorphRegistry &registry_;
-    EventQueue &eq_;
     EnergyModel &energy_;
     Rng rng_;
     Guest guest_;

@@ -31,7 +31,7 @@ namespace tako
 class LineLockTable
 {
   public:
-    explicit LineLockTable(EventQueue &eq) : eq_(eq) {}
+    LineLockTable() = default;
 
     LineLockTable(const LineLockTable &) = delete;
     LineLockTable &operator=(const LineLockTable &) = delete;
@@ -101,7 +101,7 @@ class LineLockTable
         // tile-affine under decomposition, so the waiter belongs to
         // the same domain the release executes in.
         const std::coroutine_handle<> h = w->handle_;
-        homeQueue(eq_).schedule(0, [h]() { h.resume(); });
+        ctxQueue().schedule(0, [h]() { h.resume(); });
     }
 
   private:
@@ -112,7 +112,6 @@ class LineLockTable
         Awaiter *tail = nullptr;
     };
 
-    EventQueue &eq_;
     /** Present key == lock held. */
     AddrMap<Waiters> locks_;
 };

@@ -20,11 +20,10 @@ tileBit(unsigned tile)
 } // namespace
 
 MemorySystem::MemorySystem(const MemParams &params, Domains &dom,
-                           EventQueue &eq, StatsRegistry &stats,
-                           EnergyModel &energy, Mesh &noc, Recorder &rec)
+                           StatsRegistry &stats, EnergyModel &energy,
+                           Mesh &noc, Recorder &rec)
     : params_(params),
       dom_(dom),
-      eq_(eq),
       stats_(stats),
       energy_(energy),
       noc_(noc),
@@ -82,7 +81,7 @@ MemorySystem::MemorySystem(const MemParams &params, Domains &dom,
              dom_.tiles());
     tiles_.reserve(params_.tiles);
     for (unsigned t = 0; t < params_.tiles; ++t)
-        tiles_.push_back(std::make_unique<TileState>(params_, eq_));
+        tiles_.push_back(std::make_unique<TileState>(params_));
 
     ctrls_.reserve(params_.memCtrls);
     for (unsigned c = 0; c < params_.memCtrls; ++c)
@@ -100,28 +99,16 @@ MemorySystem::MemorySystem(const MemParams &params, Domains &dom,
 
     inflightLanes_.resize(dom_.domainCount());
     phaseLanes_.resize(params_.memCtrls);
-
-    setPhase("default");
 }
 
 void
 MemorySystem::setPhase(const std::string &phase)
 {
-    if (!detail::execCtx.queue) {
-        // Pre-run (constructor, test setup): no events are in flight, so
-        // the replicas can change in place.
-        for (PhaseLane &pl : phaseLanes_) {
-            pl.phase = phase;
-            pl.reads = nullptr;
-            pl.writes = nullptr;
-        }
-        return;
-    }
-    // Mid-run: the label is only ever consumed at the controllers'
-    // tiles, so broadcast one message per controller — each updates its
-    // own controller's replica, making the switch tick exact and
-    // identical at every shard count. Handles re-resolve lazily (the
-    // counter is only registered for phases that actually touch DRAM).
+    // The label is only ever consumed at the controllers' tiles, so
+    // broadcast one message per controller — each updates its own
+    // controller's replica, making the switch tick exact and identical
+    // at every shard count. Handles re-resolve lazily (the counter is
+    // only registered for phases that actually touch DRAM).
     for (unsigned c = 0; c < params_.memCtrls; ++c) {
         dom_.post(ctrlTile(c), dom_.quantum(), [this, c, phase]() {
             PhaseLane &pl = phaseLanes_[c];
@@ -169,7 +156,7 @@ MemorySystem::recordLookup(RecordKind kind, int tile, const CacheArray &arr,
 {
     if (hit)
         flags |= Record::kHit;
-    rec_.push({.tick = ctxNow(eq_),
+    rec_.push({.tick = ctxNow(),
                .addr = line,
                .w = {arr.setIndex(line), arr.numSets()},
                .tile = tile,
@@ -188,7 +175,7 @@ MemorySystem::access(AccessReq req)
         const auto flags = static_cast<std::uint8_t>(
             (req.noFetch ? Record::kNoFetch : 0) |
             (req.useOnce ? Record::kUseOnce : 0));
-        rec_.push({.tick = ctxNow(eq_), .addr = req.addr,
+        rec_.push({.tick = ctxNow(), .addr = req.addr,
                    .w = {req.wdata}, .tile = req.tile,
                    .kind = RecordKind::DemandIssue,
                    .op = static_cast<std::uint8_t>(req.cmd),
@@ -222,7 +209,7 @@ MemorySystem::access(AccessReq req)
     }
 
     ++inflightLanes_[ctxDomain()].value;
-    const Tick t_start = ctxNow(eq_);
+    const Tick t_start = ctxNow();
     TileState &t = *tiles_[req.tile];
     CacheArray &l1 = req.fromEngine ? t.engL1 : t.l1;
     // Engine accesses carry trrîp's low-priority tag (Sec. 5.2):
@@ -232,7 +219,7 @@ MemorySystem::access(AccessReq req)
     const bool engine_repl = req.fromEngine;
 
     const Tick l1_lat = req.fromEngine ? params_.engL1Lat : params_.l1Lat;
-    co_await Delay{eq_, l1_lat};
+    co_await Delay{l1_lat};
     if (req.fromEngine)
         energy_.engineL1Access();
     else
@@ -278,9 +265,9 @@ MemorySystem::access(AccessReq req)
 
     // Serialize same-line transactions within the tile; this also merges
     // concurrent misses to the same line (MSHR-style).
-    Tick t0 = ctxNow(eq_);
+    Tick t0 = ctxNow();
     co_await t.tileLocks.acquire(line);
-    const Tick tile_lock_wait = ctxNow(eq_) - t0;
+    const Tick tile_lock_wait = ctxNow() - t0;
 
     if (CacheWay *w1 = req.prefetch ? nullptr : l1_hit()) {
         // A merged request filled the line while we waited.
@@ -303,7 +290,7 @@ MemorySystem::access(AccessReq req)
     bd.cache = l1_lat;
     bd.lockWait = tile_lock_wait;
 
-    co_await Delay{eq_, params_.l2TagLat};
+    co_await Delay{params_.l2TagLat};
     bd.cache += params_.l2TagLat;
     energy_.l2Access();
 
@@ -333,7 +320,7 @@ MemorySystem::access(AccessReq req)
 
     if (l2_ok) {
         ++*l2Hits_;
-        co_await Delay{eq_, params_.l2DataLat};
+        co_await Delay{params_.l2DataLat};
         bd.cache += params_.l2DataLat;
         t.l2.touch(*w2, engine_repl);
         if (req.useOnce)
@@ -345,24 +332,24 @@ MemorySystem::access(AccessReq req)
     } else {
         ++*l2Misses_;
         Semaphore &mshrs = req.fromEngine ? t.engineMshrs : t.coreMshrs;
-        t0 = ctxNow(eq_);
+        t0 = ctxNow();
         co_await mshrs.acquire();
-        bd.lockWait += ctxNow(eq_) - t0;
+        bd.lockWait += ctxNow() - t0;
         if (!w2 && mb && mb->level == MorphLevel::Private && mb->phantom) {
             // Private phantom miss: allocate at L2, zero the line, and
             // let onMiss generate the data (Table 1 semantics).
             while (!insertL2(req.tile, line, Coh::M, mb, engine_repl,
                              req.useOnce)) {
-                co_await Delay{eq_, 4};
+                co_await Delay{4};
                 bd.lockWait += 4;
             }
             phantomStore_.zeroLine(line);
             if (mb->hasMiss && sink_) {
-                Join join(eq_);
+                Join join;
                 spawnMissCallback(join, req.tile, line, *mb);
-                t0 = ctxNow(eq_);
+                t0 = ctxNow();
                 co_await join.wait();
-                bd.callbackWait += ctxNow(eq_) - t0;
+                bd.callbackWait += ctxNow() - t0;
             }
         } else {
             co_await fetchIntoL2(req.tile, line, need_m, engine_repl,
@@ -396,7 +383,7 @@ MemorySystem::finishAccess(const AccessReq &req, Tick start,
         hBdLock_->sample(bd.lockWait);
         hBdDram_->sample(bd.dram);
         hBdCbWait_->sample(bd.callbackWait);
-        hBdTotal_->sample(ctxNow(eq_) - start);
+        hBdTotal_->sample(ctxNow() - start);
     }
     if (rec_.on(RecordKind::MemDone)) {
         const char *name = "load";
@@ -406,7 +393,7 @@ MemorySystem::finishAccess(const AccessReq &req, Tick start,
             name = "store";
         else if (req.cmd != MemCmd::Load)
             name = "atomic";
-        rec_.push({.tick = ctxNow(eq_), .addr = req.addr,
+        rec_.push({.tick = ctxNow(), .addr = req.addr,
                    .w = {start, bd.cache, bd.noc, bd.lockWait, bd.dram,
                          bd.callbackWait},
                    .name = name, .tile = req.tile,
@@ -423,7 +410,7 @@ MemorySystem::coherenceVisit(int bank, int tile, Addr line, bool downgrade,
     co_await hop(bank, tile, 8);
     bool dirty = false;
     if (downgrade) {
-        co_await Delay{eq_, params_.l2TagLat + params_.l2DataLat};
+        co_await Delay{params_.l2TagLat + params_.l2DataLat};
         TileState &o = *tiles_[tile];
         if (CacheWay *ow = o.l2.lookup(line)) {
             if (ow->dirty) {
@@ -434,7 +421,7 @@ MemorySystem::coherenceVisit(int bank, int tile, Addr line, bool downgrade,
         }
         co_await hop(tile, bank, 72);
     } else {
-        co_await Delay{eq_, params_.l2TagLat};
+        co_await Delay{params_.l2TagLat};
         dirty = invalidateTileCopies(tile, line);
         co_await hop(tile, bank, 8);
     }
@@ -459,10 +446,10 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
     // Bank-side state is bound after the hop (H1): every access below
     // runs in the bank's domain.
     TileState &b = *tiles_[bank];
-    Tick t0 = ctxNow(eq_);
+    Tick t0 = ctxNow();
     co_await b.bankLocks.acquire(line);
-    bd.lockWait += ctxNow(eq_) - t0;
-    co_await Delay{eq_, params_.l3TagLat};
+    bd.lockWait += ctxNow() - t0;
+    co_await Delay{params_.l3TagLat};
     bd.cache += params_.l3TagLat;
     energy_.l3Access();
 
@@ -472,7 +459,7 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
     if (!w3) {
         ++*l3Misses_;
         while (!(w3 = allocL3Way(bank, line, mb, engine))) {
-            co_await Delay{eq_, 4};
+            co_await Delay{4};
             bd.lockWait += 4;
         }
         if (use_once)
@@ -481,24 +468,24 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
         if (shared_morph && mb->phantom) {
             phantomStore_.zeroLine(line);
             if (mb->hasMiss && sink_) {
-                Join join(eq_);
+                Join join;
                 spawnMissCallback(join, bank, line, *mb);
-                t0 = ctxNow(eq_);
+                t0 = ctxNow();
                 co_await join.wait();
-                bd.callbackWait += ctxNow(eq_) - t0;
+                bd.callbackWait += ctxNow() - t0;
             }
         } else if (shared_morph && mb->hasMiss && sink_) {
             // Real shared morph: onMiss overlaps the memory fetch
             // (Sec. 4.3: "onMiss begins executing in parallel with
             // reading addr"); the overlapped wait is attributed to
             // the callback component.
-            Join join(eq_);
+            Join join;
             join.add();
             spawn(dramFetch(bank, line), join.completion());
             spawnMissCallback(join, bank, line, *mb);
-            t0 = ctxNow(eq_);
+            t0 = ctxNow();
             co_await join.wait();
-            bd.callbackWait += ctxNow(eq_) - t0;
+            bd.callbackWait += ctxNow() - t0;
         } else if (no_fetch && want_m && !mb) {
             // Streaming store: write-combining allocation, no memory
             // read. The line becomes dirty and writes back as usual.
@@ -518,7 +505,7 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
             if (w3->owner >= 0 && w3->owner != tile)
                 others |= tileBit(static_cast<unsigned>(w3->owner));
             if (others) {
-                Join join(eq_);
+                Join join;
                 bool vdirty = false;
                 for (unsigned s = 0; s < params_.tiles; ++s) {
                     if (!(others & tileBit(s)))
@@ -529,9 +516,9 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
                                          false, &vdirty),
                           join.completion());
                 }
-                t0 = ctxNow(eq_);
+                t0 = ctxNow();
                 co_await join.wait();
-                bd.noc += ctxNow(eq_) - t0;
+                bd.noc += ctxNow() - t0;
                 if (vdirty)
                     w3->dirty = true;
             }
@@ -539,14 +526,14 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
             // Downgrade the exclusive owner to Shared (one visit).
             ++*downgrades_;
             bool vdirty = false;
-            t0 = ctxNow(eq_);
+            t0 = ctxNow();
             co_await coherenceVisit(bank, w3->owner, line, true, &vdirty);
-            bd.noc += ctxNow(eq_) - t0;
+            bd.noc += ctxNow() - t0;
             if (vdirty)
                 w3->dirty = true;
             w3->owner = -1;
         }
-        co_await Delay{eq_, params_.l3DataLat};
+        co_await Delay{params_.l3DataLat};
         bd.cache += params_.l3DataLat;
         b.l3.touch(*w3, engine);
     }
@@ -584,7 +571,7 @@ MemorySystem::fetchIntoL2(int tile, Addr line, bool want_m, bool engine,
             t.l2.demote(*w2);
     } else {
         while (!insertL2(tile, line, grant, mb, engine, use_once)) {
-            co_await Delay{eq_, 4};
+            co_await Delay{4};
             bd.lockWait += 4;
         }
     }
@@ -601,9 +588,9 @@ MemorySystem::dramFetch(int bank_tile, Addr line, LatBreakdown *bd)
 {
     const unsigned c = ctrlOf(line);
     co_await hop(bank_tile, ctrlTile(c), 8, bd);
-    const Tick lat = ctrls_[c].access(ctxNow(eq_));
+    const Tick lat = ctrls_[c].access(ctxNow());
     if (rec_.on(RecordKind::DramRead))
-        rec_.push({.tick = ctxNow(eq_), .addr = line, .w = {lat},
+        rec_.push({.tick = ctxNow(), .addr = line, .w = {lat},
                    .tile = static_cast<std::int32_t>(c),
                    .kind = RecordKind::DramRead});
     ++*dramReads_;
@@ -613,7 +600,7 @@ MemorySystem::dramFetch(int bank_tile, Addr line, LatBreakdown *bd)
         pl.reads = stats_.handle("dram.reads." + pl.phase);
     ++*pl.reads;
     energy_.dramAccess();
-    co_await Delay{eq_, lat};
+    co_await Delay{lat};
     if (bd)
         bd->dram += lat;
     co_await hop(ctrlTile(c), bank_tile, 72, bd);
@@ -624,9 +611,9 @@ MemorySystem::dramWriteback(int bank_tile, Addr line)
 {
     const unsigned c = ctrlOf(line);
     co_await hop(bank_tile, ctrlTile(c), 72);
-    const Tick lat = ctrls_[c].access(ctxNow(eq_));
+    const Tick lat = ctrls_[c].access(ctxNow());
     if (rec_.on(RecordKind::DramWrite))
-        rec_.push({.tick = ctxNow(eq_), .addr = line, .w = {lat},
+        rec_.push({.tick = ctxNow(), .addr = line, .w = {lat},
                    .tile = static_cast<std::int32_t>(c),
                    .kind = RecordKind::DramWrite});
     ++*dramWrites_;
@@ -636,7 +623,7 @@ MemorySystem::dramWriteback(int bank_tile, Addr line)
         pl.writes = stats_.handle("dram.writes." + pl.phase);
     ++*pl.writes;
     energy_.dramAccess();
-    co_await Delay{eq_, lat};
+    co_await Delay{lat};
 }
 
 Task<>
@@ -737,7 +724,7 @@ MemorySystem::evictL3Core(int bank_tile, L3Evict ev, bool take_lock)
     // Inclusive L3: back-invalidate every private copy, each in its
     // owner's domain, and wait for the acknowledgments.
     if (ev.copies) {
-        Join join(eq_);
+        Join join;
         bool vdirty = false;
         for (unsigned s = 0; s < params_.tiles; ++s) {
             if (!(ev.copies & tileBit(s)))
@@ -964,7 +951,7 @@ MemorySystem::remoteAtomicAdd(int tile, Addr addr, std::uint64_t delta)
     // in the bank's domain.
     TileState &b = *tiles_[bank];
     co_await b.bankLocks.acquire(line);
-    co_await Delay{eq_, params_.l3TagLat};
+    co_await Delay{params_.l3TagLat};
     energy_.l3Access();
 
     CacheWay *w3 = b.l3.lookup(line);
@@ -973,13 +960,13 @@ MemorySystem::remoteAtomicAdd(int tile, Addr addr, std::uint64_t delta)
     if (!w3) {
         ++*l3Misses_;
         while (!(w3 = allocL3Way(bank, line, mb, false)))
-            co_await Delay{eq_, 4};
+            co_await Delay{4};
         if (mb->phantom) {
             // Phantom miss makes no request down the hierarchy: onMiss
             // initializes the line (e.g., PHI's identity element).
             phantomStore_.zeroLine(line);
             if (mb->hasMiss && sink_) {
-                Join join(eq_);
+                Join join;
                 spawnMissCallback(join, bank, line, *mb);
                 co_await join.wait();
             }
@@ -988,7 +975,7 @@ MemorySystem::remoteAtomicAdd(int tile, Addr addr, std::uint64_t delta)
         }
     } else {
         ++*l3Hits_;
-        co_await Delay{eq_, params_.l3DataLat};
+        co_await Delay{params_.l3DataLat};
         b.l3.touch(*w3, false);
     }
 
@@ -1016,7 +1003,7 @@ MemorySystem::flushMorphData(const MorphBinding &binding)
         co_await dom_.hopTo(binding.tile, dom_.quantum());
         TileState &t = *tiles_[binding.tile];
         // Tag-array walk cost (Sec. 4.4): the controller scans its sets.
-        co_await Delay{eq_, t.l2.numSets() / 4 + 1};
+        co_await Delay{t.l2.numSets() / 4 + 1};
         std::vector<Addr> lines;
         t.l2.forEachValid([&](CacheWay &w) {
             if (in_range(w.lineAddr))
@@ -1033,7 +1020,7 @@ MemorySystem::flushMorphData(const MorphBinding &binding)
         for (unsigned bank = 0; bank < params_.tiles; ++bank) {
             co_await dom_.hopTo(static_cast<int>(bank), dom_.quantum());
             TileState &b = *tiles_[bank];
-            co_await Delay{eq_, b.l3.numSets() / 4 + 1};
+            co_await Delay{b.l3.numSets() / 4 + 1};
             std::vector<Addr> lines;
             b.l3.forEachValid([&](CacheWay &w) {
                 if (in_range(w.lineAddr))

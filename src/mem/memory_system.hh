@@ -162,7 +162,7 @@ class MemorySystem
      * executes the identical code on one queue. @p rec receives the
      * observation records (demand issue, lookups, transactions, DRAM).
      */
-    MemorySystem(const MemParams &params, Domains &dom, EventQueue &eq,
+    MemorySystem(const MemParams &params, Domains &dom,
                  StatsRegistry &stats, EnergyModel &energy, Mesh &noc,
                  Recorder &rec);
 
@@ -247,13 +247,12 @@ class MemorySystem
     // takolint: domain-local
     struct TileState
     {
-        TileState(const MemParams &p, EventQueue &eq)
+        explicit TileState(const MemParams &p)
             : l1(p.l1Size, p.l1Ways, ReplPolicy::Lru),
               engL1(p.engL1Size, p.engL1Ways, ReplPolicy::Lru),
               l2(p.l2Size, p.l2Ways, p.l2Repl),
               l3(p.l3BankSize, p.l3Ways, p.l3Repl),
-              tileLocks(eq), bankLocks(eq),
-              coreMshrs(eq, p.coreMshrs), engineMshrs(eq, p.engineMshrs)
+              coreMshrs(p.coreMshrs), engineMshrs(p.engineMshrs)
         {
         }
 
@@ -508,7 +507,6 @@ class MemorySystem
 
     MemParams params_;
     Domains &dom_;
-    EventQueue &eq_;
     StatsRegistry &stats_;
     EnergyModel &energy_;
     Mesh &noc_;

@@ -190,7 +190,7 @@ HatsMorph::onMiss(EngineCtx &ctx)
     while (line_idx != nextFillLine_) {
         auto &slot = waiting_[line_idx];
         if (!slot) {
-            slot = std::make_unique<Join>(ctx.eq());
+            slot = std::make_unique<Join>();
             slot->add();
         }
         co_await slot->wait();

@@ -87,7 +87,7 @@ PhiMorph::onWriteback(EngineCtx &ctx)
     // updates).
     if (updates >= threshold_ || (cursor + 8) * 16 > binCapacityBytes_) {
         ++counts.inPlaceLines;
-        Join join(ctx.eq());
+        Join join;
         for (unsigned i = 0; i < wordsPerLine; ++i) {
             const std::uint64_t delta = ctx.capturedLine()[i];
             if (delta == 0 || vbase + i >= numVertices_)

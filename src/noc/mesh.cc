@@ -112,7 +112,7 @@ Mesh::Walk::await_suspend(std::coroutine_handle<> caller)
     ++*mesh_.messages_;
     flits_ = std::max<unsigned>(
         1, static_cast<unsigned>(divCeil(bytes_, p.flitBytes)));
-    start_ = head_ = dom_.ctxNow(src_);
+    start_ = head_ = ctxNow();
 
     if (src_ == dst_) {
         ++*mesh_.localMessages_;

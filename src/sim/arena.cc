@@ -7,8 +7,6 @@
 namespace tako
 {
 
-constinit thread_local FrameArena::Local FrameArena::local_{};
-
 namespace
 {
 

@@ -9,10 +9,10 @@
  * pointer pop/push after warm-up.
  *
  * The pop/push is inline here, over a constant-initialized thread_local
- * free list, so a frame costs no out-of-line call and no dynamic-TLS
- * guard; refilling a class from a new slab and frames larger than
- * kMaxBlock (which fall through to ::operator new and are counted in
- * Stats::oversize) stay out of line in arena.cc.
+ * free list that this header defines, so a frame costs no out-of-line
+ * call and no TLS wrapper call; refilling a class from a new slab and
+ * frames larger than kMaxBlock (which fall through to ::operator new and
+ * are counted in Stats::oversize) stay out of line in arena.cc.
  *
  * Lifetime rules: each host thread (shard worker, ensemble lane) keeps
  * its own free lists, so there is no locking on the fast path. Slabs are
@@ -113,6 +113,8 @@ class FrameArena
 
     static constinit thread_local Local local_;
 };
+
+inline constinit thread_local FrameArena::Local FrameArena::local_{};
 
 } // namespace tako
 

@@ -92,8 +92,6 @@ class Domains
         return static_cast<std::uint32_t>(tile) + 1;
     }
 
-    EventQueue &queueOfDomain(unsigned d) { return *queues_[d]; }
-    EventQueue &queueOf(int tile) { return *tileQueues_[tile]; }
     const std::vector<EventQueue *> &queues() const { return queues_; }
 
     /** Tile the current event executes at (@p fallback when the context
@@ -116,7 +114,8 @@ class Domains
      * @p when. The key is drawn from the calling context's stream (its
      * counter is owned by the executing domain); the event runs with
      * the destination tile's stream as its context. Cross-domain posts
-     * must be at least one quantum ahead of the sender's clock.
+     * must be at least one quantum ahead of the sender's clock. Outside
+     * an event (before a run) the post lands on the destination's queue.
      */
     template <typename F>
     void
@@ -141,24 +140,13 @@ class Domains
                          es, std::forward<F>(fn));
     }
 
-    /**
-     * Simulated time at the current execution context; outside any
-     * event (pre-run setup, test code driving a coroutine's first step)
-     * the time of @p tile 's queue.
-     */
-    Tick
-    ctxNow(int tile) const
-    {
-        const EventQueue *cq = detail::execCtx.queue;
-        return cq ? cq->now() : tileQueues_[tile]->now();
-    }
-
-    /** postAbs at (current context time + @p delta). */
+    /** postAbs at (running event's time + @p delta); panics outside
+     *  an event. */
     template <typename F>
     void
     post(int dstTile, Tick delta, F &&fn)
     {
-        postAbs(dstTile, ctxNow(dstTile) + delta, std::forward<F>(fn));
+        postAbs(dstTile, ctxNow() + delta, std::forward<F>(fn));
     }
 
     /**
@@ -189,11 +177,11 @@ class Domains
         return Hop{*this, dstTile, when};
     }
 
-    /** hopToAbs at (current context time + @p delta). */
+    /** hopToAbs at (running event's time + @p delta). */
     auto
     hopTo(int dstTile, Tick delta)
     {
-        return hopToAbs(dstTile, ctxNow(dstTile) + delta);
+        return hopToAbs(dstTile, ctxNow() + delta);
     }
 
   private:

@@ -265,6 +265,7 @@ class EventQueue
             if (limit > base_)
                 advanceBase(limit);
         }
+        clearExecCtx();
     }
 
     /**
@@ -278,6 +279,7 @@ class EventQueue
     runThrough(Tick limit)
     {
         while (step(limit)) {}
+        clearExecCtx();
     }
 
     /** Earliest pending event time, if any (sharded-run scheduling). */
@@ -323,8 +325,8 @@ class EventQueue
     /**
      * Leaving an execution loop invalidates the published context: the
      * next consumer may be a different queue's loop (replica lanes, the
-     * sharded executor's mail delivery) or plain test code completing
-     * primitives inline, which must fall back to their stored queue.
+     * sharded executor's mail delivery) or host code, which runs
+     * outside any event.
      */
     static void
     clearExecCtx()
@@ -568,26 +570,38 @@ class EventQueue
     std::function<Tick(Tick)> advanceHook_;
 };
 
-/**
- * Queue to schedule follow-up work on from model code that may be
- * executing away from home. Transactions migrate across tiles, so the
- * right queue is wherever the current event is executing; outside any
- * event — calls made before or after a run, test code completing
- * primitives inline — it is the component's own stored queue.
- */
-inline EventQueue &
-homeQueue(EventQueue &fallback)
+namespace detail
 {
-    EventQueue *q = detail::execCtx.queue;
-    return q ? *q : fallback;
+
+/** Out of line, so every inlined wait or clock read pays one branch. */
+[[noreturn, gnu::cold, gnu::noinline]] inline void
+outsideEvent()
+{
+    panic("waited on or read simulated time outside an event");
 }
 
-/** Simulated time at the current execution context (see homeQueue). */
-inline Tick
-ctxNow(const EventQueue &fallback)
+} // namespace detail
+
+/**
+ * The running event's queue: every wait (Delay, Join, Semaphore, line
+ * lock) resumes on it, so a transaction that walked to a remote tile
+ * keeps running in that tile's domain. Outside an event there is no
+ * such queue, and asking panics.
+ */
+inline EventQueue &
+ctxQueue()
 {
-    const EventQueue *q = detail::execCtx.queue;
-    return q ? q->now() : fallback.now();
+    EventQueue *q = detail::execCtx.queue;
+    if (!q) [[unlikely]]
+        detail::outsideEvent();
+    return *q;
+}
+
+/** Simulated time at the running event; panics outside an event. */
+inline Tick
+ctxNow()
+{
+    return ctxQueue().now();
 }
 
 } // namespace tako

@@ -4,10 +4,12 @@
  *
  * Every event in a decomposed run executes "at" a logical stream (a tile,
  * or the reserved system stream 0) inside one shard domain. The kernel
- * publishes that location here while the event's callback runs, so model
- * code that migrates between tiles (memory transactions walking the NoC)
- * can always reach the queue it is currently executing on without
- * carrying an EventQueue reference through every coroutine frame.
+ * publishes that location here while the event's callback runs, and it
+ * is the only place model code finds a queue or a clock: every wait and
+ * every model-side time read goes through ctxQueue()/ctxNow()
+ * (event_queue.hh), which panic when no event runs. So a memory
+ * transaction that walks the NoC keeps running on the queue it is
+ * executing on, and no component carries an EventQueue reference.
  *
  * The context is thread-local: one worker thread executes at most one
  * domain's events at a time (the sharded executor's windows are

@@ -5,8 +5,9 @@
  * Guest programs (software threads on simulated cores) and täkō callbacks
  * (threads on near-cache engines) are written as coroutines returning
  * Task<> or Task<T>. Tasks are lazy: they run only when awaited or
- * spawned. Awaitables suspend the coroutine and arrange for an EventQueue
- * event to resume it at the right simulated time.
+ * spawned. Awaitables suspend the coroutine and schedule the event that
+ * resumes it on the running event's queue (ctxQueue), so coroutines run
+ * only inside events: a wait outside any event panics.
  *
  * Every frame is an arena allocation, so a function that only forwards
  * to another Task returns that Task rather than awaiting it, and spawn()
@@ -240,15 +241,12 @@ spawn(Task<T> task, std::function<void()> on_done)
 }
 
 /**
- * Awaitable that delays the coroutine by @p delta ticks. The resumption
- * is scheduled on the execution context's queue (homeQueue): a memory
- * transaction that has walked to a remote tile keeps running there, on
- * that domain's queue, even though the awaiter was built with the
- * component's construction-time queue reference.
+ * Awaitable that delays the coroutine by @p delta ticks, resuming on the
+ * running event's queue (ctxQueue): a memory transaction that has walked
+ * to a remote tile keeps running there, on that domain's queue.
  */
 struct Delay
 {
-    EventQueue &eq;
     Tick delta;
 
     bool await_ready() const noexcept { return delta == 0; }
@@ -256,7 +254,7 @@ struct Delay
     void
     await_suspend(std::coroutine_handle<> h) const
     {
-        homeQueue(eq).schedule(delta, [h]() { h.resume(); });
+        ctxQueue().schedule(delta, [h]() { h.resume(); });
     }
 
     void await_resume() const noexcept {}
@@ -272,7 +270,7 @@ struct Delay
 class Join
 {
   public:
-    explicit Join(EventQueue &eq) : eq_(eq) {}
+    Join() = default;
 
     Join(const Join &) = delete;
     Join &operator=(const Join &) = delete;
@@ -286,7 +284,7 @@ class Join
         --outstanding_;
         if (outstanding_ == 0 && waiter_) {
             auto w = std::exchange(waiter_, {});
-            homeQueue(eq_).schedule(0, [w]() { w.resume(); });
+            ctxQueue().schedule(0, [w]() { w.resume(); });
         }
     }
 
@@ -332,7 +330,6 @@ class Join
     }
 
   private:
-    EventQueue &eq_;
     std::coroutine_handle<> waiter_;
     unsigned outstanding_ = 0;
 };
@@ -362,12 +359,12 @@ addrData(const std::pair<Addr, std::uint64_t> &op, std::uint64_t)
  */
 template <typename Op, typename Slot>
 Task<>
-overlapOps(EventQueue &eq, const std::vector<Op> &ops, std::uint64_t wdata,
+overlapOps(const std::vector<Op> &ops, std::uint64_t wdata,
            std::vector<std::uint64_t> *out, Slot slot)
 {
     if (out)
         out->assign(ops.size(), 0);
-    Join join(eq);
+    Join join;
     for (std::size_t i = 0; i < ops.size(); ++i) {
         const auto [addr, data] = addrData(ops[i], wdata);
         join.add();
@@ -394,7 +391,7 @@ overlapOps(EventQueue &eq, const std::vector<Op> &ops, std::uint64_t wdata,
 class Semaphore
 {
   public:
-    Semaphore(EventQueue &eq, unsigned count) : eq_(eq), count_(count) {}
+    explicit Semaphore(unsigned count) : count_(count) {}
 
     Semaphore(const Semaphore &) = delete;
     Semaphore &operator=(const Semaphore &) = delete;
@@ -434,14 +431,13 @@ class Semaphore
             // Hand the slot directly to the oldest waiter.
             auto h = waiters_.front();
             waiters_.erase(waiters_.begin());
-            homeQueue(eq_).schedule(0, [h]() { h.resume(); });
+            ctxQueue().schedule(0, [h]() { h.resume(); });
         } else {
             ++count_;
         }
     }
 
   private:
-    EventQueue &eq_;
     unsigned count_;
     std::vector<std::coroutine_handle<>> waiters_;
 };

@@ -76,12 +76,12 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
 
     energy_ = std::make_unique<EnergyModel>(stats_, config_.energy);
     noc_ = std::make_unique<Mesh>(config_.mesh, stats_, *energy_);
-    mem_ = std::make_unique<MemorySystem>(config_.mem, dom_, eq_, stats_,
+    mem_ = std::make_unique<MemorySystem>(config_.mem, dom_, stats_,
                                           *energy_, *noc_, recorder_);
     registry_ = std::make_unique<MorphRegistry>(*mem_, dom_);
     engines_ = std::make_unique<EngineCluster>(config_.mem.tiles,
                                                config_.engine, *mem_, dom_,
-                                               eq_, stats_, *energy_);
+                                               stats_, *energy_);
     mem_->setCallbackSink(engines_.get());
     if (config_.accessTracer) {
         recorder_.subscribe(
@@ -100,8 +100,8 @@ System::System(const SystemConfig &config) : config_(config), rng_(config.seed)
     cores_.reserve(config_.mem.tiles);
     for (unsigned c = 0; c < config_.mem.tiles; ++c) {
         cores_.push_back(std::make_unique<Core>(
-            static_cast<int>(c), config_.core, *mem_, *registry_, eq_,
-            stats_, *energy_, config_.seed * 7919 + c));
+            static_cast<int>(c), config_.core, *mem_, *registry_, stats_,
+            *energy_, config_.seed * 7919 + c));
     }
 
     engines_->setInterruptHandler([this](int core, Addr line) {
@@ -130,16 +130,21 @@ System::addThread(int core, std::function<Task<>(Guest &)> fn)
 void
 System::bootGuests()
 {
-    // One keyed post per queued guest, in addThread order, onto the
-    // owning core's tile. The posts draw system-stream (0) keys before
-    // any event has run, and stream 0 orders below every tile stream,
-    // so at their tick the boot events run first, in addThread order,
-    // at every shard count — and each coroutine frame is created,
-    // driven, and destroyed in the domain that owns its core.
+    // The one pre-run scheduler: one keyed post per queued guest, in
+    // addThread order, onto the owning core's tile at the latest domain
+    // clock. The posts draw system-stream (0) keys, and stream 0 orders
+    // below every tile stream, so at their tick the boot events run
+    // first, in addThread order, at every shard count — and each
+    // coroutine frame is created, driven, and destroyed in the domain
+    // that owns its core.
+    Tick at = 0;
+    for (const EventQueue *q : dom_.queues())
+        at = std::max(at, q->now());
     for (auto &[core, fn] : pending_) {
-        dom_.post(core, 0, [this, c = core, f = std::move(fn)]() mutable {
-            cores_[c]->run(std::move(f));
-        });
+        dom_.postAbs(core, at,
+                     [this, c = core, f = std::move(fn)]() mutable {
+                         cores_[c]->run(std::move(f));
+                     });
     }
     pending_.clear();
 }

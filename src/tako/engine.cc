@@ -49,16 +49,10 @@ EngineCtx::tile() const
     return engine_.tile();
 }
 
-EventQueue &
-EngineCtx::eq() const
-{
-    return engine_.eq();
-}
-
 Tick
 EngineCtx::now() const
 {
-    return ctxNow(engine_.eq());
+    return ctxNow();
 }
 
 std::uint64_t
@@ -116,7 +110,7 @@ portedMulti(Engine &engine, int level, MemCmd cmd,
             const std::vector<Op> &ops, std::vector<std::uint64_t> *out,
             bool no_fetch = false, bool use_once = false)
 {
-    return overlapOps(engine.eq(), ops, 0, out,
+    return overlapOps(ops, 0, out,
                       [&engine, level, cmd, no_fetch, use_once](
                           Addr addr, std::uint64_t wdata,
                           std::uint64_t *slot_out) {
@@ -194,7 +188,7 @@ EngineCtx::compute(unsigned instrs, unsigned depth)
     engine_.chargeCompute(instrs);
     const Tick lat = engine_.computeLatency(instrs, depth);
     if (lat > 0)
-        co_await Delay{eq(), lat};
+        co_await Delay{lat};
 }
 
 void
@@ -208,24 +202,22 @@ EngineCtx::interrupt(int core)
 // ---------------------------------------------------------------------
 
 Engine::Engine(int tile, const EngineParams &params, MemorySystem &mem,
-               Domains &dom, EventQueue &eq, StatsRegistry &stats,
-               EnergyModel &energy, EngineCluster &cluster)
+               Domains &dom, StatsRegistry &stats, EnergyModel &energy,
+               EngineCluster &cluster)
     : tile_(tile),
       params_(params),
       mem_(mem),
       dom_(dom),
-      eq_(eq),
       stats_(stats),
       energy_(energy),
       cluster_(cluster),
-      bufferSlots_(eq, params.callbackBuffer),
-      fabricSlots_(eq, params.kind == EngineKind::Inorder
-                           ? 1
-                           : (params.kind == EngineKind::Ideal
-                                  ? 1u << 20
-                                  : params.maxConcurrent)),
-      memPortSem_(eq, memPorts()),
-      addrOrder_(eq),
+      bufferSlots_(params.callbackBuffer),
+      fabricSlots_(params.kind == EngineKind::Inorder
+                       ? 1
+                       : (params.kind == EngineKind::Ideal
+                              ? 1u << 20
+                              : params.maxConcurrent)),
+      memPortSem_(memPorts()),
       cbMiss_(stats.handle("engine.cb.miss")),
       cbEviction_(stats.handle("engine.cb.eviction")),
       cbWriteback_(stats.handle("engine.cb.writeback")),
@@ -353,7 +345,7 @@ Task<>
 Engine::runCallback(CallbackKind kind, Addr line,
                     const MorphBinding *binding, LineData data)
 {
-    const Tick enqueued = ctxNow(eq_);
+    const Tick enqueued = ctxNow();
     Recorder &rec = mem_.recorder();
     if (rec.on(RecordKind::CbEnqueue))
         rec.push({.tick = enqueued, .tile = tile_,
@@ -368,36 +360,36 @@ Engine::runCallback(CallbackKind kind, Addr line,
     Tick admission_wait = 0;
     if (!priority_miss) {
         co_await bufferSlots_.acquire();
-        admission_wait = ctxNow(eq_) - enqueued;
+        admission_wait = ctxNow() - enqueued;
         bufferWait_->sample(admission_wait);
     }
 
     // Callbacks on the same address execute in arrival order.
-    Tick t0 = ctxNow(eq_);
+    Tick t0 = ctxNow();
     co_await addrOrder_.acquire(line);
-    const Tick addr_wait = ctxNow(eq_) - t0;
+    const Tick addr_wait = ctxNow() - t0;
 
-    co_await Delay{eq_, params_.schedulerLat};
+    co_await Delay{params_.schedulerLat};
     Tick dispatch = params_.schedulerLat;
 
     const Tick xlate = rtlbLookup(line) + bitstreamLookup(*binding);
     if (xlate > 0)
-        co_await Delay{eq_, xlate};
+        co_await Delay{xlate};
 
     if (!priority_miss) {
-        t0 = ctxNow(eq_);
+        t0 = ctxNow();
         co_await fabricSlots_.acquire();
-        dispatch += ctxNow(eq_) - t0;
+        dispatch += ctxNow() - t0;
     }
 
     EngineCtx ctx(*this, *binding, kind, line, data);
     Morph &morph = *binding->morph;
-    const Tick body_start = ctxNow(eq_);
+    const Tick body_start = ctxNow();
     switch (kind) {
       case CallbackKind::Miss:
         ++*cbMiss_;
         co_await morph.onMiss(ctx);
-        missLatency_->sample(ctxNow(eq_) - enqueued);
+        missLatency_->sample(ctxNow() - enqueued);
         break;
       case CallbackKind::Eviction:
         ++*cbEviction_;
@@ -408,7 +400,7 @@ Engine::runCallback(CallbackKind kind, Addr line,
         co_await morph.onWriteback(ctx);
         break;
     }
-    const Tick body = ctxNow(eq_) - body_start;
+    const Tick body = ctxNow() - body_start;
 
     if (!priority_miss) {
         fabricSlots_.release();
@@ -419,10 +411,10 @@ Engine::runCallback(CallbackKind kind, Addr line,
     hBdDispatch_->sample(dispatch);
     hBdXlate_->sample(xlate);
     hBdBody_->sample(body);
-    hBdTotal_->sample(ctxNow(eq_) - enqueued);
+    hBdTotal_->sample(ctxNow() - enqueued);
     // The morph (and so its name) outlives the run that retires it.
     if (rec.on(RecordKind::CbRetire))
-        rec.push({.tick = ctxNow(eq_), .addr = line,
+        rec.push({.tick = ctxNow(), .addr = line,
                   .w = {enqueued, admission_wait, addr_wait, dispatch,
                         xlate, body},
                   .name = morph.traits().name.c_str(), .tile = tile_,
@@ -436,8 +428,7 @@ Engine::runCallback(CallbackKind kind, Addr line,
 
 EngineCluster::EngineCluster(unsigned tiles, const EngineParams &params,
                              MemorySystem &mem, Domains &dom,
-                             EventQueue &eq, StatsRegistry &stats,
-                             EnergyModel &energy)
+                             StatsRegistry &stats, EnergyModel &energy)
     : params_(params)
 {
     panic_if(dom.active() && params.interruptLat < dom.quantum(),
@@ -448,8 +439,7 @@ EngineCluster::EngineCluster(unsigned tiles, const EngineParams &params,
     engines_.reserve(tiles);
     for (unsigned t = 0; t < tiles; ++t) {
         engines_.push_back(std::make_unique<Engine>(
-            static_cast<int>(t), params, mem, dom, eq, stats, energy,
-            *this));
+            static_cast<int>(t), params, mem, dom, stats, energy, *this));
     }
 }
 

@@ -91,11 +91,7 @@ class EngineCtx
     bool dirty() const { return kind_ == CallbackKind::Writeback; }
     int tile() const;
 
-    /** The System's queue, for Delay and Join (they schedule on the
-     *  executing domain's queue); its clock is domain 0's. */
-    EventQueue &eq() const;
-
-    /** Simulated time at the engine's own domain (any shard count). */
+    /** Simulated time at the running event (any shard count). */
     Tick now() const;
 
     const MorphBinding &binding() const { return binding_; }
@@ -169,12 +165,11 @@ class Engine
 {
   public:
     Engine(int tile, const EngineParams &params, MemorySystem &mem,
-           Domains &dom, EventQueue &eq, StatsRegistry &stats,
-           EnergyModel &energy, EngineCluster &cluster);
+           Domains &dom, StatsRegistry &stats, EnergyModel &energy,
+           EngineCluster &cluster);
 
     int tile() const { return tile_; }
     const EngineParams &params() const { return params_; }
-    EventQueue &eq() const { return eq_; }
     MemorySystem &mem() const { return mem_; }
 
     /**
@@ -247,7 +242,6 @@ class Engine
     EngineParams params_;
     MemorySystem &mem_;
     Domains &dom_;
-    EventQueue &eq_;
     StatsRegistry &stats_;
     EnergyModel &energy_;
     EngineCluster &cluster_;
@@ -286,8 +280,8 @@ class EngineCluster : public CallbackSink
     using InterruptHandler = std::function<void(int core, Addr line)>;
 
     EngineCluster(unsigned tiles, const EngineParams &params,
-                  MemorySystem &mem, Domains &dom, EventQueue &eq,
-                  StatsRegistry &stats, EnergyModel &energy);
+                  MemorySystem &mem, Domains &dom, StatsRegistry &stats,
+                  EnergyModel &energy);
 
     Engine &engine(int tile) { return *engines_[tile]; }
     const EngineParams &params() const { return params_; }

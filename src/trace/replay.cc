@@ -14,6 +14,11 @@ namespace tako::trace
 namespace
 {
 
+/** Multi-op batch bound (issue-window MLP). */
+constexpr unsigned kBatch = 8;
+/** Non-memory work charged per record (compute between accesses). */
+constexpr std::uint64_t kInstrsPerRecord = 20;
+
 /** Replay counters; registered at construction (stats lookups are
  *  constructor-only), incremented through the cached handles. */
 struct ReplayStats
@@ -122,7 +127,7 @@ issueBatch(Guest &g, TraceOp op, const std::vector<Addr> &addrs)
 /** One core's share of the trace, replayed in trace order. */
 Task<>
 replayCore(Guest &g, const std::vector<ReplayRecord> &recs,
-           const TraceReplayConfig &cfg, ReplayStats &stats)
+           ReplayStats &stats)
 {
     std::vector<Addr> batch;
     std::vector<Addr> expanded;
@@ -133,7 +138,7 @@ replayCore(Guest &g, const std::vector<ReplayRecord> &recs,
         expandRecord(rec, expanded);
         for (Addr a : expanded) {
             if (!batch.empty() &&
-                (rec.op != curOp || batch.size() >= cfg.batch)) {
+                (rec.op != curOp || batch.size() >= kBatch)) {
                 co_await g.exec(pendingInstrs);
                 pendingInstrs = 0;
                 co_await issueBatch(g, curOp, batch);
@@ -149,7 +154,7 @@ replayCore(Guest &g, const std::vector<ReplayRecord> &recs,
             else
                 ++*stats.writes;
         }
-        pendingInstrs += cfg.instrsPerRecord;
+        pendingInstrs += kInstrsPerRecord;
     }
     if (pendingInstrs)
         co_await g.exec(pendingInstrs);
@@ -176,14 +181,14 @@ opOfReq(const AccessReq &req)
 } // namespace
 
 TraceReplayResult
-runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
+runTraceReplay(const std::string &path, SystemConfig sys_cfg)
 {
     TraceReplayResult res;
 
     // Decode the whole stream up front (host side): validation failures
     // surface before any simulation runs, and partitioning is trivial.
     TraceReader reader;
-    if (!reader.open(cfg.path)) {
+    if (!reader.open(path)) {
         res.error = reader.error();
         return res;
     }
@@ -210,7 +215,7 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
     reader.close();
     res.tenantsSeen = tenants.size();
     if (res.records == 0) {
-        res.error = "takotrace replay: '" + cfg.path +
+        res.error = "takotrace replay: '" + path +
                     "' holds no records";
         return res;
     }
@@ -238,12 +243,12 @@ runTraceReplay(const TraceReplayConfig &cfg, SystemConfig sys_cfg)
             continue;
         const std::vector<ReplayRecord> *recs = &perCore[c];
         sys.addThread(static_cast<int>(c),
-                      [recs, &cfg, &stats](Guest &g) -> Task<> {
-                          co_await replayCore(g, *recs, cfg, stats);
+                      [recs, &stats](Guest &g) -> Task<> {
+                          co_await replayCore(g, *recs, stats);
                       });
     }
     const Tick cycles = sys.run();
-    res.metrics = collectMetrics(sys, cfg.label, cycles);
+    res.metrics = collectMetrics(sys, "trace", cycles);
     res.metrics.extra["trace.records"] =
         static_cast<double>(res.records);
     res.metrics.extra["trace.tenants"] =

@@ -23,15 +23,6 @@
 namespace tako::trace
 {
 
-struct TraceReplayConfig
-{
-    std::string path;       ///< takotrace-v1 file to replay
-    std::string label = "trace";
-    unsigned batch = 8;     ///< multi-op batch bound (issue-window MLP)
-    /** Non-memory work charged per record (compute between accesses). */
-    std::uint64_t instrsPerRecord = 20;
-};
-
 struct TraceReplayResult
 {
     bool ok = false;
@@ -41,8 +32,9 @@ struct TraceReplayResult
     std::uint64_t tenantsSeen = 0; ///< distinct tenant ids in the trace
 };
 
-/** Replay @p cfg.path on a system built from @p sys_cfg. */
-TraceReplayResult runTraceReplay(const TraceReplayConfig &cfg,
+/** Replay the takotrace-v1 file @p path on a system built from
+ *  @p sys_cfg. */
+TraceReplayResult runTraceReplay(const std::string &path,
                                  SystemConfig sys_cfg);
 
 class TraceWriter;

@@ -89,20 +89,18 @@ ndcDecompress(System &sys, const DecompressConfig &cfg, const Layout &lay,
 {
     Engine &eng = sys.engines().engine(0);
     // Request travels to the L2-side engine.
-    co_await Delay{sys.eq(),
-                   sys.config().mem.l2TagLat + sys.config().mem.l2DataLat};
+    co_await Delay{sys.config().mem.l2TagLat + sys.config().mem.l2DataLat};
     co_await port.acquire();
-    co_await Delay{sys.eq(), cfg.ndcDispatchLat};
+    co_await Delay{cfg.ndcDispatchLat};
     const std::uint64_t base = co_await sys.mem().access(
         eng.request(MemCmd::Load, lay.bases + (idx / 8) * 8, 0, -1));
     const std::uint64_t deltas = co_await sys.mem().access(
         eng.request(MemCmd::Load, lay.deltas + (idx / 8) * 8, 0, -1));
     eng.chargeCompute(cfg.vectorDecompressInstrs);
-    co_await Delay{sys.eq(),
-                   eng.computeLatency(cfg.vectorDecompressInstrs, 4)};
+    co_await Delay{eng.computeLatency(cfg.vectorDecompressInstrs, 4)};
     port.release();
     // Response returns to the core.
-    co_await Delay{sys.eq(), 2};
+    co_await Delay{2};
     *out = DecompressMorph::decompress(base, deltas,
                                        static_cast<unsigned>(idx % 8));
 }
@@ -121,7 +119,7 @@ runDecompress(DecompressVariant variant, const DecompressConfig &cfg,
     std::uint64_t sum = 0;
     std::uint64_t decompressions = 0;
     DecompressMorph morph(lay.bases, lay.deltas, cfg.numValues);
-    auto ndcPort = std::make_unique<Semaphore>(sys.eq(), cfg.ndcPorts);
+    auto ndcPort = std::make_unique<Semaphore>(cfg.ndcPorts);
 
     const bool is_tako = variant == DecompressVariant::Tako ||
                          variant == DecompressVariant::TakoIdeal;
@@ -205,7 +203,7 @@ runDecompress(DecompressVariant variant, const DecompressConfig &cfg,
                 break;
               }
               case DecompressVariant::Ndc: {
-                Join join(g.eq());
+                Join join;
                 std::vector<std::uint64_t> vals(batch, 0);
                 for (unsigned k = 0; k < batch; ++k) {
                     join.add();

@@ -245,7 +245,7 @@ runPagerankPull(PullVariant variant, const PagerankPullConfig &cfg,
             };
             co_await swap_line(ptr, &words);
             while (!done) {
-                Join nextSwap(g2.eq());
+                Join nextSwap;
                 std::vector<std::uint64_t> nextWords;
                 nextSwap.add();
                 spawn(swap_line(ptr + wordsPerLine, &nextWords),

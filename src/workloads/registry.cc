@@ -111,9 +111,7 @@ RunMetrics
 runTraceEntry(const WorkloadRequest &req, SystemConfig sys,
               std::string &err)
 {
-    trace::TraceReplayConfig cfg;
-    cfg.path = req.tracePath;
-    trace::TraceReplayResult res = trace::runTraceReplay(cfg, sys);
+    trace::TraceReplayResult res = trace::runTraceReplay(req.tracePath, sys);
     if (!res.ok) {
         err = res.error;
         return RunMetrics{};

@@ -6,14 +6,14 @@
 void
 bypassViaTrackedBinding(Domains &dom, Tick when)
 {
-    EventQueue &fq = dom.queueOf(3);
+    EventQueue &fq = *dom.queues()[3];
     fq.schedule(when, []() {}); // takolint-expect: X2
 }
 
 void
 bypassViaDirectChain(Domains &dom, Tick when)
 {
-    dom.queueOfDomain(1).scheduleAbs(when, []() {}); // takolint-expect: X2
+    dom.queues()[1]->scheduleAbs(when, []() {}); // takolint-expect: X2
 }
 
 void

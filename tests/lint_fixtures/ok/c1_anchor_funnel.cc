@@ -12,10 +12,10 @@ struct GateSem
 
 // Same-tile producer/consumer: the gate never leaves its domain.
 Task<>
-portedAccess(EventQueue &eq, GateSem &gate)
+portedAccess(GateSem &gate)
 {
     gate.acquire();
-    co_await Delay{eq, 4};
+    co_await Delay{4};
     gate.release();
     co_return;
 }

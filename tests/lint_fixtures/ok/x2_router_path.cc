@@ -9,11 +9,12 @@ crossDomainSignal(Domains &dom, int dstTile, Tick delta)
     dom.post(dstTile, delta, []() {});
 }
 
-// Scheduling on the *home* queue is same-domain work, not a bypass.
+// Scheduling on the running event's queue is same-domain work, not a
+// bypass.
 void
-localWork(EventQueue &eq, Tick when)
+localWork(Tick when)
 {
-    homeQueue(eq).schedule(when, []() {});
+    ctxQueue().schedule(when, []() {});
 }
 
 // The router's own delivery path lands directly on the destination

@@ -22,19 +22,19 @@ namespace
 {
 
 Task<>
-delayed(EventQueue &eq, Tick d, int *out)
+delayed(Tick d, int *out)
 {
-    co_await Delay{eq, d};
+    co_await Delay{d};
     ++*out;
 }
 
 /** A chain of nested awaits, each with its own frame. */
 Task<>
-chain(EventQueue &eq, int depth, int *out)
+chain(int depth, int *out)
 {
     if (depth > 0)
-        co_await chain(eq, depth - 1, out);
-    co_await Delay{eq, 1};
+        co_await chain(depth - 1, out);
+    co_await Delay{1};
     ++*out;
 }
 
@@ -48,20 +48,21 @@ TEST(Lifetime, JoinCompletionOutlivesLoopIteration)
     EventQueue eq;
     int done = 0;
     bool finished = false;
-    spawn(
-        [](EventQueue *q, int *d, bool *fin) -> Task<> {
-            Join join(*q);
-            for (int i = 0; i < 64; ++i) {
-                join.add();
-                // Deliberately scattered completion ticks so frames
-                // retire out of spawn order.
-                spawn(delayed(*q, 1 + (i * 7) % 13, d),
-                      join.completion());
-            }
-            co_await join.wait();
-            *fin = true;
-        }(&eq, &done, &finished),
-        {});
+    eq.schedule(0, [d = &done, fin = &finished]() {
+        spawn(
+            [](int *d, bool *fin) -> Task<> {
+                Join join;
+                for (int i = 0; i < 64; ++i) {
+                    join.add();
+                    // Deliberately scattered completion ticks so frames
+                    // retire out of spawn order.
+                    spawn(delayed(1 + (i * 7) % 13, d), join.completion());
+                }
+                co_await join.wait();
+                *fin = true;
+            }(d, fin),
+            {});
+    });
     eq.run();
     EXPECT_TRUE(finished);
     EXPECT_EQ(done, 64);
@@ -75,16 +76,18 @@ TEST(Lifetime, NestedJoinsRecycleFramesUnderChurn)
     EventQueue eq;
     int done = 0;
     for (int wave = 0; wave < 50; ++wave) {
-        spawn(
-            [](EventQueue *q, int *d) -> Task<> {
-                Join join(*q);
-                for (int i = 0; i < 16; ++i) {
-                    join.add();
-                    spawn(chain(*q, i % 4, d), join.completion());
-                }
-                co_await join.wait();
-            }(&eq, &done),
-            {});
+        eq.schedule(0, [d = &done]() {
+            spawn(
+                [](int *d) -> Task<> {
+                    Join join;
+                    for (int i = 0; i < 16; ++i) {
+                        join.add();
+                        spawn(chain(i % 4, d), join.completion());
+                    }
+                    co_await join.wait();
+                }(d),
+                {});
+        });
         eq.run();
     }
     // Each chain(depth) increments once per frame: depth + 1 times.
@@ -99,18 +102,20 @@ TEST(Lifetime, CompletionAfterOwnerFrameWouldBeGoneIsSafe)
     EventQueue eq;
     int order = 0, first = 0, last = 0;
     bool finished = false;
-    spawn(
-        [](EventQueue *q, int *ord, int *f, int *l,
-           bool *fin) -> Task<> {
-            Join join(*q);
-            join.add(2);
-            spawn(delayed(*q, 1, f), join.completion());
-            spawn(delayed(*q, 10000, l), join.completion());
-            co_await join.wait();
-            *fin = true;
-            *ord = *f + *l;
-        }(&eq, &order, &first, &last, &finished),
-        {});
+    eq.schedule(0, [ord = &order, f = &first, l = &last,
+                    fin = &finished]() {
+        spawn(
+            [](int *ord, int *f, int *l, bool *fin) -> Task<> {
+                Join join;
+                join.add(2);
+                spawn(delayed(1, f), join.completion());
+                spawn(delayed(10000, l), join.completion());
+                co_await join.wait();
+                *fin = true;
+                *ord = *f + *l;
+            }(ord, f, l, fin),
+            {});
+    });
     eq.run();
     EXPECT_TRUE(finished);
     EXPECT_EQ(order, 2);

@@ -251,7 +251,7 @@ TEST(FlowRules, X2FlagsForeignQueueScheduleViaTrackedBinding)
 {
     auto r = lintSnippet(
         "void f(Domains &dom, Tick when) {\n"
-        "  EventQueue &fq = dom.queueOf(3);\n"
+        "  EventQueue &fq = *dom.queues()[3];\n"
         "  fq.schedule(when, []() {});\n"
         "}\n");
     EXPECT_EQ(activeRules(r), std::set<std::string>{"X2"});
@@ -265,8 +265,8 @@ TEST(FlowRules, X2FlagsForeignQueueScheduleViaTrackedBinding)
 TEST(FlowRules, X2IgnoresHomeQueueAndRoutedPosts)
 {
     auto r = lintSnippet(
-        "void f(Domains &dom, EventQueue &eq, Tick when) {\n"
-        "  homeQueue(eq).schedule(when, []() {});\n"
+        "void f(Domains &dom, Tick when) {\n"
+        "  ctxQueue().schedule(when, []() {});\n"
         "  dom.post(3, when, []() {});\n"
         "}\n");
     EXPECT_FALSE(activeRules(r).count("X2"));

@@ -101,7 +101,7 @@ class EngineFramesMorph : public Morph
         co_await ctx.load(target_);
         loadFrames = frames() - f0;
         co_await ctx.atomicAdd(target_, 1);
-        Join join(ctx.eq());
+        Join join;
         f0 = frames();
         join.add();
         spawn(ctx.atomicAdd(target_, 1), join.completion());
@@ -546,12 +546,11 @@ namespace
 
 /** Take @p lines ' locks in @p locks now, hold them @p hold cycles. */
 Task<>
-holdLines(EventQueue &eq, LineLockTable &locks, std::vector<Addr> lines,
-          Tick hold)
+holdLines(LineLockTable &locks, std::vector<Addr> lines, Tick hold)
 {
     for (Addr a : lines)
         co_await locks.acquire(a);
-    co_await Delay{eq, hold};
+    co_await Delay{hold};
     for (Addr a : lines)
         locks.release(a);
 }
@@ -583,7 +582,7 @@ loadPastHeldSet(const std::vector<Addr> &set, Addr target, bool l3,
         if (hold > 0) {
             LineLockTable &locks = l3 ? sys.mem().bankLocks(bank)
                                       : sys.mem().tileLocks(0);
-            spawn(holdLines(g.eq(), locks, set, hold));
+            spawn(holdLines(locks, set, hold));
         }
         const Tick t0 = g.now();
         co_await g.load(target);

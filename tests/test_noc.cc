@@ -179,7 +179,7 @@ walkEveryPair(WalkFixture &f, unsigned &mismatches)
     for (const unsigned bytes : {8u, 72u}) {
         for (int src = 0; src < 16; ++src) {
             for (int dst = 0; dst < 16; ++dst) {
-                co_await Delay{f.eq, 1};
+                co_await Delay{1};
                 const Tick t0 = f.eq.now();
                 co_await f.mesh.walk(f.dom, src, dst, bytes);
                 const Tick lat = f.eq.now() - t0;
@@ -199,7 +199,7 @@ TEST_F(WalkFixture, UncontendedWalkMatchesTraverseForEveryPair)
     mesh.enableLinkProfiling();
     ref.enableLinkProfiling();
     unsigned mismatches = 0;
-    spawn(walkEveryPair(*this, mismatches));
+    eq.schedule(0, [&] { spawn(walkEveryPair(*this, mismatches)); });
     eq.run();
     EXPECT_EQ(mismatches, 0u);
     for (const char *name :
@@ -232,15 +232,18 @@ TEST_F(WalkFixture, SharedLinkIsReservedInArrivalOrder)
     EXPECT_EQ(mesh.flitHops(), 5u * 3 + 5u * 2);
 }
 
-TEST_F(WalkFixture, WalkStartedOutsideAnEventReadsTheQueueClock)
+TEST_F(WalkFixture, WalkStartedOutsideAnEventDies)
 {
-    // A coroutine spawned before run() takes its first step with no
-    // event executing, so the walk's first hop must read the clock from
-    // the source tile's queue.
+    // A coroutine spawned with no event executing has no clock to start
+    // its walk from: the walk's first hop panics by name instead of
+    // reading some queue's clock (or a null one).
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     eq.runUntil(100);
-    EventQueue::clearExecCtx();
     Tick arrival = 0;
-    spawn(walkOnce(*this, 0, 15, 8, arrival));
+    EXPECT_DEATH(spawn(walkOnce(*this, 0, 15, 8, arrival)),
+                 "outside an event");
+    // Started from an event, the same walk leaves at that event's tick.
+    eq.schedule(0, [&] { spawn(walkOnce(*this, 0, 15, 8, arrival)); });
     eq.run();
     EXPECT_EQ(arrival, 100 + ref.traverse(100, 0, 15, 8));
 }
@@ -252,7 +255,7 @@ Task<>
 walkBurst(WalkFixture &f, std::uint64_t &frames, Tick &charged,
           Tick &elapsed)
 {
-    co_await Delay{f.eq, 1};
+    co_await Delay{1};
     const FrameArena::Stats &arena = FrameArena::stats();
     const std::uint64_t before = arena.allocs + arena.oversize;
     const Tick t0 = f.eq.now();
@@ -268,7 +271,8 @@ TEST_F(WalkFixture, AwaitedWalkAllocatesNoFrameAndChargesItsLatency)
 {
     std::uint64_t frames = ~std::uint64_t{0};
     Tick charged = 0, elapsed = 0;
-    spawn(walkBurst(*this, frames, charged, elapsed));
+    eq.schedule(0,
+                [&] { spawn(walkBurst(*this, frames, charged, elapsed)); });
     eq.run();
     EXPECT_EQ(frames, 0u);
     EXPECT_GT(elapsed, 0u);

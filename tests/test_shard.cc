@@ -286,6 +286,27 @@ TEST(ShardedExecutor, CrossDomainPostRejectsDeltaBelowQuantum)
     EXPECT_DEATH(run(), "violates the lookahead quantum");
 }
 
+TEST(Domains, PostOutsideAnEventDiesWhilePostAbsWorks)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    // 4x4 mesh in two column bands: tile 2 is in domain 1.
+    const ShardPlan plan = ShardPlan::build(4, 4, 2, 1, 2);
+    EventQueue q0, q1;
+    Domains dom;
+    dom.init(plan, {&q0, &q1});
+    // post() counts from the running event's clock; there is none.
+    EXPECT_DEATH(dom.post(2, 1, [] {}), "outside an event");
+    // postAbs() names its tick, so it stages work before a run (the
+    // way System::bootGuests starts the guests), on the tile's queue.
+    bool ran = false;
+    dom.postAbs(2, 7, [&ran] { ran = true; });
+    EXPECT_EQ(q0.pending(), 0u);
+    EXPECT_EQ(q1.pending(), 1u);
+    q1.run();
+    EXPECT_TRUE(ran);
+    EXPECT_EQ(q1.now(), 7u);
+}
+
 // ------------------------------------------------------------- runLanes
 
 TEST(RunLanes, JobToLaneMapIsAFunctionOfIndexOnly)

@@ -211,7 +211,6 @@ TEST(EventQueue, CrossStreamInsertsPopInTickKeyOrder)
                   now + m.rng.below(64));
         maxOverflow = std::max(maxOverflow, m.eq.overflowPending());
         m.eq.runUntil(now + m.rng.below(500));
-        EventQueue::clearExecCtx();
     }
     m.eq.run();
     EXPECT_EQ(m.misordered, 0u);
@@ -307,33 +306,33 @@ namespace
 {
 
 Task<>
-delayTwice(EventQueue &eq, Tick d, int &count)
+delayTwice(Tick d, int &count)
 {
-    co_await Delay{eq, d};
+    co_await Delay{d};
     ++count;
-    co_await Delay{eq, d};
+    co_await Delay{d};
     ++count;
 }
 
 /** Two delayed steps, then a value nobody reads when spawned. */
 Task<std::uint64_t>
-delayedValue(EventQueue &eq, Tick d, int &count)
+delayedValue(Tick d, int &count)
 {
-    co_await delayTwice(eq, d, count);
+    co_await delayTwice(d, count);
     co_return 42;
 }
 
 Task<int>
-addAsync(EventQueue &eq, int a, int b)
+addAsync(int a, int b)
 {
-    co_await Delay{eq, 5};
+    co_await Delay{5};
     co_return a + b;
 }
 
 Task<>
-caller(EventQueue &eq, int &result)
+caller(int &result)
 {
-    result = co_await addAsync(eq, 2, 3);
+    result = co_await addAsync(2, 3);
 }
 
 } // namespace
@@ -342,8 +341,10 @@ TEST(Task, DelaysAdvanceTime)
 {
     EventQueue eq;
     int count = 0;
-    spawn(delayTwice(eq, 10, count));
-    EXPECT_EQ(count, 0); // lazy until first event
+    eq.schedule(0, [&]() {
+        spawn(delayTwice(10, count));
+        EXPECT_EQ(count, 0); // runs only to its first Delay
+    });
     eq.run();
     EXPECT_EQ(count, 2);
     EXPECT_EQ(eq.now(), 20u);
@@ -353,7 +354,7 @@ TEST(Task, ValueTaskReturnsThroughAwait)
 {
     EventQueue eq;
     int result = 0;
-    spawn(caller(eq, result));
+    eq.schedule(0, [&]() { spawn(caller(result)); });
     eq.run();
     EXPECT_EQ(result, 5);
 }
@@ -363,7 +364,9 @@ TEST(Task, SpawnOnDoneFires)
     EventQueue eq;
     int count = 0;
     bool done = false;
-    spawn(delayTwice(eq, 1, count), [&]() { done = true; });
+    eq.schedule(0, [&]() {
+        spawn(delayTwice(1, count), [&]() { done = true; });
+    });
     eq.run();
     EXPECT_TRUE(done);
     EXPECT_EQ(count, 2);
@@ -380,13 +383,15 @@ TEST(Task, SpawnedTaskIsItsOwnOnlyFrame)
     const std::uint64_t live0 = arena.live;
     int count = 0, calls = 0, countAtDone = -1;
     std::uint64_t liveAtDone = 0;
-    spawn(delayTwice(eq, 1, count), [&]() {
-        ++calls;
-        countAtDone = count;
-        liveAtDone = arena.live;
+    eq.schedule(0, [&]() {
+        spawn(delayTwice(1, count), [&]() {
+            ++calls;
+            countAtDone = count;
+            liveAtDone = arena.live;
+        });
+        EXPECT_EQ(arena.allocs + arena.oversize - allocs0, 1u);
+        EXPECT_EQ(calls, 0);
     });
-    EXPECT_EQ(arena.allocs + arena.oversize - allocs0, 1u);
-    EXPECT_EQ(calls, 0);
     eq.run();
     EXPECT_EQ(calls, 1);
     EXPECT_EQ(countAtDone, 2);
@@ -405,13 +410,15 @@ TEST(Task, SpawnedTaskIsItsOwnOnlyFrame)
     // second frame), while the spawned frame is still live.
     count = calls = 0;
     countAtDone = -1;
-    spawn(delayedValue(eq, 1, count), [&]() {
-        ++calls;
-        countAtDone = count;
-        liveAtDone = arena.live;
+    eq.schedule(0, [&]() {
+        spawn(delayedValue(1, count), [&]() {
+            ++calls;
+            countAtDone = count;
+            liveAtDone = arena.live;
+        });
+        EXPECT_EQ(arena.allocs + arena.oversize - allocs0, 3u);
+        EXPECT_EQ(calls, 0);
     });
-    EXPECT_EQ(arena.allocs + arena.oversize - allocs0, 3u);
-    EXPECT_EQ(calls, 0);
     eq.run();
     EXPECT_EQ(calls, 1);
     EXPECT_EQ(countAtDone, 2);
@@ -433,13 +440,15 @@ TEST(Task, FramesComeFromArenaAndAreReused)
     // does not, and no frame stays live after the queue drains.
     EventQueue eq;
     int count = 0;
-    for (int i = 0; i < 64; ++i)
-        spawn(delayTwice(eq, 1, count));
+    auto spawn64 = [&]() {
+        for (int i = 0; i < 64; ++i)
+            spawn(delayTwice(1, count));
+    };
+    eq.schedule(0, spawn64);
     eq.run();
     const FrameArena::Stats s1 = FrameArena::stats();
     EXPECT_GE(s1.allocs, 64u);
-    for (int i = 0; i < 64; ++i)
-        spawn(delayTwice(eq, 1, count));
+    eq.schedule(0, spawn64);
     eq.run();
     const FrameArena::Stats s2 = FrameArena::stats();
     EXPECT_EQ(count, 256);
@@ -448,17 +457,44 @@ TEST(Task, FramesComeFromArenaAndAreReused)
     EXPECT_EQ(s2.live, s1.live);
 }
 
+TEST(Task, DelayOutsideAnEventDies)
+{
+    // A coroutine started with no event running has no queue to resume
+    // on: its first wait panics by name.
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    int count = 0;
+    EXPECT_DEATH(spawn(delayTwice(1, count)), "outside an event");
+}
+
+TEST(ExecCtx, ClockReadsBelongToTheRunningEvent)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EXPECT_DEATH(ctxNow(), "outside an event");
+    EventQueue eq;
+    Tick seen = 0;
+    eq.schedule(7, [&seen]() { seen = ctxNow(); });
+    eq.runUntil(10);
+    EXPECT_EQ(seen, 7u);
+    // Every run loop clears the context on return.
+    EXPECT_DEATH(ctxNow(), "outside an event");
+    eq.schedule(2, []() {});
+    eq.runThrough(20);
+    EXPECT_DEATH(ctxNow(), "outside an event");
+    eq.schedule(1, []() {});
+    eq.run();
+    EXPECT_DEATH(ctxNow(), "outside an event");
+}
+
 namespace
 {
 
 Task<>
-acquireHold(EventQueue &eq, Semaphore &sem, Tick hold, int &active,
-            int &max_active)
+acquireHold(Semaphore &sem, Tick hold, int &active, int &max_active)
 {
     co_await sem.acquire();
     ++active;
     max_active = std::max(max_active, active);
-    co_await Delay{eq, hold};
+    co_await Delay{hold};
     --active;
     sem.release();
 }
@@ -468,10 +504,12 @@ acquireHold(EventQueue &eq, Semaphore &sem, Tick hold, int &active,
 TEST(Semaphore, BoundsConcurrency)
 {
     EventQueue eq;
-    Semaphore sem(eq, 2);
+    Semaphore sem(2);
     int active = 0, max_active = 0;
-    for (int i = 0; i < 8; ++i)
-        spawn(acquireHold(eq, sem, 10, active, max_active));
+    eq.schedule(0, [&]() {
+        for (int i = 0; i < 8; ++i)
+            spawn(acquireHold(sem, 10, active, max_active));
+    });
     eq.run();
     EXPECT_EQ(active, 0);
     EXPECT_EQ(max_active, 2);
@@ -482,9 +520,41 @@ namespace
 {
 
 Task<>
+acquireFlag(Semaphore &sem, bool &got)
+{
+    co_await sem.acquire();
+    got = true;
+}
+
+} // namespace
+
+TEST(Semaphore, HandoffOutsideAnEventDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EventQueue eq;
+    Semaphore sem(1);
+    bool first = false, second = false;
+    eq.schedule(0, [&]() {
+        spawn(acquireFlag(sem, first));
+        spawn(acquireFlag(sem, second));
+    });
+    eq.run();
+    ASSERT_TRUE(first);
+    ASSERT_FALSE(second);
+    // Handing the slot to the waiter schedules its resume.
+    EXPECT_DEATH(sem.release(), "outside an event");
+    eq.schedule(0, [&sem]() { sem.release(); });
+    eq.run();
+    EXPECT_TRUE(second);
+}
+
+namespace
+{
+
+Task<>
 joinUser(EventQueue &eq, bool &flag)
 {
-    Join join(eq);
+    Join join;
     for (int i = 0; i < 4; ++i) {
         join.add();
         eq.schedule(10 + i, [&join]() { join.done(); });
@@ -508,15 +578,44 @@ TEST(Join, WaitsForAll)
 namespace
 {
 
+Task<>
+waitOn(Join &join, bool &resumed)
+{
+    co_await join.wait();
+    resumed = true;
+}
+
+} // namespace
+
+TEST(Join, DoneOutsideAnEventDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EventQueue eq;
+    Join join;
+    bool resumed = false;
+    join.add();
+    eq.schedule(0, [&]() { spawn(waitOn(join, resumed)); });
+    eq.run();
+    ASSERT_FALSE(resumed);
+    // The last done() schedules the waiter's resume.
+    EXPECT_DEATH(join.done(), "outside an event");
+    eq.schedule(0, [&join]() { join.done(); });
+    eq.run();
+    EXPECT_TRUE(resumed);
+}
+
+namespace
+{
+
 /** Takes @p line at tick @p arrive, logs @p id, holds it for @p hold. */
 Task<>
-lockHold(EventQueue &eq, LineLockTable &locks, Addr line, Tick arrive,
-         Tick hold, int id, std::vector<std::pair<int, Tick>> &log)
+lockHold(LineLockTable &locks, Addr line, Tick arrive, Tick hold, int id,
+         std::vector<std::pair<int, Tick>> &log)
 {
-    co_await Delay{eq, arrive};
+    co_await Delay{arrive};
     co_await locks.acquire(line);
-    log.emplace_back(id, eq.now());
-    co_await Delay{eq, hold};
+    log.emplace_back(id, ctxNow());
+    co_await Delay{hold};
     locks.release(line);
 }
 
@@ -533,13 +632,15 @@ lockTake(LineLockTable &locks, Addr line, int id, std::map<Addr, int> &owner)
 TEST(LineLockTable, WaitersAcquireInArrivalOrder)
 {
     EventQueue eq;
-    LineLockTable locks(eq);
+    LineLockTable locks;
     std::vector<std::pair<int, Tick>> log;
     // Holder 0 takes the line at tick 0; waiters arrive as 3, 1, 2.
-    spawn(lockHold(eq, locks, 0x1000, 0, 10, 0, log));
-    spawn(lockHold(eq, locks, 0x1000, 3, 10, 1, log));
-    spawn(lockHold(eq, locks, 0x1000, 4, 10, 2, log));
-    spawn(lockHold(eq, locks, 0x1000, 2, 10, 3, log));
+    eq.schedule(0, [&]() {
+        spawn(lockHold(locks, 0x1000, 0, 10, 0, log));
+        spawn(lockHold(locks, 0x1000, 3, 10, 1, log));
+        spawn(lockHold(locks, 0x1000, 4, 10, 2, log));
+        spawn(lockHold(locks, 0x1000, 2, 10, 3, log));
+    });
     eq.run();
     const std::vector<std::pair<int, Tick>> want = {
         {0, 0}, {3, 10}, {1, 20}, {2, 30}};
@@ -550,18 +651,22 @@ TEST(LineLockTable, WaitersAcquireInArrivalOrder)
 TEST(LineLockTable, HeldAcrossHandoffsUntilLastRelease)
 {
     EventQueue eq;
-    LineLockTable locks(eq);
+    LineLockTable locks;
     std::map<Addr, int> owner;
-    spawn(lockTake(locks, 0x40, 1, owner));
-    spawn(lockTake(locks, 0x40, 2, owner));
-    spawn(lockTake(locks, 0x40, 3, owner));
+    eq.schedule(0, [&]() {
+        spawn(lockTake(locks, 0x40, 1, owner));
+        spawn(lockTake(locks, 0x40, 2, owner));
+        spawn(lockTake(locks, 0x40, 3, owner));
+    });
     eq.run();
     EXPECT_EQ(owner[0x40], 1);
     EXPECT_FALSE(locks.held(0x80));
     for (int next = 2; next <= 3; ++next) {
-        locks.release(0x40);
-        // Handed off, not dropped: held before the waiter even runs.
-        EXPECT_TRUE(locks.held(0x40));
+        eq.schedule(0, [&]() {
+            locks.release(0x40);
+            // Handed off, not dropped: held before the waiter even runs.
+            EXPECT_TRUE(locks.held(0x40));
+        });
         eq.run();
         EXPECT_EQ(owner[0x40], next);
         EXPECT_TRUE(locks.held(0x40));
@@ -574,13 +679,32 @@ TEST(LineLockTable, ReleasingUnheldLineDies)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     EventQueue eq;
-    LineLockTable locks(eq);
+    LineLockTable locks;
     EXPECT_DEATH(locks.release(0x40), "releasing unheld lock 0x40");
     std::map<Addr, int> owner;
     spawn(lockTake(locks, 0x40, 1, owner));
     eq.run();
     locks.release(0x40);
     EXPECT_DEATH(locks.release(0x40), "releasing unheld lock 0x40");
+}
+
+TEST(LineLockTable, HandoffOutsideAnEventDies)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    EventQueue eq;
+    LineLockTable locks;
+    std::map<Addr, int> owner;
+    eq.schedule(0, [&]() {
+        spawn(lockTake(locks, 0x40, 1, owner));
+        spawn(lockTake(locks, 0x40, 2, owner));
+    });
+    eq.run();
+    ASSERT_EQ(owner[0x40], 1);
+    // Handing the line to the waiter schedules its resume.
+    EXPECT_DEATH(locks.release(0x40), "outside an event");
+    eq.schedule(0, [&locks]() { locks.release(0x40); });
+    eq.run();
+    EXPECT_EQ(owner[0x40], 2);
 }
 
 TEST(LineLockTable, RandomOpsOnCollidingLinesMatchReferenceModel)
@@ -597,7 +721,7 @@ TEST(LineLockTable, RandomOpsOnCollidingLinesMatchReferenceModel)
     }
 
     EventQueue eq;
-    LineLockTable locks(eq);
+    LineLockTable locks;
     std::map<Addr, int> owner;
     // Reference: held line -> (owner, FIFO of waiting ids).
     std::map<Addr, std::pair<int, std::deque<int>>> ref;
@@ -610,7 +734,9 @@ TEST(LineLockTable, RandomOpsOnCollidingLinesMatchReferenceModel)
         if (ref.empty() || rng.below(100) < acquire_pct) {
             const Addr line = lines[rng.below(lines.size())];
             const int id = next_id++;
-            spawn(lockTake(locks, line, id, owner));
+            eq.schedule(0, [&, line, id]() {
+                spawn(lockTake(locks, line, id, owner));
+            });
             auto [it, fresh] = ref.try_emplace(line);
             if (fresh)
                 it->second.first = id;
@@ -619,7 +745,8 @@ TEST(LineLockTable, RandomOpsOnCollidingLinesMatchReferenceModel)
         } else {
             auto it = ref.begin();
             std::advance(it, rng.below(ref.size()));
-            locks.release(it->first);
+            const Addr line = it->first;
+            eq.schedule(0, [&locks, line]() { locks.release(line); });
             if (it->second.second.empty()) {
                 ref.erase(it);
             } else {

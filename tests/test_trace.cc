@@ -583,15 +583,13 @@ TEST(TraceReplay, IsDeterministicAndCountsRecords)
     ASSERT_TRUE(generateTrace(p, w, err)) << err;
     ASSERT_TRUE(w.close());
 
-    TraceReplayConfig cfg;
-    cfg.path = f.path();
-    const TraceReplayResult a = runTraceReplay(cfg, tinySystem(4));
+    const TraceReplayResult a = runTraceReplay(f.path(), tinySystem(4));
     ASSERT_TRUE(a.ok) << a.error;
     EXPECT_EQ(a.records, 2000u);
     EXPECT_EQ(a.tenantsSeen, 7u);
     EXPECT_GT(a.metrics.cycles, 0u);
 
-    const TraceReplayResult b = runTraceReplay(cfg, tinySystem(4));
+    const TraceReplayResult b = runTraceReplay(f.path(), tinySystem(4));
     ASSERT_TRUE(b.ok) << b.error;
     EXPECT_EQ(a.metrics.cycles, b.metrics.cycles);
     EXPECT_EQ(a.metrics.dramReads, b.metrics.dramReads);
@@ -625,16 +623,14 @@ TEST(TraceReplay, RecorderRoundTripReplays)
 
     // 8 tiles (4x2 mesh): the four tenants replay in four columns, so
     // --shards=4 records from four domains — into the same bytes.
-    TraceReplayConfig cfg;
-    cfg.path = src.path();
-    auto replayRecording = [&cfg](const std::string &path,
+    auto replayRecording = [&src](const std::string &path,
                                   unsigned shards) {
         TraceWriter recording;
         EXPECT_TRUE(recording.open(path, {.timestamps = true}));
         SystemConfig sys = tinySystem(8);
         sys.shards = shards;
         sys.accessTracer = recordAccesses(recording);
-        const TraceReplayResult res = runTraceReplay(cfg, sys);
+        const TraceReplayResult res = runTraceReplay(src.path(), sys);
         EXPECT_TRUE(recording.close()) << recording.error();
         return res;
     };
@@ -656,9 +652,8 @@ TEST(TraceReplay, RecorderRoundTripReplays)
         EXPECT_GE(recorded, first.records);
     }
 
-    TraceReplayConfig cfg2;
-    cfg2.path = rec.path();
-    const TraceReplayResult second = runTraceReplay(cfg2, tinySystem(8));
+    const TraceReplayResult second =
+        runTraceReplay(rec.path(), tinySystem(8));
     ASSERT_TRUE(second.ok) << second.error;
     EXPECT_EQ(second.records, recorded);
 }
@@ -679,18 +674,16 @@ TEST(TraceReplay, FoldsPhantomSpaceAddressesIntoRealSpace)
     }
     writeTrace(f.path(), recs, false);
 
-    TraceReplayConfig cfg;
-    cfg.path = f.path();
-    const TraceReplayResult res = runTraceReplay(cfg, tinySystem(4));
+    const TraceReplayResult res = runTraceReplay(f.path(), tinySystem(4));
     ASSERT_TRUE(res.ok) << res.error;
     EXPECT_EQ(res.records, 16u);
 }
 
 TEST(TraceReplay, MissingFileFailsWithError)
 {
-    TraceReplayConfig cfg;
-    cfg.path = ::testing::TempDir() + "tako_no_such_file.takotrace";
-    const TraceReplayResult res = runTraceReplay(cfg, tinySystem(2));
+    const TraceReplayResult res = runTraceReplay(
+        ::testing::TempDir() + "tako_no_such_file.takotrace",
+        tinySystem(2));
     EXPECT_FALSE(res.ok);
     EXPECT_FALSE(res.error.empty());
 }

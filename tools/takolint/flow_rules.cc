@@ -36,7 +36,7 @@ namespace
 
 /** Foreign-queue sources (X2): grabbing another domain's queue. */
 const std::set<std::string> kForeignQueueSources = {
-    "queueOf", "queueOfDomain", "queues", "queues_", "tileQueues_",
+    "queues", "queues_", "tileQueues_",
 };
 
 /** EventQueue entry points that enqueue work (X2 receivers). */
@@ -631,7 +631,7 @@ class FuncSiteChecks
     {
         std::string name;
         int declLine = 0;
-        std::string source; ///< queueOf / queues_ / ...
+        std::string source; ///< queues / queues_ / ...
         int sourceLine = 0;
     };
 

@@ -35,8 +35,8 @@
  * per-function CFG recovered by the lightweight parser (flow.hh):
  *
  *   X2  no direct EventQueue::schedule* on a foreign domain's queue
- *       (obtained via Domains::queueOf/queueOfDomain/queues or the
- *       queues_ table): cross-domain work must go through
+ *       (obtained via Domains::queues() or the queues_/tileQueues_
+ *       tables): cross-domain work must go through
  *       Domains::post/postAbs or ShardedExecutor::sendKeyed so it
  *       lands in the partition-invariant (tick, key) order.
  *   H1  no use of a pre-hop reference (or, in a lambda, a by-ref
